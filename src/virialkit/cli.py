@@ -171,13 +171,16 @@ def cmd_graphs_blocks(args) -> int:
 METHOD_FLAGS = ("recursive", "lagrange-good", "two-connected")
 
 
-def _virial_by_method(source, truncation: Truncation, method: str) -> MPSeries:
+def _virial_by_method(source, truncation: Truncation, method: str,
+                      pressure: virial_mod.PressureSeries | None = None) -> MPSeries:
+    """The virial series by one route; the recursive and Lagrange-Good routes
+    invert `pressure`, which is built from `source` when not given."""
     if method == "two-connected":
         if not getattr(source, "block_factorizing", False):
             raise ValueError("the two-connected route needs a block-factorizing "
                              "weight source; this model does not declare one")
         return virial_mod.virial_from_two_connected(source, truncation).series
-    p = virial_mod.pressure_from_weights(source, truncation)
+    p = pressure if pressure is not None else virial_mod.pressure_from_weights(source, truncation)
     if method == "recursive":
         return virial_mod.invert_recursive(p).series
     inverter = virial_mod.LagrangeGoodInverter(p)
@@ -210,7 +213,10 @@ def cmd_virial_compare(args) -> int:
     methods = ["recursive", "lagrange-good"]
     if getattr(source, "block_factorizing", False):
         methods.append("two-connected")
-    results = {m: _virial_by_method(source, truncation, m) for m in methods}
+    # Both inversion routes read the same pressure: build it once, since for
+    # a Monte Carlo source every build is a full run over all graphs.
+    p = virial_mod.pressure_from_weights(source, truncation)
+    results = {m: _virial_by_method(source, truncation, m, p) for m in methods}
     base = results["recursive"]
     diffs = []
     for m, series in results.items():

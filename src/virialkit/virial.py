@@ -35,6 +35,7 @@ from .series import (
     SeriesMatrix,
     Truncation,
     admissible_indices,
+    coefficient_of_product,
     determinant,
     exp,
     reciprocal,
@@ -279,16 +280,19 @@ class LagrangeGoodInverter:
     M_ij = delta_ij + z_i d2p/dz_i dz_j / (dp/dz_i) over species 1..N, where N
     is the largest species index appearing in n.
 
-    Caches derivatives, reciprocals and determinants so streams of n against
-    one pressure series stay cheap.
+    A_N = p * det M_N is cached per top species N, next to the reciprocals
+    1/(dp/dz_i) and the entries of M, so one c(n) is a single extraction
+    [z^n] A_N * prod_i (1/(dp/dz_i))^{n_i} over the box of exponents <= n
+    (`coefficient_of_product`, with 1/(dp/dz_i) repeated n_i times): no full
+    series product is formed per n, and streams of n stay cheap.
     """
 
     def __init__(self, p: PressureSeries):
         self.series = p.series
         self._dp: dict[int, MPSeries] = {}
         self._recip: dict[int, MPSeries] = {}
-        self._recip_pow: dict[tuple[int, int], MPSeries] = {}
-        self._det: dict[int, MPSeries] = {}
+        self._entry: dict[tuple[int, int], MPSeries] = {}
+        self._p_det: dict[int, MPSeries] = {}
 
     def _d(self, i: int) -> MPSeries:
         if i not in self._dp:
@@ -303,37 +307,28 @@ class LagrangeGoodInverter:
             self._recip[i] = reciprocal(d)
         return self._recip[i]
 
-    def _r_pow(self, i: int, e: int) -> MPSeries:
-        key = (i, e)
-        if key not in self._recip_pow:
-            if e == 0:
-                self._recip_pow[key] = MPSeries.one(self.series.truncation, self.series.field)
-            else:
-                self._recip_pow[key] = self._r_pow(i, e - 1) * self._r(i)
-        return self._recip_pow[key]
-
-    def _det_m(self, n_top: int) -> MPSeries:
-        if n_top not in self._det:
+    def _m(self, i: int, j: int) -> MPSeries:
+        """Entry M_ij, which does not depend on N."""
+        key = (i, j)
+        if key not in self._entry:
             t, field = self.series.truncation, self.series.field
-            one = MPSeries.one(t, field)
-            zero = MPSeries.zero(t, field)
-            rows = []
-            for i in range(1, n_top + 1):
-                row = []
-                for j in range(1, n_top + 1):
-                    entry = self._d(i).diff(j).mul_var(i) * self._r(i)
-                    row.append((one + entry) if i == j else (zero + entry))
-                rows.append(row)
-            self._det[n_top] = determinant(SeriesMatrix(rows, t, field))
-        return self._det[n_top]
+            entry = self._d(i).diff(j).mul_var(i) * self._r(i)
+            self._entry[key] = MPSeries.one(t, field) + entry if i == j else entry
+        return self._entry[key]
+
+    def _a(self, n_top: int) -> MPSeries:
+        """A_N = p * det M_N."""
+        if n_top not in self._p_det:
+            t, field = self.series.truncation, self.series.field
+            rows = [[self._m(i, j) for j in range(1, n_top + 1)] for i in range(1, n_top + 1)]
+            self._p_det[n_top] = self.series * determinant(SeriesMatrix(rows, t, field))
+        return self._p_det[n_top]
 
     def coefficient(self, n: MultiIndex):
         pairs = n.items()
         n_top = pairs[-1][0] if pairs else 0
-        expr = self.series * self._det_m(n_top)
-        for i, e in pairs:
-            expr = expr * self._r_pow(i, e)
-        return expr[n]
+        factors = [self._a(n_top)] + [self._r(i) for i, e in pairs for _ in range(e)]
+        return coefficient_of_product(factors, n)
 
 
 def invert_lagrange_good(p: PressureSeries, n: MultiIndex):

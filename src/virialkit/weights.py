@@ -393,7 +393,6 @@ class McWeightSource:
     def __init__(self, potential: PairPotential, params: McParams):
         self.potential = potential
         self.params = params
-        self.errors: dict[tuple[int, tuple], float] = {}
 
     def _params_for(self, graph: Graph, colours: tuple[int, ...]) -> McParams:
         digest = zlib.crc32(repr((self.params.seed, graph.n, graph.to_mask(), colours)).encode())
@@ -404,9 +403,7 @@ class McWeightSource:
         if graph.n == 1:
             return 1.0, 0.0
         cg = ColouredGraph(graph, colours)
-        est, err = weight_mc(cg, self.potential, self._params_for(graph, colours))
-        self.errors[(graph.to_mask(), colours)] = err
-        return est, err
+        return weight_mc(cg, self.potential, self._params_for(graph, colours))
 
     def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> float:
         return self.connected_weight_with_error(graph, colours)[0]
@@ -606,24 +603,41 @@ def model_to_json(model) -> dict:
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
 
+def _config_number(value, key: str) -> Fraction:
+    """An exact rational from a model config value, or a ValueError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number or a rational string, got {value!r}")
+    try:
+        return _to_fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def model_from_json(doc: Mapping):
     kind = doc.get("type")
     if kind == "hard_rods_1d":
-        return HardRods1D({int(k): v for k, v in doc["sigma"].items()}, doc["L"])
+        sigma = doc["sigma"]
+        if not isinstance(sigma, Mapping):
+            raise ValueError(f"sigma must be an object of species -> rod length, got {sigma!r}")
+        return HardRods1D({int(k): _config_number(v, f"sigma[{k!r}]") for k, v in sigma.items()},
+                          _config_number(doc["L"], "L"))
     if kind == "synthetic":
         blocks = []
         species = int(doc.get("species", 0))
-        for entry in doc.get("blocks", ()):
+        for i, entry in enumerate(doc.get("blocks", ())):
             g = graph_from_json(entry["graph"])
             colours = tuple(int(c) for c in entry["colours"])
             species = max(species, max(colours, default=1))
-            blocks.append((ColouredGraph(g, colours), entry["w"]))
+            w = _config_number(entry["w"], f"blocks[{i}].w")
+            blocks.append((ColouredGraph(g, colours), w))
         fallback = None
         if "random_fallback" in doc:
             fb = doc["random_fallback"]
             base = SyntheticBlockModel.random(int(fb["seed"]), max(species, 1),
                                               int(fb.get("low", -5)), int(fb.get("high", 5)))
             fallback = base._fallback
+        default_w = doc.get("default_w")
         return SyntheticBlockModel(max(species, 1), blocks, fallback=fallback,
-                                   default_weight=doc.get("default_w"))
+                                   default_weight=None if default_w is None
+                                   else _config_number(default_w, "default_w"))
     raise ValueError(f"unknown model type {kind!r}")

@@ -110,6 +110,25 @@ def test_virial_compare_identical(capsys, synthetic_model):
     assert doc["differences"] == []
 
 
+def test_virial_compare_builds_the_pressure_once(capsys, monkeypatch, hard_rods_model):
+    import virialkit.virial as virial_mod
+
+    calls = []
+    build = virial_mod.pressure_from_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(virial_mod, "pressure_from_weights", counting)
+    argv = ("virial", "compare", "--model", hard_rods_model, "--degree", "2",
+            "--samples", "500", "--seed", "3", "--tol", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    assert run(capsys, *argv)[1] == out  # Monte Carlo seeds are per graph
+
+
 def test_virial_invert_ideal_gas(tmp_path, capsys):
     model = write(tmp_path / "ideal.json",
                   {"type": "synthetic", "species": 2, "default_w": "0", "blocks": []})
@@ -257,6 +276,19 @@ def test_unknown_schema_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "graphs", "blocks", "--input", path)
     assert code == 2
     assert "schema" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "hard_rods_1d", "sigma": {"1": None}, "L": 40},
+    {"type": "synthetic", "species": 1,
+     "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 1], "w": [1, 2]}]},
+], ids=["null-sigma", "list-w"])
+def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
+    path = write(tmp_path / "bad.json", doc)
+    code, _, err = run(capsys, "virial", "invert", "--model", path, "--degree", "2",
+                       "--samples", "100")
+    assert code == 2
+    assert ("sigma" if doc["type"] == "hard_rods_1d" else "w") in err
 
 
 def test_two_connected_method_on_non_factorizing_model(tmp_path, capsys, hard_rods_model):

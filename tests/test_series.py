@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from virialkit.series import (
     SeriesMatrix,
     Truncation,
     admissible_indices,
+    coefficient_of_product,
     determinant,
     exp,
     log,
@@ -273,6 +275,94 @@ def test_determinant_dimension_cap():
     rows = [[MPSeries.one(t) for _ in range(13)] for _ in range(13)]
     with pytest.raises(ValueError):
         determinant(SeriesMatrix(rows, t))
+
+
+def cofactor_determinant(m: SeriesMatrix) -> MPSeries:
+    """Reference: plain recursive cofactor expansion along the first row."""
+
+    def det(rows):
+        k = len(rows)
+        if k == 0:
+            return MPSeries.one(m.truncation, m.field)
+        if k == 1:
+            return rows[0][0]
+        total = MPSeries.zero(m.truncation, m.field)
+        for j in range(k):
+            minor = tuple(tuple(r[c] for c in range(k) if c != j) for r in rows[1:])
+            term = rows[0][j] * det(minor)
+            total = total + (term if j % 2 == 0 else -term)
+        return total
+
+    return det(m.entries)
+
+
+def random_series(rng, t, field=RATIONAL, density=0.5):
+    """Random series with small coefficients; float ones are multiples of 1/4,
+    so products and sums of a few of them are exact in either field."""
+    terms = {}
+    for n in admissible_indices(t):
+        if rng.random() < density:
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+            terms[n] = c if field == RATIONAL else float(c)
+    return MPSeries(terms, t, field)
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(7)
+    for dim in range(6):
+        for t in (Truncation(2, 3), Truncation(3, 2)):
+            for _ in range(3):
+                # sparse entries, many zero and many without a constant term,
+                # so the constant part is often singular
+                rows = [[random_series(rng, t, density=rng.choice((0.0, 0.2, 0.5)))
+                         for _ in range(dim)] for _ in range(dim)]
+                m = SeriesMatrix(rows, t)
+                assert determinant(m) == cofactor_determinant(m)
+
+
+def test_determinant_singular_constant_part():
+    t = T22
+    z1, z2 = MPSeries.variable(1, t), MPSeries.variable(2, t)
+    zero = MPSeries.zero(t)
+    m = SeriesMatrix([[z1, zero], [zero, z2]], t)
+    assert determinant(m) == z1 * z2 == cofactor_determinant(m)
+    m = SeriesMatrix([[z2, z1], [z2, z1]], t)
+    assert determinant(m).is_zero()
+
+
+def test_determinant_at_the_dimension_cap():
+    # det(I + z1 J) = 1 + 12 z1 for the 12 x 12 all-ones matrix J at degree 1
+    t = Truncation(1, 1)
+    one_, z1 = MPSeries.one(t), MPSeries.variable(1, t)
+    rows = [[one_ + z1 if i == j else z1 for j in range(12)] for i in range(12)]
+    assert determinant(SeriesMatrix(rows, t)) == one_ + z1.scaled(12)
+
+
+# -- extraction of one coefficient --------------------------------------------------
+
+
+def test_coefficient_of_product_matches_full_product():
+    rng = random.Random(11)
+    t = Truncation(4, 3)
+    indices = list(admissible_indices(t))
+    for field in (RATIONAL, FLOAT):
+        for count in range(1, 5):
+            for _ in range(4):
+                factors = [random_series(rng, t, field) for _ in range(count)]
+                product = factors[0]
+                for f in factors[1:]:
+                    product = product * f
+                for n in indices:  # includes n on a strict subset of the species
+                    assert coefficient_of_product(factors, n) == product[n]
+
+
+def test_coefficient_of_product_empty_and_invalid():
+    assert coefficient_of_product([], MultiIndex()) == 1
+    assert coefficient_of_product([], e1()) == 0
+    with pytest.raises(ValueError):
+        coefficient_of_product([var(1)], e1(4))
+    with pytest.raises(ValueError):
+        coefficient_of_product([var(1), var(1, Truncation(4, 1))], e1())
 
 
 # -- coefficient access ----------------------------------------------------------

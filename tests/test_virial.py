@@ -167,6 +167,35 @@ def test_lagrange_good_matches_recursive_on_random_pressures():
             assert inv.coefficient(n) == rec.series[n]
 
 
+def test_lagrange_good_matrix_runs_over_species_up_to_the_top_one():
+    # b(e_2) = 0 makes species 2 non-invertible, but M only runs over species
+    # 1..N with N the largest species in n, so every n on species 1 works and
+    # depends on p(z1, 0) alone
+    terms = {e(1): 1, e(2): Fraction(1, 2), e(3): -2, e(1, 1): 3, e(0, 2): 1, e(2, 1): 1}
+    p = hand_pressure(terms, 3, 2)
+    only_1 = hand_pressure({n: c for n, c in terms.items() if n.species == (1,)}, 3, 2)
+    rec = invert_recursive(only_1)
+    inv = LagrangeGoodInverter(p)
+    for k in range(4):
+        assert inv.coefficient(e(k)) == rec.series[e(k)]
+    with pytest.raises(ValueError):
+        inv.coefficient(e(1, 1))
+
+
+def test_lagrange_good_eight_species():
+    rng = random.Random(8)
+    t = Truncation(2, 8)
+    terms = {MultiIndex.single(k): 1 for k in range(1, 9)}
+    for n in admissible_indices(t, min_degree=2):
+        if rng.random() < 0.6:
+            terms[n] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    p = PressureSeries(MPSeries(terms, t), "random")
+    rec = invert_recursive(p)
+    inv = LagrangeGoodInverter(p)
+    for n in admissible_indices(t, min_degree=1):
+        assert inv.coefficient(n) == rec.series[n]
+
+
 # -- two-connected route ---------------------------------------------------------------
 
 
