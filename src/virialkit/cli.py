@@ -333,8 +333,6 @@ def cmd_bounds_compute(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="virialkit",
                                      description="Multispecies virial expansions")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism (results never depend on it)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def add_common(p, samples_default=100_000):
@@ -424,10 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -1,4 +1,4 @@
-"""Labelled and coloured graphs at desk scale (n <= 8).
+"""Labelled and coloured graphs at desk scale (enumeration to n = 8).
 
 Graphs live on the vertex set {1..n} and are stored as explicit edge sets;
 enumeration walks edge bitmasks 0 .. 2^(n(n-1)/2)-1, which keeps exhaustive
@@ -159,10 +159,6 @@ class Block:
             a, b = sorted((pos[i], pos[j]))
             mask |= 1 << bit[(a, b)]
         return mask
-
-    def to_graph(self) -> Graph:
-        pos = {v: i + 1 for i, v in enumerate(self.vertices)}
-        return Graph.from_edges(self.size, ((pos[i], pos[j]) for i, j in self.edges))
 
 
 @dataclass(frozen=True)
@@ -409,10 +405,6 @@ def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tu
         return (size, sorted_colours, int(_canonical_table(size, sorted_colours)[mask]))
     best = min(_relabel_mask(size, mask, perm) for perm in _perms_fixing_colours(sorted_colours))
     return (size, sorted_colours, best)
-
-
-def canonical_key_of(cg: ColouredGraph) -> tuple:
-    return canonical_coloured_key(cg.graph.n, cg.graph.to_mask(), cg.colours)
 
 
 # -- JSON interchange --------------------------------------------------------

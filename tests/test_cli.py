@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -291,6 +292,29 @@ def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
     assert ("sigma" if doc["type"] == "hard_rods_1d" else "w") in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("virial", "invert"), ("virial", "compare"), ("virial", "mu", "--species", "1"),
+], ids=["invert", "compare", "mu"])
+def test_degree_above_the_weight_sum_cap_is_usage_error(capsys, synthetic_model, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--model", synthetic_model, "--degree", "7")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "degree 6" in err
+
+
+def test_bounds_compute_degree_above_the_weight_sum_cap_is_usage_error(
+        tmp_path, capsys, synthetic_model):
+    spec = write(tmp_path / "d.json",
+                 {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3},
+                              {"i": 2, "r": 0.02, "R": 0.08, "a": 0.3}]})
+    code, _, err = run(capsys, "bounds", "compute", "--spec", spec,
+                       "--model", synthetic_model, "--degree", "7")
+    assert code == 2
+    assert "degree 6" in err
+
+
 def test_two_connected_method_on_non_factorizing_model(tmp_path, capsys, hard_rods_model):
     # interaction models do factorize (rigid molecules), so this passes through;
     # the refusal path needs a source that explicitly does not declare it
@@ -304,8 +328,3 @@ def test_two_connected_method_on_non_factorizing_model(tmp_path, capsys, hard_ro
     with pytest.raises(ValueError):
         _virial_by_method(Opaque(), Truncation(2, 1), "two-connected")
 
-
-def test_threads_flag_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "graphs", "count", "--n", "2"])
-    assert exc.value.code == 2

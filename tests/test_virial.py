@@ -1,8 +1,16 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from virialkit import virial
+from virialkit.graphs import (
+    ColouredGraph,
+    canonical_colouring,
+    connected_graph_list,
+    two_connected_graph_list,
+)
 from virialkit.series import (
     FLOAT,
     MPSeries,
@@ -28,7 +36,13 @@ from virialkit.virial import (
     virial_from_two_connected,
     virial_inversion_problem,
 )
-from virialkit.weights import HardRods1D, McParams, McWeightSource, SyntheticBlockModel
+from virialkit.weights import (
+    HardRods1D,
+    McParams,
+    McWeightSource,
+    SyntheticBlockModel,
+    synthetic_weight,
+)
 
 
 def e(*exps):
@@ -65,6 +79,96 @@ def test_pressure_two_species_cross_edge():
 def test_pressure_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         PressureSeries(MPSeries.one(Truncation(2, 1)), "bad")
+
+
+# -- class tables of the weight sums ---------------------------------------------------
+
+
+MODEL_A = SyntheticBlockModel.random(101, 3)
+MODEL_B = SyntheticBlockModel.random(202, 3)
+
+# every canonical colouring on m <= 5 vertices over species 1..3, then 1^6 and 1^3 2^3
+TABLE_COLOURINGS = [canonical_colouring(n)
+                    for n in admissible_indices(Truncation(5, 3), min_degree=1)]
+TABLE_COLOURINGS += [(1,) * 6, (1, 1, 1, 2, 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def brute_connected_sum(model, colours):
+    """The oracle: block-decompose every labelled connected graph."""
+    return sum(synthetic_weight(ColouredGraph(g, colours), model)
+               for g in connected_graph_list(len(colours)))
+
+
+@lru_cache(maxsize=None)
+def brute_two_connected_sum(model, colours):
+    return sum(synthetic_weight(ColouredGraph(g, colours), model)
+               for g in two_connected_graph_list(len(colours)))
+
+
+def test_connected_class_table_matches_brute_force():
+    for colours in TABLE_COLOURINGS:
+        assert virial._sum_connected_weights(MODEL_B, len(colours), colours) == \
+            brute_connected_sum(MODEL_B, colours), colours
+
+
+def test_two_connected_class_table_matches_brute_force():
+    for colours in TABLE_COLOURINGS:
+        if len(colours) < 2:
+            continue
+        assert virial._sum_two_connected_weights(MODEL_B, len(colours), colours) == \
+            brute_two_connected_sum(MODEL_B, colours), colours
+
+
+@pytest.mark.parametrize("colours,graphs,classes", [
+    ((1, 1, 1, 1, 1), (728, 238), (16, 10)),
+    ((1, 1, 2, 2, 3), (728, 238), (192, 80)),
+    ((1,) * 6, (26704, 11368), (75, 56)),
+    ((1, 1, 1, 2, 2, 2), (26704, 11368), (736, 473)),
+])
+def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, classes):
+    m = len(colours)
+    tables = (virial._connected_block_classes(m, colours),
+              virial._two_connected_classes(m, colours))
+    assert tuple(sum(count for _, count in t) for t in tables) == graphs
+    assert tuple(len(t) for t in tables) == classes
+
+
+def test_class_tables_are_model_independent():
+    virial._connected_block_classes.cache_clear()
+    virial._two_connected_classes.cache_clear()
+    for colours in ((1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2)):
+        m = len(colours)
+        virial._sum_connected_weights(MODEL_A, m, colours)
+        virial._sum_two_connected_weights(MODEL_A, m, colours)
+        filled = (virial._connected_block_classes.cache_info().currsize,
+                  virial._two_connected_classes.cache_info().currsize)
+        assert virial._sum_connected_weights(MODEL_B, m, colours) == \
+            brute_connected_sum(MODEL_B, colours)
+        assert virial._sum_two_connected_weights(MODEL_B, m, colours) == \
+            brute_two_connected_sum(MODEL_B, colours)
+        assert (virial._connected_block_classes.cache_info().currsize,
+                virial._two_connected_classes.cache_info().currsize) == filled
+
+
+def test_weight_sums_refuse_degrees_above_the_cap():
+    cap = virial.MAX_WEIGHT_SUM_VERTICES
+    assert cap == 6
+    t = Truncation(cap + 1, 1)
+    built = connected_graph_list.cache_info().currsize, \
+        two_connected_graph_list.cache_info().currsize
+    rods = HardRods1D({1: 1}, 10)
+    calls = [lambda: pressure_from_weights(EDGE_M2, t),
+             lambda: pressure_from_weights(McWeightSource(rods, McParams(10, seed=1)), t),
+             lambda: mc_pressure_series(rods, McParams(10, seed=1), t),
+             lambda: virial_from_two_connected(EDGE_M2, t),
+             lambda: two_connected_gf(EDGE_M2, t),
+             lambda: chemical_potential(EDGE_M2, t, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"degree {cap}"):
+            call()
+    assert (connected_graph_list.cache_info().currsize,
+            two_connected_graph_list.cache_info().currsize) == built
 
 
 # -- densities ---------------------------------------------------------------------
