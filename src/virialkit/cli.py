@@ -85,13 +85,16 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _emit(doc, args) -> None:
-    text = dumps(doc) + "\n"
+def _write(text: str, args) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, args) -> None:
+    _write(dumps(doc) + "\n", args)
 
 
 def _coefficient_rows(series: MPSeries, method: str) -> list[dict]:
@@ -104,12 +107,7 @@ def _emit_csv(rows: list[dict], args) -> None:
     for row in rows:
         n = MultiIndex({int(s): e for s, e in row["n"].items()})
         lines.append(f"{compact_index(n)},{row['c']},{row['method']}")
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
 
 
 # -- weight sources from model configs ----------------------------------------
@@ -127,7 +125,22 @@ def _weight_source(model, args):
 # -- graphs --------------------------------------------------------------------
 
 
+# Largest n each graph command accepts: the work finishes there and grows
+# steeply past it.  `count --n 7` walks 2^21 edge masks (11 s for all graphs,
+# 38 s for two-connected ones on a 2-core Xeon, Python 3.11) and n = 8 would
+# walk 2^28; `dissymmetry --n 6` writes 26 704 rows (12 MB, 3 s) and n = 7
+# would write 1 866 256.
+MAX_COUNT_VERTICES = 7
+MAX_DISSYMMETRY_VERTICES = 6
+
+
+def _check_graph_size(n: int, cap: int, command: str) -> None:
+    if n > cap:
+        raise ValueError(f"graphs {command} is capped at n = {cap}, got {n}")
+
+
 def cmd_graphs_count(args) -> int:
+    _check_graph_size(args.n, MAX_COUNT_VERTICES, "count")
     count = sum(1 for _ in graphs_mod.enumerate_graphs(args.n, args.graph_class))
     _emit({"command": "graphs count", "n": args.n, "class": args.graph_class,
            "count": count}, args)
@@ -135,6 +148,7 @@ def cmd_graphs_count(args) -> int:
 
 
 def cmd_graphs_dissymmetry(args) -> int:
+    _check_graph_size(args.n, MAX_DISSYMMETRY_VERTICES, "dissymmetry")
     results = []
     all_pass = True
     for g in graphs_mod.enumerate_graphs(args.n, "connected"):

@@ -2,9 +2,10 @@
 
 Graphs live on the vertex set {1..n} and are stored as explicit edge sets;
 enumeration walks edge bitmasks 0 .. 2^(n(n-1)/2)-1, which keeps exhaustive
-counts trivially correct.  Connectivity uses bitset BFS, articulation points
-brute-force vertex deletion, and block decomposition splits recursively at
-articulation points.
+counts trivially correct.  Every structural question runs on vertex bitsets
+through one reachability search: connectivity, two-connectivity and
+articulation points by deleting vertices, and block decomposition by
+splitting the vertex set at its first cut vertex until no part has one.
 """
 
 from __future__ import annotations
@@ -91,29 +92,37 @@ class ColouredGraph:
             raise ValueError("colours must be species indices >= 1")
 
 
-def _bits_connected(adj: list[int], active: int) -> bool:
-    """Is the subgraph induced on the bitset `active` connected (and nonempty)?"""
-    if active == 0:
-        return False
-    start = active & -active
-    visited = start
-    stack = [start.bit_length() - 1]
-    while stack:
-        v = stack.pop()
-        fresh = adj[v] & active & ~visited
-        while fresh:
-            b = fresh & -fresh
-            visited |= b
-            stack.append(b.bit_length() - 1)
-            fresh ^= b
-    return visited == active
+def _reach(adj: list[int], active: int) -> int:
+    """Bitset of the vertices of `active` reachable from its lowest vertex
+    inside the subgraph induced on `active` (0 when `active` is empty)."""
+    seen = frontier = active & -active
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        fresh = adj[b.bit_length() - 1] & active & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen
 
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has at least one vertex and all are mutually reachable."""
     if g.n == 0:
         return False
-    return _bits_connected(g.adjacency(), (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return _reach(g.adjacency(), full) == full
+
+
+def _cut_vertices(adj: list[int], active: int) -> Iterator[int]:
+    """Vertex bits of the connected bitset `active` whose deletion disconnects
+    the subgraph induced on `active`, in ascending order."""
+    rest = active
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        without = active ^ v
+        if _reach(adj, without) != without:
+            yield v
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -122,21 +131,14 @@ def is_two_connected(g: Graph) -> bool:
         return False
     adj = g.adjacency()
     full = (1 << g.n) - 1
-    if not _bits_connected(adj, full):
-        return False
-    return all(_bits_connected(adj, full & ~(1 << v)) for v in range(g.n))
+    return _reach(adj, full) == full and next(_cut_vertices(adj, full), None) is None
 
 
 def articulation_points(g: Graph) -> frozenset[int]:
     """Vertices whose deletion disconnects the graph (brute-force deletion)."""
     if not is_connected(g):
         raise ValueError("articulation points are defined for connected graphs")
-    if g.n <= 2:
-        return frozenset()
-    adj = g.adjacency()
-    full = (1 << g.n) - 1
-    return frozenset(v + 1 for v in range(g.n)
-                     if not _bits_connected(adj, full & ~(1 << v)))
+    return frozenset(v.bit_length() for v in _cut_vertices(g.adjacency(), (1 << g.n) - 1))
 
 
 @dataclass(frozen=True)
@@ -170,57 +172,41 @@ class BlockDecomposition:
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """The unique set of maximal two-connected subgraphs of a connected graph.
 
-    Splits recursively at articulation points: every block lies inside one
-    component of g minus an articulation point, together with that point.
+    Works on vertex bitsets: a part with a cut vertex v splits into the
+    components of the part minus v, each together with v, until no part has a
+    cut vertex.  A block is the subgraph induced on its vertices, so its edges
+    are read off g; the articulation points are the vertices lying in two or
+    more blocks.
     """
     if g.n < 2:
         raise ValueError("block decomposition needs at least 2 vertices")
     if not is_connected(g):
         raise ValueError("block decomposition needs a connected graph")
-
-    def components(vertices: set[int], edges: frozenset, removed: int) -> list[set[int]]:
-        remaining = vertices - {removed}
-        adj: dict[int, set[int]] = {v: set() for v in remaining}
-        for i, j in edges:
-            if i != removed and j != removed:
-                adj[i].add(j)
-                adj[j].add(i)
-        comps, seen = [], set()
-        for v in remaining:
-            if v in seen:
-                continue
-            comp, stack = {v}, [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u] - comp:
-                    comp.add(w)
-                    stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    def cut_vertex(vertices: set[int], edges: frozenset) -> int | None:
-        if len(vertices) <= 2:
-            return None
-        for v in vertices:
-            if len(components(vertices, edges, v)) > 1:
-                return v
-        return None
-
-    def decompose(vertices: set[int], edges: frozenset) -> list[Block]:
-        v = cut_vertex(vertices, edges)
-        if v is None:
-            return [Block(tuple(sorted(vertices)), edges)]
-        out = []
-        for comp in components(vertices, edges, v):
-            sub_vertices = comp | {v}
-            sub_edges = frozenset(e for e in edges if e[0] in sub_vertices and e[1] in sub_vertices)
-            out.extend(decompose(sub_vertices, sub_edges))
-        return out
-
-    blocks = decompose(set(range(1, g.n + 1)), g.edges)
+    adj = g.adjacency()
+    masks = []
+    parts = [(1 << g.n) - 1]
+    while parts:
+        part = parts.pop()
+        v = next(_cut_vertices(adj, part), 0)
+        if not v:
+            masks.append(part)
+            continue
+        rest = part ^ v
+        while rest:
+            comp = _reach(adj, rest)
+            parts.append(comp | v)
+            rest ^= comp
+    seen = shared = 0
+    blocks = []
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+        blocks.append(Block(tuple(v + 1 for v in range(g.n) if mask >> v & 1),
+                            frozenset((i, j) for i, j in g.edges
+                                      if mask >> (i - 1) & 1 and mask >> (j - 1) & 1)))
     blocks.sort(key=lambda b: sorted(b.edges))
-    return BlockDecomposition(tuple(blocks), articulation_points(g))
+    return BlockDecomposition(tuple(blocks),
+                              frozenset(v + 1 for v in range(g.n) if shared >> v & 1))
 
 
 @dataclass(frozen=True)

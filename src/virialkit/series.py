@@ -493,31 +493,6 @@ def reciprocal(a: MPSeries) -> MPSeries:
     return result.scaled(inv_c0)
 
 
-def power_product(n: MultiIndex, family: Mapping[int, MPSeries], *,
-                  truncation: Truncation | None = None,
-                  field: str | None = None) -> MPSeries:
-    """prod_i family[i]^{n_i}, truncated.  The empty product is 1."""
-    if truncation is None or field is None:
-        if not family:
-            raise ValueError("empty family needs explicit truncation and field")
-        probe = next(iter(family.values()))
-        truncation = truncation or probe.truncation
-        field = field or probe.field
-    for s in family.values():
-        if s.truncation != truncation or s.field != field:
-            raise ValueError("family series must share one truncation and field")
-    result = MPSeries.one(truncation, field)
-    for species, e in n.items():
-        if species not in family:
-            raise ValueError(f"family has no series for species {species}")
-        base = family[species]
-        for _ in range(e):
-            result = result * base
-            if result.is_zero():
-                return result
-    return result
-
-
 def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
     """Compose: sum_n outer[n] * prod_i family[i]^{n_i}.
 

@@ -29,7 +29,6 @@ from .graphs import (
     two_connected_graph_list,
 )
 from .series import (
-    FLOAT,
     RATIONAL,
     MPSeries,
     MultiIndex,
@@ -163,11 +162,7 @@ def _sum_connected_weights(model, m: int, colours: tuple[int, ...]):
                 w *= model.weight_for_canonical_key(key)
             total += count * w
         return total
-    total = None
-    for g in connected_graph_list(m):
-        w = model.connected_weight(g, colours)
-        total = w if total is None else total + w
-    return total
+    return sum(model.connected_weight(g, colours) for g in connected_graph_list(m))
 
 
 def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
@@ -177,13 +172,23 @@ def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
         for key, count in _two_connected_classes(m, colours):
             total += count * model.weight_for_canonical_key(key)
         return total
-    total = None
-    for g in two_connected_graph_list(m):
-        w = model.connected_weight(g, colours)
-        total = w if total is None else total + w
-    if total is None:
-        total = 0.0
-    return total
+    return sum(model.connected_weight(g, colours) for g in two_connected_graph_list(m))
+
+
+def _weight_sum_series(sum_weights, model, truncation: Truncation,
+                       min_degree: int) -> MPSeries:
+    """sum_n x^n S(n)/n! over the admissible n of degree >= min_degree, with
+    S(n) = sum_weights(model, |n|, canonical colouring of n) divided in the
+    model's field."""
+    _check_weight_sum_size(truncation)
+    field = model.field
+    terms = {}
+    for n in admissible_indices(truncation, min_degree=min_degree):
+        s = sum_weights(model, n.degree, canonical_colouring(n))
+        b = Fraction(s) / n.factorial() if field == RATIONAL else float(s) / n.factorial()
+        if b != 0:
+            terms[n] = b
+    return MPSeries(terms, truncation, field)
 
 
 def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
@@ -199,19 +204,7 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     sources are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES
     raise ValueError.
     """
-    _check_weight_sum_size(truncation)
-    field = model.field
-    terms = {}
-    for n in admissible_indices(truncation, min_degree=1):
-        colours = canonical_colouring(n)
-        s = _sum_connected_weights(model, n.degree, colours)
-        if field == RATIONAL:
-            b = Fraction(s) / n.factorial()
-        else:
-            b = float(s) / n.factorial()
-        if b != 0:
-            terms[n] = b
-    series = MPSeries(terms, truncation, field)
+    series = _weight_sum_series(_sum_connected_weights, model, truncation, min_degree=1)
     for k in range(1, truncation.species + 1):
         if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
             raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
@@ -222,23 +215,21 @@ def mc_pressure_series(potential: PairPotential, params: McParams,
                        truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
     """Monte Carlo pressure series plus the standard error of each b(n)
     (independent per-graph estimates, errors added in quadrature)."""
-    _check_weight_sum_size(truncation)
-    source = McWeightSource(potential, params)
-    terms: dict[MultiIndex, float] = {}
     errors: dict[MultiIndex, float] = {}
-    for n in admissible_indices(truncation, min_degree=1):
-        colours = canonical_colouring(n)
+
+    def sum_with_errors(source: McWeightSource, m: int, colours: tuple[int, ...]) -> float:
         total, var = 0.0, 0.0
-        for g in connected_graph_list(n.degree):
+        for g in connected_graph_list(m):
             est, err = source.connected_weight_with_error(g, colours)
             total += est
             var += err * err
-        fact = n.factorial()
-        if total != 0.0:
-            terms[n] = total / fact
-        errors[n] = var ** 0.5 / fact
-    return (PressureSeries(MPSeries(terms, truncation, FLOAT), provenance="monte-carlo"),
-            errors)
+        n = MultiIndex(Counter(colours))
+        errors[n] = var ** 0.5 / n.factorial()
+        return total
+
+    series = _weight_sum_series(sum_with_errors, McWeightSource(potential, params), truncation,
+                                min_degree=1)
+    return PressureSeries(series, provenance="monte-carlo"), errors
 
 
 def densities(p: PressureSeries) -> DensityFamily:
@@ -386,45 +377,30 @@ def _require_block_factorizing(model):
 
 
 def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
-    """c(e_k) = 1 and, for |n| >= 2,
-    c(n) = -(|n| - 1)/n! * sum over two-connected graphs with the canonical
-    colouring.  Valid when the weights factorize over blocks.
-
-    For a synthetic block model the sum runs over the memoised,
-    model-independent class table of (|n|, colouring): one entry per canonical
-    coloured key with its number of labelled graphs.  Other sources are
-    summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES raise
-    ValueError.
+    """c(e_k) = 1 and c(n) = -(|n| - 1) [rho^n] B for |n| >= 2, read off the
+    two-connected generating function B of `two_connected_gf`.  Valid when
+    the weights factorize over blocks; the route never builds the pressure.
+    Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
-    _check_weight_sum_size(truncation)
-    _require_block_factorizing(model)
-    field = model.field
-    one = Fraction(1) if field == RATIONAL else 1.0
-    terms = {}
-    for k in range(1, truncation.species + 1):
-        if truncation.degree >= 1:
-            terms[MultiIndex.single(k)] = one
-    for n in admissible_indices(truncation, min_degree=2):
-        s = _sum_two_connected_weights(model, n.degree, canonical_colouring(n))
-        c = -(n.degree - 1) * s / n.factorial() if field == FLOAT \
-            else Fraction(-(n.degree - 1)) * Fraction(s) / n.factorial()
-        if c != 0:
-            terms[n] = c
-    return VirialSeries(MPSeries(terms, truncation, field), TWO_CONNECTED)
+    B = two_connected_gf(model, truncation).series
+    terms = {MultiIndex.single(k): 1 for k in range(1, truncation.species + 1)
+             if truncation.degree >= 1}
+    terms.update((n, -(n.degree - 1) * b) for n, b in B.terms.items())
+    return VirialSeries(MPSeries(terms, truncation, B.field), TWO_CONNECTED)
 
 
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
-    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum)."""
-    _check_weight_sum_size(truncation)
+    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum).
+
+    For a synthetic block model the sum runs over the memoised,
+    model-independent class table of (|n|, colouring): one entry per
+    canonical coloured key with its number of labelled graphs.  Other sources
+    are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES raise
+    ValueError.
+    """
     _require_block_factorizing(model)
-    field = model.field
-    terms = {}
-    for n in admissible_indices(truncation, min_degree=2):
-        s = _sum_two_connected_weights(model, n.degree, canonical_colouring(n))
-        b = float(s) / n.factorial() if field == FLOAT else Fraction(s) / n.factorial()
-        if b != 0:
-            terms[n] = b
-    return TwoConnectedGF(MPSeries(terms, truncation, field))
+    return TwoConnectedGF(_weight_sum_series(_sum_two_connected_weights, model, truncation,
+                                             min_degree=2))
 
 
 def chemical_potential(model, truncation: Truncation, k: int) -> MPSeries:

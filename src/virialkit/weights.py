@@ -343,9 +343,6 @@ class SyntheticBlockModel:
 
         return cls(species_count, fallback=draw)
 
-    def block_weight(self, size: int, mask: int, colours: tuple[int, ...]) -> Fraction:
-        return self.weight_for_canonical_key(canonical_coloured_key(size, mask, colours))
-
     def weight_for_canonical_key(self, key: tuple) -> Fraction:
         w = self._weights.get(key)
         if w is None:
@@ -360,7 +357,8 @@ class SyntheticBlockModel:
 
     def weight_of_block(self, b: Block, colours: tuple[int, ...]) -> Fraction:
         restricted = tuple(colours[v - 1] for v in b.vertices)
-        return self.block_weight(b.size, b.relabelled_mask(), restricted)
+        return self.weight_for_canonical_key(
+            canonical_coloured_key(b.size, b.relabelled_mask(), restricted))
 
     def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> Fraction:
         return synthetic_weight(ColouredGraph(graph, colours), self)

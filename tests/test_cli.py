@@ -71,6 +71,20 @@ def test_graphs_dissymmetry(capsys):
     assert all(r["lhs"] == r["rhs"] for r in doc["results"])
 
 
+@pytest.mark.parametrize("argv,cap", [
+    (("count", "--n", "8", "--class", "all"), 7),
+    (("count", "--n", "8", "--class", "two_connected"), 7),
+    (("dissymmetry", "--n", "7"), 6),
+], ids=["count-all", "count-two-connected", "dissymmetry"])
+def test_graph_commands_above_their_cap_are_usage_errors(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graphs", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"n = {cap}" in err
+
+
 def test_graphs_blocks(capsys, tmp_path):
     path = write(tmp_path / "g.json", {"n": 3, "edges": [[1, 2], [2, 3]]})
     code, out, _ = run(capsys, "graphs", "blocks", "--input", path)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virialkit.graphs import (
+    Block,
+    BlockDecomposition,
     ColouredGraph,
     Graph,
     articulation_points,
@@ -14,6 +16,7 @@ from virialkit.graphs import (
     block_decomposition,
     canonical_colouring,
     canonical_coloured_key,
+    connected_block_profiles,
     dissymmetry_check,
     enumerate_graphs,
     graph_from_json,
@@ -88,6 +91,90 @@ def test_block_decomposition_errors():
         block_decomposition(Graph.from_edges(1, []))
     with pytest.raises(ValueError):
         block_decomposition(Graph.from_edges(3, [(1, 2)]))
+
+
+def set_block_decomposition(g: Graph) -> BlockDecomposition:
+    """The oracle: split recursively at cut vertices found by deleting each
+    vertex and counting components on plain vertex and edge sets."""
+
+    def components(vertices: set[int], edges: frozenset, removed: int) -> list[set[int]]:
+        remaining = vertices - {removed}
+        adj: dict[int, set[int]] = {v: set() for v in remaining}
+        for i, j in edges:
+            if i != removed and j != removed:
+                adj[i].add(j)
+                adj[j].add(i)
+        comps, seen = [], set()
+        for v in remaining:
+            if v in seen:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for w in adj[u] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            comps.append(comp)
+        return comps
+
+    def cut_vertex(vertices: set[int], edges: frozenset) -> int | None:
+        if len(vertices) <= 2:
+            return None
+        for v in vertices:
+            if len(components(vertices, edges, v)) > 1:
+                return v
+        return None
+
+    def decompose(vertices: set[int], edges: frozenset) -> list[Block]:
+        v = cut_vertex(vertices, edges)
+        if v is None:
+            return [Block(tuple(sorted(vertices)), edges)]
+        out = []
+        for comp in components(vertices, edges, v):
+            sub_vertices = comp | {v}
+            sub_edges = frozenset(e for e in edges if e[0] in sub_vertices and e[1] in sub_vertices)
+            out.extend(decompose(sub_vertices, sub_edges))
+        return out
+
+    blocks = decompose(set(range(1, g.n + 1)), g.edges)
+    blocks.sort(key=lambda b: sorted(b.edges))
+    cuts = frozenset(v for v in range(1, g.n + 1)
+                     if g.n > 2 and len(components(set(range(1, g.n + 1)), g.edges, v)) > 1)
+    return BlockDecomposition(tuple(blocks), cuts)
+
+
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree plus each remaining pair with a random density."""
+    density = rng.random()
+    edges = {tuple(sorted((v, rng.randint(1, v - 1)))) for v in range(2, n + 1)}
+    edges |= {p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density}
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return Graph.from_edges(n, [(order[i - 1], order[j - 1]) for i, j in edges])
+
+
+def test_block_decomposition_matches_set_oracle_exhaustively():
+    for n in range(2, 6):
+        for g in enumerate_graphs(n, "connected"):
+            assert block_decomposition(g) == set_block_decomposition(g), g
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_block_decomposition_matches_set_oracle_on_random_graphs(n):
+    rng = random.Random(1000 + n)
+    for _ in range(300):
+        g = random_connected_graph(rng, n)
+        assert block_decomposition(g) == set_block_decomposition(g), g
+
+
+def test_block_profiles_match_set_oracle():
+    for n in range(2, 6):
+        expected = tuple(tuple((b.size, b.relabelled_mask(), b.vertices)
+                               for b in set_block_decomposition(g).blocks)
+                         for g in enumerate_graphs(n, "connected"))
+        assert connected_block_profiles(n) == expected
+    assert connected_block_profiles(1) == ((),)
 
 
 def test_block_cut_tree_examples():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from virialkit.series import (
     determinant,
     exp,
     log,
-    power_product,
     reciprocal,
     series_from_json,
     series_to_json,
@@ -205,6 +205,32 @@ def test_reciprocal_examples():
 
 
 # -- power / substitute ------------------------------------------------------------
+
+
+def power_product(n: MultiIndex, family: Mapping[int, MPSeries], *,
+                  truncation: Truncation | None = None,
+                  field: str | None = None) -> MPSeries:
+    """prod_i family[i]^{n_i}, truncated; the oracle for `substitute` on
+    monomials.  The empty product is 1."""
+    if truncation is None or field is None:
+        if not family:
+            raise ValueError("empty family needs explicit truncation and field")
+        probe = next(iter(family.values()))
+        truncation = truncation or probe.truncation
+        field = field or probe.field
+    for s in family.values():
+        if s.truncation != truncation or s.field != field:
+            raise ValueError("family series must share one truncation and field")
+    result = MPSeries.one(truncation, field)
+    for species, e in n.items():
+        if species not in family:
+            raise ValueError(f"family has no series for species {species}")
+        base = family[species]
+        for _ in range(e):
+            result = result * base
+            if result.is_zero():
+                return result
+    return result
 
 
 def test_power_product_examples():

@@ -484,3 +484,17 @@ def test_pressure_from_weights_with_mc_source_runs():
     assert p.series.field == FLOAT
     v = invert_recursive(p)
     assert abs(float(v.series[e(2)]) - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mc_pressure_series_matches_pressure_from_mc_weights(seed):
+    # both builds share one weight-sum loop: b(n) agree to the last bit, and
+    # every admissible n carries an error, zero only for the single vertex
+    rods = HardRods1D({1: 1.0, 2: 0.5}, 10.0)
+    t = Truncation(3, 2)
+    p, errs = mc_pressure_series(rods, McParams(2000, seed=seed), t)
+    q = pressure_from_weights(McWeightSource(rods, McParams(2000, seed=seed)), t)
+    assert p.series.terms == q.series.terms
+    assert all(type(b) is float for b in p.series.terms.values())
+    assert list(errs) == list(admissible_indices(t, min_degree=1))
+    assert all((err == 0.0) == (n.degree == 1) for n, err in errs.items())
