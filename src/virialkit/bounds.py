@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MultiIndex
+from .series import RATIONAL, MPSeries, MultiIndex
 from .virial import PressureSeries, VirialSeries
 
 
@@ -201,59 +201,68 @@ def coefficient_sum_bound(p: PressureSeries, spec: DomainSpec) -> float:
 
 
 def _sample_points(spec: DomainSpec, species: Sequence[int], samples: int,
-                   seed: int) -> list[dict[int, complex]]:
-    """Deterministic ring/axis grid plus random interior points of the
-    activity polydisk.  The grid pins the real-axis extremes so worked
-    single-species examples are found without luck."""
-    angles = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
-    points = []
-    if 8 ** len(species) <= 4096:
-        choices = []
-        for i in species:
+                   seed: int) -> np.ndarray:
+    """The audit's sample points as a (points, S) complex array, column k for
+    species[k]: a deterministic ring/axis grid (radii r_i and R_i at angles
+    0, pi/2, pi, 3pi/2; first species varies fastest) when 8^S <= 4096, then
+    `samples` random interior points of the activity polydisk, each drawing
+    (radius, angle) per species from numpy's generator seeded with `seed`.
+    The grid pins the real-axis extremes so worked single-species examples
+    are found without luck.  ValueError when samples < 0 or there would be
+    no point at all."""
+    if samples < 0:
+        raise ValueError(f"the hypothesis check needs samples >= 0, got {samples}")
+    width = len(species)
+    grid = 8 ** width if 8 ** width <= 4096 else 0
+    if grid + samples == 0:
+        raise ValueError(f"the hypothesis check has no sample points: {width} species "
+                         f"get no grid (8^S > 4096), so samples must be >= 1")
+    points = np.empty((grid + samples, width), dtype=complex)
+    if grid:
+        angles = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
+        for pos, i in enumerate(species):
             d = spec.species[i]
-            choices.append([radius * cmath.exp(1j * t)
-                            for radius in (d.r, d.R) for t in angles])
-        idx = [0] * len(species)
-        while True:
-            points.append({i: choices[pos][idx[pos]] for pos, i in enumerate(species)})
-            for pos in range(len(species)):
-                idx[pos] += 1
-                if idx[pos] < len(choices[pos]):
-                    break
-                idx[pos] = 0
-            else:
-                break
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        z = {}
-        for i in species:
-            d = spec.species[i]
-            radius = d.R * math.sqrt(rng.random())
-            z[i] = radius * cmath.exp(2j * math.pi * rng.random())
-        points.append(z)
+            ring = np.array([radius * cmath.exp(1j * t) for radius in (d.r, d.R) for t in angles])
+            points[:grid, pos] = np.tile(np.repeat(ring, 8 ** pos), 8 ** (width - 1 - pos))
+    draws = np.random.default_rng(seed).random((samples, width, 2))
+    outer = np.array([spec.species[i].R for i in species])
+    points[grid:] = outer * np.sqrt(draws[..., 0]) * np.exp(1j * (2 * math.pi * draws[..., 1]))
     return points
+
+
+def _evaluate_at(series: MPSeries, points: np.ndarray) -> np.ndarray:
+    """The series at every row of `points` (column s-1 holds z_s), one numpy
+    pass per stored term with powers raised on the fly."""
+    total = np.zeros(len(points), dtype=complex)
+    for n, c in series.terms.items():
+        v = np.full(len(points), complex(float(c) if series.field == RATIONAL else c))
+        for s, e in n.items():
+            v *= points[:, s - 1] ** e
+        total += v
+    return total
 
 
 def hypothesis_check(p: PressureSeries, spec: DomainSpec, samples: int,
                      seed: int = 0) -> HypothesisReport:
     """Sampling audit of the convergence hypotheses: (i) the stored-term
     coefficient sum, (ii) |log dp/dz_i| against a_i on sampled contour and
-    interior points, (iii) the two summability partial sums.  Report-only."""
+    interior points, (iii) the two summability partial sums.  Report-only.
+
+    Each dp/dz_i is evaluated over all sample points at once in numpy; a
+    value below 1e-150 in modulus counts as a zero of the derivative, which
+    fails the species.  ValueError when samples < 0, or when there is no
+    grid (S >= 5) and samples is 0, since an audit of no points shows nothing.
+    """
     species = list(range(1, p.series.truncation.species + 1))
     spec.require(species)
     points = _sample_points(spec, species, samples, seed)
-    partials = {i: p.series.diff(i) for i in species}
 
     checks = []
     for i in species:
-        worst = 0.0
-        zero_found = False
-        for z in points:
-            value = partials[i].evaluate(z)
-            if abs(value) < 1e-150:
-                zero_found = True
-                continue
-            worst = max(worst, abs(cmath.log(value)))
+        values = _evaluate_at(p.series.diff(i), points)
+        zeros = np.abs(values) < 1e-150
+        zero_found = bool(zeros.any())
+        worst = float(np.abs(np.log(values[~zeros])).max(initial=0.0))
         budget = spec.species[i].a
         checks.append(SpeciesLogCheck(i, worst, budget, zero_found,
                                       (not zero_found) and worst < budget))

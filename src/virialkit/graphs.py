@@ -254,7 +254,9 @@ GRAPH_CLASSES = ("all", "connected", "two_connected")
 
 
 def enumerate_graphs(n: int, graph_class: str = "all") -> Iterator[Graph]:
-    """Every labelled graph of the class on {1..n}, exactly once."""
+    """Every labelled graph of the class on {1..n}, exactly once, in edge-mask
+    order.  The class test runs on neighbour bitsets read straight off each
+    mask; a Graph is built only for the masks that are yielded."""
     if graph_class not in GRAPH_CLASSES:
         raise ValueError(f"graph class must be one of {GRAPH_CLASSES}, got {graph_class!r}")
     if n < 0:
@@ -264,14 +266,26 @@ def enumerate_graphs(n: int, graph_class: str = "all") -> Iterator[Graph]:
     if n == 0:
         return
     pairs = _pairs(n)
-    nbits = len(pairs)
-    for mask in range(1 << nbits):
-        g = Graph.from_mask(n, mask)
-        if graph_class == "connected" and not is_connected(g):
+    if graph_class == "all":
+        for mask in range(1 << len(pairs)):
+            yield Graph.from_mask(n, mask)
+        return
+    full = (1 << n) - 1
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i, j = pairs[low.bit_length() - 1]
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        if _reach(adj, full) != full:
             continue
-        if graph_class == "two_connected" and not is_two_connected(g):
+        if graph_class == "two_connected" and (
+                n < 2 or next(_cut_vertices(adj, full), None) is not None):
             continue
-        yield g
+        yield Graph.from_mask(n, mask)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from virialkit.bounds import (
@@ -20,8 +22,10 @@ from virialkit.bounds import (
     virial_bound,
     z_of_rho_bound,
 )
+from virialkit.bounds import _sample_points
 from virialkit.series import MPSeries, MultiIndex, Truncation
-from virialkit.virial import PressureSeries, invert_recursive
+from virialkit.virial import PressureSeries, invert_recursive, pressure_from_weights
+from virialkit.weights import SyntheticBlockModel
 
 WORKED = make_domain_spec([(1, 0.25, 1.0, 1.0)])
 
@@ -177,6 +181,119 @@ def test_hypothesis_check_flags_vanishing_derivative():
     report = hypothesis_check(p, spec, samples=50, seed=1)
     assert report.log_checks[0].zero_found
     assert not report.passed
+
+
+def dict_sample_points(spec, species, samples, seed):
+    """The per-point reference for `_sample_points`: one dict {species: z} per
+    point, the grid walked with an odometer (first species fastest), then one
+    (radius, angle) draw per species and point."""
+    angles = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
+    points = []
+    if 8 ** len(species) <= 4096:
+        choices = []
+        for i in species:
+            d = spec.species[i]
+            choices.append([radius * cmath.exp(1j * t)
+                            for radius in (d.r, d.R) for t in angles])
+        idx = [0] * len(species)
+        while True:
+            points.append({i: choices[pos][idx[pos]] for pos, i in enumerate(species)})
+            for pos in range(len(species)):
+                idx[pos] += 1
+                if idx[pos] < len(choices[pos]):
+                    break
+                idx[pos] = 0
+            else:
+                break
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        z = {}
+        for i in species:
+            d = spec.species[i]
+            radius = d.R * math.sqrt(rng.random())
+            z[i] = radius * cmath.exp(2j * math.pi * rng.random())
+        points.append(z)
+    return points
+
+
+def per_point_log_checks(p, spec, samples, seed):
+    """The per-point reference for the log-derivative audit: `MPSeries.evaluate`
+    and `cmath.log` at each oracle point; [(max |log|, zero found)] per species."""
+    species = list(range(1, p.series.truncation.species + 1))
+    points = dict_sample_points(spec, species, samples, seed)
+    out = []
+    for i in species:
+        partial = p.series.diff(i)
+        worst, zero_found = 0.0, False
+        for z in points:
+            value = partial.evaluate(z)
+            if abs(value) < 1e-150:
+                zero_found = True
+                continue
+            worst = max(worst, abs(cmath.log(value)))
+        out.append((worst, zero_found))
+    return out, len(points)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_sample_points_match_the_dict_oracle_bit_for_bit(width):
+    species = list(range(1, width + 1))
+    spec = make_domain_spec([(i, 0.01 * i, 0.03 * i + 0.1, 1.0) for i in species])
+    for seed, samples in ((0, 0), (1, 1), (7, 90)):
+        if width == 5 and samples == 0:
+            continue  # no grid and no samples: refused, tested below
+        expected = np.array([[z[i] for i in species]
+                             for z in dict_sample_points(spec, species, samples, seed)])
+        got = _sample_points(spec, species, samples, seed)
+        assert got.shape == expected.shape == (len(expected), width)
+        assert got.tobytes() == expected.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("width,degree", [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_hypothesis_check_matches_the_per_point_oracle(width, degree):
+    spec = make_domain_spec([(i, 0.005, 0.02, 0.3) for i in range(1, width + 1)])
+    for seed in (2, 11):
+        p = pressure_from_weights(SyntheticBlockModel.random(seed, width),
+                                  Truncation(degree, width))
+        report = hypothesis_check(p, spec, samples=40, seed=seed)
+        expected, count = per_point_log_checks(p, spec, 40, seed)
+        assert report.sample_count == count
+        for check, (worst, zero_found) in zip(report.log_checks, expected, strict=True):
+            assert check.max_log_abs == pytest.approx(worst, abs=1e-12)
+            assert check.zero_found == zero_found
+            assert check.passed == ((not zero_found) and worst < check.budget)
+        assert report.passed == all(w < 0.3 and not z for w, z in expected)
+
+
+def test_hypothesis_check_matches_the_oracle_on_a_vanishing_derivative():
+    # dp/dz_1 = 1 - 2 z_1 vanishes at z_1 = R_1 = 1/2, a grid point for every z_2
+    p = pressure({e(1): 1, e(2): -1, e(0, 1): 1, e(0, 2): Fraction(1, 3)}, 3, 2)
+    spec = make_domain_spec([(1, 0.1, 0.5, 10.0), (2, 0.1, 0.3, 10.0)])
+    report = hypothesis_check(p, spec, samples=30, seed=4)
+    expected, count = per_point_log_checks(p, spec, 30, seed=4)
+    assert report.sample_count == count == 64 + 30
+    assert [c.zero_found for c in report.log_checks] == [True, False]
+    for check, (worst, zero_found) in zip(report.log_checks, expected, strict=True):
+        assert check.max_log_abs == pytest.approx(worst, abs=1e-12)
+        assert check.zero_found == zero_found
+    assert not report.passed
+
+
+def test_hypothesis_check_refuses_negative_samples():
+    p = pressure({e(1): 1}, 2, 1)
+    with pytest.raises(ValueError, match="samples >= 0"):
+        hypothesis_check(p, WORKED, samples=-3)
+
+
+def test_hypothesis_check_refuses_an_empty_point_set():
+    p = pressure({e(0, 0, 0, 0, 1): 1}, 2, 5)
+    spec = make_domain_spec([(i, 0.1, 0.3, 1.0) for i in range(1, 6)])
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            hypothesis_check(p, spec, samples=samples)
+    # with a grid (S <= 4) zero random samples still leave 8^S points
+    small = pressure({e(1): 1}, 2, 1)
+    assert hypothesis_check(small, WORKED, samples=0).sample_count == 8
 
 
 # -- coefficient audit -----------------------------------------------------------------

@@ -277,6 +277,35 @@ def test_bounds_compute_hypothesis_and_audit_on_negative_quadratic(tmp_path, cap
     assert doc["audit"]["passed"]
 
 
+def test_bounds_compute_is_byte_identical_on_repeat(tmp_path, capsys, synthetic_model):
+    spec = write(tmp_path / "d.json",
+                 {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3},
+                              {"i": 2, "r": 0.02, "R": 0.08, "a": 0.3}]})
+    argv = ("bounds", "compute", "--spec", spec, "--model", synthetic_model,
+            "--degree", "3", "--seed", "5")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+
+
+@pytest.mark.parametrize("species,samples", [(2, "-3"), (5, "0")],
+                         ids=["negative", "no-grid-no-samples"])
+def test_bounds_compute_without_hypothesis_points_is_usage_error(tmp_path, capsys,
+                                                                 species, samples):
+    model = write(tmp_path / "m.json",
+                  {"type": "synthetic", "species": species, "default_w": "0",
+                   "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]},
+                               "colours": [1, 2], "w": "1"}]})
+    spec = write(tmp_path / "d.json",
+                 {"species": [{"i": i, "r": 0.02, "R": 0.08, "a": 0.3}
+                              for i in range(1, species + 1)]})
+    code, out, err = run(capsys, "bounds", "compute", "--spec", spec, "--model", model,
+                         "--degree", "2", "--samples-hypothesis", samples)
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
 # -- errors -----------------------------------------------------------------------
 
 

@@ -202,6 +202,24 @@ def test_enumerate_counts_small():
         assert sum(1 for _ in enumerate_graphs(n, "all")) == 2 ** (n * (n - 1) // 2)
 
 
+def graph_built_enumeration(n, graph_class):
+    """The reference walk: a Graph for every edge mask, then the class test on it."""
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = Graph.from_mask(n, mask)
+        if graph_class == "connected" and not is_connected(g):
+            continue
+        if graph_class == "two_connected" and not is_two_connected(g):
+            continue
+        yield g
+
+
+@pytest.mark.parametrize("graph_class", ["all", "connected", "two_connected"])
+def test_enumeration_matches_the_graph_built_walk(graph_class):
+    for n in range(1, 7):
+        assert list(enumerate_graphs(n, graph_class)) == \
+            list(graph_built_enumeration(n, graph_class)), n
+
+
 def test_enumerate_cap_and_class():
     with pytest.raises(ValueError):
         list(enumerate_graphs(9, "all"))
