@@ -373,5 +373,8 @@ def domain_spec_to_json(spec: DomainSpec) -> dict:
 
 
 def domain_spec_from_json(doc: Mapping) -> DomainSpec:
+    entries = doc["species"]
+    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+        raise ValueError(f"species must be a list of {{i, r, R, a}} objects, got {entries!r}")
     return DomainSpec({int(e["i"]): SpeciesDomain(float(e["r"]), float(e["R"]), float(e["a"]))
-                       for e in doc["species"]})
+                       for e in entries})

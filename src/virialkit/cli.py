@@ -79,6 +79,8 @@ def _coeff_out(value):
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a config must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema is not None and schema != SCHEMA:
         raise ValueError(f"unsupported config schema {schema!r} (expected {SCHEMA!r})")
@@ -209,7 +211,7 @@ def _virial_by_method(source, truncation: Truncation, method: str,
 def cmd_virial_invert(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     source = _weight_source(model, args)
-    truncation = Truncation(args.degree, args.species_cap or _species_cap(model))
+    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
     series = _virial_by_method(source, truncation, args.method)
     rows = _coefficient_rows(series, args.method)
     if args.format == "csv":
@@ -223,7 +225,7 @@ def cmd_virial_invert(args) -> int:
 def cmd_virial_compare(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     source = _weight_source(model, args)
-    truncation = Truncation(args.degree, args.species_cap or _species_cap(model))
+    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
     methods = ["recursive", "lagrange-good"]
     if getattr(source, "block_factorizing", False):
         methods.append("two-connected")
@@ -237,7 +239,7 @@ def cmd_virial_compare(args) -> int:
         if m == "recursive":
             continue
         keys = set(base.terms) | set(series.terms)
-        for n in sorted(keys, key=lambda k: k.grlex_key(truncation.species)):
+        for n in sorted(keys, key=truncation.pack):
             a, b = base[n], series[n]
             # exact comparison for rationals; --tol is for Monte-Carlo-backed
             # models whose routes agree only up to sampling error
@@ -256,7 +258,7 @@ def cmd_virial_compare(args) -> int:
 def cmd_virial_mu(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     source = _weight_source(model, args)
-    truncation = Truncation(args.degree, args.species_cap or _species_cap(model))
+    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
     series = virial_mod.chemical_potential(source, truncation, args.species)
     rows = _coefficient_rows(series, "chemical-potential")
     if args.format == "csv":
@@ -267,7 +269,10 @@ def cmd_virial_mu(args) -> int:
     return 0
 
 
-def _species_cap(model) -> int:
+def _species_cap(model, requested: int | None = None) -> int:
+    """The requested --species-cap, else the model's own species count."""
+    if requested is not None:
+        return requested
     if isinstance(model, SyntheticBlockModel):
         return model.species_count
     return max(model.species)
@@ -294,9 +299,12 @@ def cmd_weights_kp_check(args) -> int:
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("kp-check needs an interaction model")
     spec_doc = _load_json(args.spec)
-    radii = {int(k): float(v) for k, v in spec_doc["radii"].items()}
+    radii = spec_doc["radii"]
+    if not isinstance(radii, dict):
+        raise ValueError(f"radii must be an object of species -> radius, got {radii!r}")
+    radii = {int(k): float(v) for k, v in radii.items()}
     spec = weights_mod.KpSpec(radii, float(spec_doc["a"]), float(spec_doc.get("b", 0.0)))
-    cap = args.species_cap or max(radii)
+    cap = max(radii) if args.species_cap is None else args.species_cap
     report = weights_mod.kp_check(model, spec, cap,
                                   McParams(args.samples, args.seed, args.scheme))
     _emit({"command": "weights kp-check", "model": args.model, "spec": args.spec,

@@ -6,6 +6,11 @@ degree D and species cap S.  Coefficients live in one of two fields, exact
 rationals (`fractions.Fraction`) or IEEE doubles, chosen per series and never
 mixed; conversion is explicit and one-way (rational -> float).
 
+Inside a series every monomial is one integer, its key under the truncation
+(see `Truncation`).  `MultiIndex` is the type at the boundary: the
+constructor's input, `MPSeries.terms`, coefficient lookup, sorted output and
+JSON.
+
 All values are immutable after construction and all operations are pure, so
 series can be shared freely between threads.
 """
@@ -15,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -97,25 +103,8 @@ class MultiIndex:
         d[species] = d.get(species, 0) + by
         return MultiIndex(d)
 
-    def decremented(self, species: int) -> MultiIndex:
-        e = self.get(species)
-        if e == 0:
-            raise ValueError(f"species {species} has exponent 0, cannot decrement")
-        d = dict(self._pairs)
-        d[species] = e - 1
-        return MultiIndex(d)
-
-    def __add__(self, other: MultiIndex) -> MultiIndex:
-        d = dict(self._pairs)
-        for s, e in other._pairs:
-            d[s] = d.get(s, 0) + e
-        return MultiIndex(d)
-
     def dense(self, species_cap: int) -> tuple[int, ...]:
         return tuple(self.get(s) for s in range(1, species_cap + 1))
-
-    def grlex_key(self, species_cap: int) -> tuple:
-        return (self.degree, self.dense(species_cap))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiIndex) and self._pairs == other._pairs
@@ -132,12 +121,18 @@ class MultiIndex:
         return "MultiIndex({%s})" % ", ".join(f"{s}: {e}" for s, e in self._pairs)
 
 
-ZERO_INDEX = MultiIndex()
-
-
 @dataclass(frozen=True)
 class Truncation:
-    """Joint truncation: total degree <= degree AND species index <= species."""
+    """Joint truncation: total degree <= degree AND species index <= species.
+
+    The truncation also numbers the admissible monomials.  The key of n is
+    |n| R^S + sum_s n_s R^(S-s) with radix R = 2D + 1: a degree digit above
+    one digit per species, species 1 the most significant.  Ascending keys
+    are therefore graded-lexicographic order (|n|, n_1, ..., n_S).
+    Admissible exponents are at most D, so adding two keys adds their
+    monomials without a carry, and the sum is admissible exactly when it is
+    below (D + 1) R^S (`_limit`).  The degree of a key is key // R^S.
+    """
 
     degree: int
     species: int
@@ -147,12 +142,28 @@ class Truncation:
             raise ValueError(f"max total degree must be >= 0, got {self.degree}")
         if self.species < 1:
             raise ValueError(f"species cap must be >= 1, got {self.species}")
+        # place values of a key: R^S for the degree digit, then R^(S-s) for
+        # species s = 1..S; the key of z_s is _steps[s - 1]
+        radix = 2 * self.degree + 1
+        places = tuple(radix ** p for p in range(self.species, -1, -1))
+        object.__setattr__(self, "_places", places)
+        object.__setattr__(self, "_steps", tuple(places[0] + p for p in places[1:]))
+        object.__setattr__(self, "_limit", (self.degree + 1) * places[0])
 
     def admits(self, n: MultiIndex) -> bool:
         if n.degree > self.degree:
             return False
         pairs = n.items()
         return not pairs or pairs[-1][0] <= self.species
+
+    def pack(self, n: MultiIndex) -> int:
+        """The key of an admissible multi-index n."""
+        return sum(e * self._steps[s - 1] for s, e in n.items())
+
+    def unpack(self, key: int) -> MultiIndex:
+        """The multi-index with this key; the inverse of `pack`."""
+        radix = 2 * self.degree + 1
+        return MultiIndex.from_exponents(key // place % radix for place in self._places[1:])
 
 
 def admissible_indices(truncation: Truncation, min_degree: int = 0,
@@ -172,18 +183,6 @@ def admissible_indices(truncation: Truncation, min_degree: int = 0,
     for d in range(min_degree, top + 1):
         for dense in compositions(d, s):
             yield MultiIndex.from_exponents(dense)
-
-
-def _pack_weights(truncation: Truncation) -> tuple[int, ...]:
-    """Place values of the packed exponent key sum_s n_s R^(s-1), R = 2D + 1.
-
-    Exponents of admissible terms are at most D, so adding the keys of two
-    such terms adds their exponent vectors without carries: the sum is again
-    a unique key, and it lies in a box {m <= n} exactly when it is the key of
-    one of the box's points.
-    """
-    radix = 2 * truncation.degree + 1
-    return tuple(radix ** i for i in range(truncation.species))
 
 
 def _coerce(value, field: str):
@@ -208,11 +207,14 @@ def _one(field: str):
 class MPSeries:
     """Sparse truncated multivariate formal power series.
 
-    Stored terms are canonical: every multi-index is admissible under the
-    truncation and no stored coefficient is zero.
+    Stored terms are canonical: every monomial is admissible under the
+    truncation and no stored coefficient is zero.  They are kept in one dict
+    from the truncation's integer keys (see `Truncation`) to coefficients;
+    `terms` is a read-only view of it keyed by `MultiIndex`, built on first
+    use.
     """
 
-    __slots__ = ("terms", "truncation", "field", "_packed")
+    __slots__ = ("_terms", "truncation", "field", "_view")
 
     def __init__(self, terms: Mapping[MultiIndex, object], truncation: Truncation,
                  field: str = RATIONAL):
@@ -224,11 +226,11 @@ class MPSeries:
                 raise ValueError(f"term {n!r} not admissible under {truncation}")
             c = _coerce(c, field)
             if c != 0:
-                canonical[n] = c
-        self.terms = canonical
+                canonical[truncation.pack(n)] = c
+        self._terms = canonical
         self.truncation = truncation
         self.field = field
-        self._packed = None
+        self._view = None
 
     # -- constructors ------------------------------------------------------
 
@@ -238,7 +240,7 @@ class MPSeries:
 
     @classmethod
     def constant(cls, value, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        return cls({ZERO_INDEX: value}, truncation, field)
+        return cls({MultiIndex(): value}, truncation, field)
 
     @classmethod
     def one(cls, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
@@ -250,41 +252,39 @@ class MPSeries:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[MultiIndex, object]:
+        """Read-only view of the terms keyed by `MultiIndex`."""
+        if self._view is None:
+            unpack = self.truncation.unpack
+            self._view = MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+        return self._view
+
     def __getitem__(self, n: MultiIndex):
         """Coefficient of z^n; n must be admissible (inadmissible is undefined, not 0)."""
         if not self.truncation.admits(n):
             raise ValueError(f"coefficient of {n!r} is undefined at truncation {self.truncation}")
-        return self.terms.get(n, _zero(self.field))
+        return self._terms.get(self.truncation.pack(n), _zero(self.field))
 
     @property
     def constant_term(self):
-        return self.terms.get(ZERO_INDEX, _zero(self.field))
+        return self._terms.get(0, _zero(self.field))
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def _packed_terms(self) -> dict[int, object]:
-        """The terms keyed by packed exponents (see `_pack_weights`); built on
-        first use and kept, since the series never changes."""
-        if self._packed is None:
-            weights = _pack_weights(self.truncation)
-            self._packed = {sum(e * weights[s - 1] for s, e in n.items()): c
-                            for n, c in self.terms.items()}
-        return self._packed
+        return not self._terms
 
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms in graded-lexicographic order (deterministic output)."""
-        s = self.truncation.species
-        return sorted(self.terms.items(), key=lambda kv: kv[0].grlex_key(s))
+        return [(self.truncation.unpack(k), c) for k, c in sorted(self._terms.items())]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MPSeries) and self.field == other.field
-                and self.truncation == other.truncation and self.terms == other.terms)
+                and self.truncation == other.truncation and self._terms == other._terms)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             body = "0"
         else:
             parts = []
@@ -292,8 +292,8 @@ class MPSeries:
                 mono = "*".join(f"z{s}^{e}" if e > 1 else f"z{s}" for s, e in n.items()) or "1"
                 parts.append(f"{c}*{mono}")
             body = " + ".join(parts)
-            if len(self.terms) > 6:
-                body += f" + ... ({len(self.terms)} terms)"
+            if len(self._terms) > 6:
+                body += f" + ... ({len(self._terms)} terms)"
         return f"<MPSeries {body} | D={self.truncation.degree} S={self.truncation.species} {self.field}>"
 
     def _check_compatible(self, other: MPSeries, op: str):
@@ -306,77 +306,83 @@ class MPSeries:
             raise ValueError(f"cannot {op} series with different truncations "
                              f"({self.truncation} vs {other.truncation})")
 
+    def _keyed(self, terms: dict[int, object]) -> MPSeries:
+        """A series of this truncation and field from keyed terms that are
+        admissible and in the field already; only the zeros are dropped."""
+        out = MPSeries.__new__(MPSeries)
+        out._terms = {k: c for k, c in terms.items() if c != 0}
+        out.truncation = self.truncation
+        out.field = self.field
+        out._view = None
+        return out
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MPSeries) -> MPSeries:
         self._check_compatible(other, "add")
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            out[n] = out.get(n, _zero(self.field)) + c
-        return MPSeries(out, self.truncation, self.field)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, _zero(self.field)) + c
+        return self._keyed(out)
 
     def __neg__(self) -> MPSeries:
-        return MPSeries({n: -c for n, c in self.terms.items()}, self.truncation, self.field)
+        return self._keyed({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: MPSeries) -> MPSeries:
         self._check_compatible(other, "subtract")
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            out[n] = out.get(n, _zero(self.field)) - c
-        return MPSeries(out, self.truncation, self.field)
+        return self + -other
 
     def __mul__(self, other) -> MPSeries:
         if not isinstance(other, MPSeries):
             return self.scaled(other)
         self._check_compatible(other, "multiply")
-        degree_cap = self.truncation.degree
-        out: dict[MultiIndex, object] = {}
+        limit = self.truncation._limit
+        out: dict[int, object] = {}
         zero = _zero(self.field)
-        for n1, c1 in self.terms.items():
-            d1 = n1.degree
-            for n2, c2 in other.terms.items():
-                if d1 + n2.degree > degree_cap:
-                    continue
-                n = n1 + n2
-                out[n] = out.get(n, zero) + c1 * c2
-        return MPSeries(out, self.truncation, self.field)
+        for k1, c1 in self._terms.items():
+            room = limit - k1
+            for k2, c2 in other._terms.items():
+                if k2 < room:
+                    k = k1 + k2
+                    out[k] = out.get(k, zero) + c1 * c2
+        return self._keyed(out)
 
     def __rmul__(self, other) -> MPSeries:
         return self.scaled(other)
 
     def scaled(self, scalar) -> MPSeries:
         c = _coerce(scalar, self.field)
-        return MPSeries({n: c * v for n, v in self.terms.items()}, self.truncation, self.field)
+        return self._keyed({k: c * v for k, v in self._terms.items()})
+
+    def _exponents(self, species: int) -> tuple[int, Iterator[tuple[int, int, object]]]:
+        """(key of z_species, (key, exponent of z_species, coefficient) per term)."""
+        t = self.truncation
+        if not 1 <= species <= t.species:
+            raise ValueError(f"species {species} out of range 1..{t.species}")
+        place, radix = t._places[species], 2 * t.degree + 1
+        return t._steps[species - 1], ((k, k // place % radix, c) for k, c in self._terms.items())
 
     def diff(self, species: int) -> MPSeries:
         """Partial derivative with respect to z_species."""
-        if not 1 <= species <= self.truncation.species:
-            raise ValueError(f"species {species} out of range 1..{self.truncation.species}")
-        out = {}
-        for n, c in self.terms.items():
-            e = n.get(species)
-            if e > 0:
-                out[n.decremented(species)] = c * e
-        return MPSeries(out, self.truncation, self.field)
+        step, terms = self._exponents(species)
+        return self._keyed({k - step: c * e for k, e, c in terms if e > 0})
 
     def mul_var(self, species: int) -> MPSeries:
         """Multiply by the variable z_species, discarding over-truncation terms."""
-        if not 1 <= species <= self.truncation.species:
-            raise ValueError(f"species {species} out of range 1..{self.truncation.species}")
-        out = {}
-        for n, c in self.terms.items():
-            if n.degree + 1 <= self.truncation.degree:
-                out[n.incremented(species)] = c
-        return MPSeries(out, self.truncation, self.field)
+        step, terms = self._exponents(species)
+        limit = self.truncation._limit
+        return self._keyed({k + step: c for k, _, c in terms if k + step < limit})
 
     def div_var(self, species: int) -> MPSeries:
         """Divide by z_species; every term must contain the variable."""
+        step, terms = self._exponents(species)
         out = {}
-        for n, c in self.terms.items():
-            if n.get(species) == 0:
-                raise ValueError(f"term {n!r} has no factor of species {species}")
-            out[n.decremented(species)] = c
-        return MPSeries(out, self.truncation, self.field)
+        for k, e, c in terms:
+            if e == 0:
+                raise ValueError(f"term {self.truncation.unpack(k)!r} has no factor "
+                                 f"of species {species}")
+            out[k - step] = c
+        return self._keyed(out)
 
     # -- conversions -------------------------------------------------------
 
@@ -384,7 +390,7 @@ class MPSeries:
         """Explicit one-way conversion rational -> float."""
         if self.field == FLOAT:
             return self
-        return MPSeries({n: float(c) for n, c in self.terms.items()}, self.truncation, FLOAT)
+        return MPSeries(self.terms, self.truncation, FLOAT)
 
     def with_truncation(self, truncation: Truncation) -> MPSeries:
         """Explicit re-truncation; terms outside the new truncation are dropped.
@@ -410,21 +416,25 @@ class MPSeries:
 # -- transcendental / inverse operations ------------------------------------
 
 
+def _power_sum(u: MPSeries, coefficient: Callable[[int], object]) -> MPSeries:
+    """sum_m coefficient(m) u^m for m = 0..D, for u with zero constant term:
+    the sum stops at the first power of u that vanishes."""
+    one = MPSeries.one(u.truncation, u.field)
+    result = one.scaled(coefficient(0))
+    power = one
+    for m in range(1, u.truncation.degree + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        result = result + power.scaled(coefficient(m))
+    return result
+
+
 def exp(a: MPSeries) -> MPSeries:
     """exp of a series with zero constant term: sum_m a^m / m! truncated."""
     if a.constant_term != 0:
         raise ValueError("exp requires a zero constant term")
-    result = MPSeries.one(a.truncation, a.field)
-    term = MPSeries.one(a.truncation, a.field)
-    for m in range(1, a.truncation.degree + 1):
-        term = term * a
-        if term.is_zero():
-            break
-        if a.field == RATIONAL:
-            result = result + term.scaled(Fraction(1, math.factorial(m)))
-        else:
-            result = result + term.scaled(1.0 / math.factorial(m))
-    return result
+    return _power_sum(a, lambda m: Fraction(1, math.factorial(m)))
 
 
 class LogSeries(NamedTuple):
@@ -459,20 +469,9 @@ def log(a: MPSeries) -> LogSeries:
         raise ValueError("log requires a nonzero constant term")
     if c0 < 0:
         raise ValueError("log requires a positive constant term over a real field")
-    one = MPSeries.one(a.truncation, a.field)
-    u = a.scaled(1 / c0 if a.field == FLOAT else Fraction(1) / c0) - one
-    result = MPSeries.zero(a.truncation, a.field)
-    power = one
-    for m in range(1, a.truncation.degree + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        sign = 1 if m % 2 == 1 else -1
-        if a.field == RATIONAL:
-            result = result + power.scaled(Fraction(sign, m))
-        else:
-            result = result + power.scaled(sign / m)
-    return LogSeries(c0, result)
+    inv_c0 = 1 / c0 if a.field == FLOAT else Fraction(1) / c0
+    u = a.scaled(inv_c0) - MPSeries.one(a.truncation, a.field)
+    return LogSeries(c0, _power_sum(u, lambda m: Fraction((-1) ** (m + 1), m) if m else 0))
 
 
 def reciprocal(a: MPSeries) -> MPSeries:
@@ -481,16 +480,8 @@ def reciprocal(a: MPSeries) -> MPSeries:
     if c0 == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
     inv_c0 = 1 / c0 if a.field == FLOAT else Fraction(1) / c0
-    one = MPSeries.one(a.truncation, a.field)
-    u = a.scaled(inv_c0) - one
-    result = one  # sum of (-u)^m, m = 0..D
-    power = one
-    for m in range(1, a.truncation.degree + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + (power if m % 2 == 0 else -power)
-    return result.scaled(inv_c0)
+    u = a.scaled(inv_c0) - MPSeries.one(a.truncation, a.field)
+    return _power_sum(u, lambda m: (-1) ** m).scaled(inv_c0)
 
 
 def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
@@ -570,45 +561,40 @@ def determinant(m: SeriesMatrix) -> MPSeries:
     k 2^(k-1) series products instead of about e k!, and it divides by
     nothing: it holds for any matrix, even one whose constant part is
     singular, such as diag(z1, z2).  A product is skipped when the lowest
-    degrees of its two factors already exceed the truncation, so when the
-    entries off the diagonal have no constant term (M = I + O(z)) only
-    column sets close to the row set carry a nonzero minor.
+    degrees of its two factors already exceed the truncation (the lowest
+    key carries the lowest degree, see `Truncation`), so when the entries
+    off the diagonal have no constant term (M = I + O(z)) only column sets
+    close to the row set carry a nonzero minor.
     """
     if m.dimension > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant limited to dimension {MAX_DETERMINANT_DIM}, "
                          f"got {m.dimension}")
-    t, field = m.truncation, m.field
-    zero = _zero(field)
-    # column bitmask -> (minor on the last rows, lowest degree among its terms)
-    minors = {0: (MPSeries.one(t, field), 0)}
+    one = MPSeries.one(m.truncation, m.field)
+    limit = m.truncation._limit
+    zero = _zero(m.field)
+    # column bitmask -> (minor on the last rows, lowest key among its terms)
+    minors = {0: (one, 0)}
     for row in reversed(m.entries):
-        lows = [_lowest_degree(entry) for entry in row]
-        sums: dict[int, dict[MultiIndex, object]] = {}
+        lows = [min(entry._terms, default=None) for entry in row]
+        sums: dict[int, dict[int, object]] = {}
         for cols, (minor, low) in minors.items():
             for j, entry in enumerate(row):
                 bit = 1 << j
-                if cols & bit or lows[j] is None or lows[j] + low > t.degree:
+                if cols & bit or lows[j] is None or lows[j] + low >= limit:
                     continue  # the product is zero
                 term = entry * minor
-                acc = sums.setdefault(cols | bit, {})
                 if (cols & (bit - 1)).bit_count() % 2:
-                    for n, c in term.terms.items():
-                        acc[n] = acc.get(n, zero) - c
-                else:
-                    for n, c in term.terms.items():
-                        acc[n] = acc.get(n, zero) + c
+                    term = -term
+                acc = sums.setdefault(cols | bit, {})
+                for k, c in term._terms.items():
+                    acc[k] = acc.get(k, zero) + c
         minors = {}
         for cols, terms in sums.items():
-            minor = MPSeries(terms, t, field)
+            minor = one._keyed(terms)
             if not minor.is_zero():
-                minors[cols] = (minor, _lowest_degree(minor))
+                minors[cols] = (minor, min(minor._terms))
     full = minors.get((1 << m.dimension) - 1)
-    return MPSeries.zero(t, field) if full is None else full[0]
-
-
-def _lowest_degree(a: MPSeries) -> int | None:
-    """Lowest total degree among the terms of `a`; None for the zero series."""
-    return min((n.degree for n in a.terms), default=None)
+    return MPSeries.zero(m.truncation, m.field) if full is None else full[0]
 
 
 def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
@@ -617,9 +603,9 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
     Only exponents m <= n componentwise can reach z^n, so the product is
     formed on that box alone and the last factor is a single lookup per
     point: the cost follows the box, prod_i (n_i + 1) points, not the size
-    of the series.  Each factor's terms are packed once (see
-    `MPSeries._packed_terms`), so factors reused across many n pay for that
-    once.
+    of the series.  The box's points are keys of the truncation (see
+    `Truncation`), so a sum of two of them is the key of the sum of their
+    exponents, and the factors' own keyed terms are read directly.
     """
     if not factors:
         return _zero(RATIONAL) if n else _one(RATIONAL)
@@ -629,17 +615,15 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
     t = head.truncation
     if not t.admits(n):
         raise ValueError(f"coefficient of {n!r} is undefined at truncation {t}")
-    weights = _pack_weights(t)
     box = [0]
     for s, e in n.items():
-        w = weights[s - 1]
-        box = [b + k * w for k in range(e + 1) for b in box]
+        box = [b + k * t._steps[s - 1] for k in range(e + 1) for b in box]
     target = box[-1]
     inside = set(box)
     zero = _zero(head.field)
     acc = {0: _one(head.field)}
     for f in factors[:-1]:
-        terms = f._packed_terms()
+        terms = f._terms
         part = [(m, terms[m]) for m in box if m in terms]
         nxt: dict[int, object] = {}
         for a, ca in acc.items():
@@ -648,7 +632,7 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
                 if m in inside:
                     nxt[m] = nxt.get(m, zero) + ca * cb
         acc = nxt
-    terms = factors[-1]._packed_terms()
+    terms = factors[-1]._terms
     total = zero
     for a, ca in acc.items():
         cb = terms.get(target - a)

@@ -483,6 +483,8 @@ def kp_check(u: PairPotential, spec: KpSpec, species_cap: int,
     """Per-species check of the convergence criterion under the species cap:
     sum_{k'<=S} R_{k'} e^{(a+3b)k'} * int |zeta| <= a*k, reported per k <= S,
     together with the (partial) summability sum.  Report-only."""
+    if species_cap < 1:
+        raise ValueError(f"species cap must be >= 1, got {species_cap}")
     missing = [k for k in range(1, species_cap + 1) if k not in spec.radii]
     if missing:
         raise ValueError(f"spec has no radius for species {missing}")
@@ -631,6 +633,8 @@ def model_from_json(doc: Mapping):
         fallback = None
         if "random_fallback" in doc:
             fb = doc["random_fallback"]
+            if not isinstance(fb, Mapping):
+                raise ValueError(f"random_fallback must be an object with a seed, got {fb!r}")
             base = SyntheticBlockModel.random(int(fb["seed"]), max(species, 1),
                                               int(fb.get("low", -5)), int(fb.get("high", 5)))
             fallback = base._fallback

@@ -335,6 +335,47 @@ def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
     assert ("sigma" if doc["type"] == "hard_rods_1d" else "w") in err
 
 
+HARD_RODS = "<hard rods model>"
+
+
+@pytest.mark.parametrize("argv,doc,named", [
+    (("virial", "invert", "--degree", "2", "--model"), [1, 2], "JSON object"),
+    (("virial", "mu", "--degree", "2", "--species", "1", "--model"), "rods", "JSON object"),
+    (("graphs", "blocks", "--input"), [], "JSON object"),
+    (("bounds", "compute", "--spec"), [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}],
+     "JSON object"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1, "random_fallback": 5}, "random_fallback"),
+    (("bounds", "compute", "--spec"), {"species": 5}, "species"),
+    (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
+     {"radii": [1, 2], "a": 1.0}, "radii"),
+], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
+        "int-species", "list-radii"])
+def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
+                                               argv, doc, named):
+    path = write(tmp_path / "bad.json", doc)
+    argv = [hard_rods_model if a == HARD_RODS else a for a in argv]
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("virial", "invert", "--degree", "2"), ("virial", "compare", "--degree", "2"),
+    ("virial", "mu", "--degree", "2", "--species", "1"), ("weights", "kp-check"),
+], ids=["invert", "compare", "mu", "kp-check"])
+def test_species_cap_below_one_is_usage_error(tmp_path, capsys, hard_rods_model, argv, cap):
+    spec = write(tmp_path / "kp.json", {"radii": {"1": 0.01}, "a": 1.0})
+    if argv[1] == "kp-check":
+        argv += ("--spec", spec)
+    code, out, err = run(capsys, *argv, "--model", hard_rods_model, "--species-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert f"species cap must be >= 1, got {cap}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("virial", "invert"), ("virial", "compare"), ("virial", "mu", "--species", "1"),
 ], ids=["invert", "compare", "mu"])

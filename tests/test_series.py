@@ -391,6 +391,151 @@ def test_coefficient_of_product_empty_and_invalid():
         coefficient_of_product([var(1), var(1, Truncation(4, 1))], e1())
 
 
+# -- packed keys against the MultiIndex-keyed oracles ------------------------------
+#
+# The oracles are the MultiIndex-keyed operations the packed core replaced.
+# They visit the terms in the same order, so even float coefficients, whose
+# sums depend on that order, must come out bit-equal.
+
+PACKED_TRUNCATIONS = [Truncation(0, 1), Truncation(8, 1), Truncation(4, 3), Truncation(2, 12)]
+
+
+def index_sum(n: MultiIndex, m: MultiIndex) -> MultiIndex:
+    return MultiIndex({s: n.get(s) + m.get(s) for s in set(n.species) | set(m.species)})
+
+
+def grlex_order(a: MPSeries) -> list:
+    cap = a.truncation.species
+    return sorted(a.terms.items(), key=lambda kv: (kv[0].degree,
+                                                   tuple(kv[0].get(s) for s in range(1, cap + 1))))
+
+
+def product_oracle(a: MPSeries, b: MPSeries) -> MPSeries:
+    out = {}
+    for n1, c1 in a.terms.items():
+        for n2, c2 in b.terms.items():
+            if n1.degree + n2.degree <= a.truncation.degree:
+                n = index_sum(n1, n2)
+                out[n] = out.get(n, 0) + c1 * c2
+    return MPSeries(out, a.truncation, a.field)
+
+
+def sum_oracle(a: MPSeries, b: MPSeries, sign: int = 1) -> MPSeries:
+    out = dict(a.terms)
+    for n, c in b.terms.items():
+        out[n] = out[n] + sign * c if n in out else sign * c
+    return MPSeries(out, a.truncation, a.field)
+
+
+def lowered(n: MultiIndex, species: int) -> MultiIndex:
+    return MultiIndex({**dict(n.items()), species: n.get(species) - 1})
+
+
+def diff_oracle(a: MPSeries, species: int) -> MPSeries:
+    return MPSeries({lowered(n, species): c * n.get(species)
+                     for n, c in a.terms.items() if n.get(species)}, a.truncation, a.field)
+
+
+def div_var_oracle(a: MPSeries, species: int) -> MPSeries:
+    return MPSeries({lowered(n, species): c for n, c in a.terms.items()}, a.truncation, a.field)
+
+
+def mul_var_oracle(a: MPSeries, species: int) -> MPSeries:
+    return MPSeries({n.incremented(species): c for n, c in a.terms.items()
+                     if n.degree < a.truncation.degree}, a.truncation, a.field)
+
+
+def coefficient_oracle(factors, n: MultiIndex):
+    """`coefficient_of_product` on exponents packed without the degree digit,
+    sum_s n_s R^(s-1), from each factor's MultiIndex-keyed terms."""
+    t = factors[0].truncation
+    weights = [(2 * t.degree + 1) ** i for i in range(t.species)]
+
+    def packed(f):
+        return {sum(e * weights[s - 1] for s, e in m.items()): c for m, c in f.terms.items()}
+
+    box = [0]
+    for s, e in n.items():
+        box = [b + k * weights[s - 1] for k in range(e + 1) for b in box]
+    inside = set(box)
+    zero, one_ = (Fraction(0), Fraction(1)) if factors[0].field == RATIONAL else (0.0, 1.0)
+    acc = {0: one_}
+    for f in factors[:-1]:
+        terms = packed(f)
+        part = [(m, terms[m]) for m in box if m in terms]
+        nxt = {}
+        for a, ca in acc.items():
+            for b, cb in part:
+                if a + b in inside:
+                    nxt[a + b] = nxt.get(a + b, zero) + ca * cb
+        acc = nxt
+    terms = packed(factors[-1])
+    total = zero
+    for a, ca in acc.items():
+        if box[-1] - a in terms:
+            total += ca * terms[box[-1] - a]
+    return total
+
+
+def exact(c):
+    """A coefficient with its type, a float by its exact bits."""
+    return type(c), c.hex() if isinstance(c, float) else c
+
+
+def bits(a: MPSeries) -> list:
+    """The terms in stored order, each coefficient by `exact`."""
+    return [(n, exact(c)) for n, c in a.terms.items()]
+
+
+def noisy_series(rng, t: Truncation, field: str) -> MPSeries:
+    """Random series whose float coefficients round in products and sums."""
+    terms = {}
+    for n in admissible_indices(t):
+        if rng.random() < 0.6:
+            terms[n] = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if field == RATIONAL
+                        else rng.uniform(-3.0, 3.0))
+    return MPSeries(terms, t, field)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("t", PACKED_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
+def test_packed_core_matches_multiindex_oracles(t, field):
+    rng = random.Random(t.degree * 100 + t.species)
+    for _ in range(3):
+        a, b, c = (noisy_series(rng, t, field) for _ in range(3))
+        assert bits(a * b) == bits(product_oracle(a, b))
+        assert bits(a + b) == bits(sum_oracle(a, b))
+        assert bits(a - b) == bits(sum_oracle(a, b, -1))
+        assert list(a.sorted_terms()) == grlex_order(a)
+        for s in range(1, t.species + 1):
+            assert bits(a.diff(s)) == bits(diff_oracle(a, s))
+            assert bits(a.mul_var(s)) == bits(mul_var_oracle(a, s))
+            assert bits(a.mul_var(s).div_var(s)) == bits(div_var_oracle(a.mul_var(s), s))
+        for n in admissible_indices(t):
+            assert (exact(coefficient_of_product([a, b, c], n))
+                    == exact(coefficient_oracle([a, b, c], n)))
+
+
+@pytest.mark.parametrize("t", PACKED_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
+def test_pack_unpack_round_trip_in_grlex_order(t):
+    indices = list(admissible_indices(t))
+    keys = [t.pack(n) for n in indices]
+    assert [t.unpack(k) for k in keys] == indices
+    assert keys == sorted(set(keys))  # distinct, and ascending in grlex order
+
+
+def test_terms_view_is_read_only():
+    a = var(1) + one()
+    assert a.terms is a.terms
+    with pytest.raises(TypeError):
+        a.terms[e1()] = 5
+    with pytest.raises(TypeError):
+        del a.terms[e1()]
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    assert a == var(1) + one()
+
+
 # -- coefficient access ----------------------------------------------------------
 
 
