@@ -300,8 +300,8 @@ def cmd_weights_kp_check(args) -> int:
         raise ValueError("kp-check needs an interaction model")
     spec_doc = _load_json(args.spec)
     radii = spec_doc["radii"]
-    if not isinstance(radii, dict):
-        raise ValueError(f"radii must be an object of species -> radius, got {radii!r}")
+    if not isinstance(radii, dict) or not radii:
+        raise ValueError(f"radii must be a non-empty object of species -> radius, got {radii!r}")
     radii = {int(k): float(v) for k, v in radii.items()}
     spec = weights_mod.KpSpec(radii, float(spec_doc["a"]), float(spec_doc.get("b", 0.0)))
     cap = max(radii) if args.species_cap is None else args.species_cap

@@ -1,11 +1,13 @@
 """Labelled and coloured graphs at desk scale (enumeration to n = 8).
 
-Graphs live on the vertex set {1..n} and are stored as explicit edge sets;
-enumeration walks edge bitmasks 0 .. 2^(n(n-1)/2)-1, which keeps exhaustive
-counts trivially correct.  Every structural question runs on vertex bitsets
-through one reachability search: connectivity, two-connectivity and
-articulation points by deleting vertices, and block decomposition by
-splitting the vertex set at its first cut vertex until no part has one.
+A graph on {1..n} is stored as one edge bitmask (bit b is the edge
+`_pairs(n)[b]`); edge lists appear only at the boundary: JSON, CLI output and
+Monte Carlo weights.  Enumeration walks the masks 0 .. 2^(n(n-1)/2)-1.  Every
+structural question runs on neighbour bitsets read off the mask, in one pass
+over its binary digits, through one reachability search: connectivity,
+two-connectivity and articulation points by deleting vertices, and block
+decomposition by splitting the vertex set at its first cut vertex until no
+part has one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 from .series import MultiIndex
 
 MAX_ENUMERATION_VERTICES = 8
+# An edge mask is n(n-1)/2 bits wide: about 62 kB at this cap.
+MAX_GRAPH_VERTICES = 1000
 
 
 @lru_cache(maxsize=None)
@@ -28,54 +32,57 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
-@lru_cache(maxsize=None)
-def _pair_bit(n: int) -> dict[tuple[int, int], int]:
-    return {pair: b for b, pair in enumerate(_pairs(n))}
+def _pair_index(i: int, j: int, n: int) -> int:
+    """The bit of the edge (i, j), 1 <= i < j <= n: its place in `_pairs(n)`."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
 
 
-def _normalize_edge(i: int, j: int, n: int) -> tuple[int, int]:
-    if i == j:
-        raise ValueError(f"self-loop at vertex {i}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"edge ({i},{j}) outside vertex set 1..{n}")
-    return (i, j) if i < j else (j, i)
+def _adjacency(n: int, mask: int) -> list[int]:
+    """0-indexed neighbour bitsets of an edge mask: adj[v] has bit u set iff
+    (v+1, u+1) is an edge."""
+    adj = [0] * n
+    v, u = 0, 1  # the edge of the current bit, 0-indexed
+    for digit in f"{mask:0{n * (n - 1) // 2}b}"[::-1]:
+        if digit == "1":
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+        u += 1
+        if u == n:
+            v += 1
+            u = v + 1
+    return adj
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices {1..n}."""
+    """Simple undirected graph on vertices {1..n}: bit b of `mask` is the
+    edge `_pairs(n)[b]`.  `from_edges` is the validating constructor."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    mask: int
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        return cls(n, frozenset(_normalize_edge(i, j, n) for i, j in edges))
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> Graph:
-        pairs = _pairs(n)
-        return cls(n, frozenset(pairs[b] for b in range(len(pairs)) if mask >> b & 1))
-
-    def to_mask(self) -> int:
-        bit = _pair_bit(self.n)
-        mask = 0
-        for e in self.edges:
-            mask |= 1 << bit[e]
-        return mask
-
-    def adjacency(self) -> list[int]:
-        """0-indexed neighbour bitsets: adj[v] has bit u set iff {v+1,u+1} is an edge."""
-        adj = [0] * self.n
-        for i, j in self.edges:
-            adj[i - 1] |= 1 << (j - 1)
-            adj[j - 1] |= 1 << (i - 1)
-        return adj
+        if not 0 <= n <= MAX_GRAPH_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_GRAPH_VERTICES}, got {n}")
+        width = n * (n - 1) // 2
+        digits = bytearray(b"0" * width)
+        for i, j in edges:
+            if i == j:
+                raise ValueError(f"self-loop at vertex {i}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i},{j}) outside vertex set 1..{n}")
+            digits[width - 1 - _pair_index(min(i, j), max(i, j), n)] = ord("1")
+        return cls(n, int(digits, 2) if width else 0)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges (i, j), i < j, in lexicographic order."""
+        return [(v + 1, v + 2 + k) for v, nbrs in enumerate(_adjacency(self.n, self.mask))
+                for k, digit in enumerate(f"{nbrs >> (v + 1):b}"[::-1]) if digit == "1"]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,8 @@ def _reach(adj: list[int], active: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has at least one vertex and all are mutually reachable."""
-    if g.n == 0:
-        return False
     full = (1 << g.n) - 1
-    return _reach(g.adjacency(), full) == full
+    return g.n > 0 and _reach(_adjacency(g.n, g.mask), full) == full
 
 
 def _cut_vertices(adj: list[int], active: int) -> Iterator[int]:
@@ -129,7 +134,7 @@ def is_two_connected(g: Graph) -> bool:
     """Connected, n >= 2, and no single vertex deletion disconnects the rest."""
     if g.n < 2:
         return False
-    adj = g.adjacency()
+    adj = _adjacency(g.n, g.mask)
     full = (1 << g.n) - 1
     return _reach(adj, full) == full and next(_cut_vertices(adj, full), None) is None
 
@@ -138,29 +143,28 @@ def articulation_points(g: Graph) -> frozenset[int]:
     """Vertices whose deletion disconnects the graph (brute-force deletion)."""
     if not is_connected(g):
         raise ValueError("articulation points are defined for connected graphs")
-    return frozenset(v.bit_length() for v in _cut_vertices(g.adjacency(), (1 << g.n) - 1))
+    adj = _adjacency(g.n, g.mask)
+    return frozenset(v.bit_length() for v in _cut_vertices(adj, (1 << g.n) - 1))
 
 
 @dataclass(frozen=True)
 class Block:
-    """A maximal two-connected subgraph, with vertex labels of the parent graph."""
+    """A maximal two-connected subgraph: its vertices (ascending, labels of
+    the parent graph) and its edge mask after relabelling them to 1..size."""
 
     vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    relabelled_mask: int
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    def relabelled_mask(self) -> int:
-        """Edge bitmask after relabelling the (sorted) vertices to 1..size."""
-        pos = {v: i + 1 for i, v in enumerate(self.vertices)}
-        bit = _pair_bit(self.size)
-        mask = 0
-        for i, j in self.edges:
-            a, b = sorted((pos[i], pos[j]))
-            mask |= 1 << bit[(a, b)]
-        return mask
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The block's edges in parent labels."""
+        vs = self.vertices
+        return frozenset((vs[i - 1], vs[j - 1])
+                         for i, j in Graph(self.size, self.relabelled_mask).sorted_edges())
 
 
 @dataclass(frozen=True)
@@ -169,27 +173,21 @@ class BlockDecomposition:
     articulation_points: frozenset[int]
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """The unique set of maximal two-connected subgraphs of a connected graph.
+def _split_blocks(n: int, adj: list[int]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """(vertices, relabelled mask) per block of the connected graph with
+    neighbour bitsets `adj`, and the bitset of vertices in two or more blocks.
 
-    Works on vertex bitsets: a part with a cut vertex v splits into the
-    components of the part minus v, each together with v, until no part has a
-    cut vertex.  A block is the subgraph induced on its vertices, so its edges
-    are read off g; the articulation points are the vertices lying in two or
-    more blocks.
-    """
-    if g.n < 2:
-        raise ValueError("block decomposition needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("block decomposition needs a connected graph")
-    adj = g.adjacency()
-    masks = []
-    parts = [(1 << g.n) - 1]
+    A part with a cut vertex v splits into the components of the part minus
+    v, each together with v, until no part has a cut vertex.  Blocks share no
+    edge, so their order by lowest edge is by lowest vertex, then by its
+    lowest neighbour inside the block."""
+    found = []
+    parts = [(1 << n) - 1]
     while parts:
         part = parts.pop()
         v = next(_cut_vertices(adj, part), 0)
         if not v:
-            masks.append(part)
+            found.append(part)
             continue
         rest = part ^ v
         while rest:
@@ -198,14 +196,30 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             rest ^= comp
     seen = shared = 0
     blocks = []
-    for mask in masks:
-        shared |= seen & mask
-        seen |= mask
-        blocks.append(Block(tuple(v + 1 for v in range(g.n) if mask >> v & 1),
-                            frozenset((i, j) for i, j in g.edges
-                                      if mask >> (i - 1) & 1 and mask >> (j - 1) & 1)))
-    blocks.sort(key=lambda b: sorted(b.edges))
-    return BlockDecomposition(tuple(blocks),
+    for part in found:
+        shared |= seen & part
+        seen |= part
+        vs = [v for v in range(n) if part >> v & 1]
+        inside = adj[vs[0]] & part
+        digits = "".join("1" if adj[a] >> b & 1 else "0"
+                         for k, a in enumerate(vs) for b in vs[k + 1:])
+        blocks.append(((vs[0], inside & -inside), tuple(v + 1 for v in vs),
+                       int(digits[::-1], 2)))
+    blocks.sort()
+    return tuple((vs, mask) for _, vs, mask in blocks), shared
+
+
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """The unique set of maximal two-connected subgraphs of a connected graph,
+    ordered by lowest edge."""
+    if g.n < 2:
+        raise ValueError("block decomposition needs at least 2 vertices")
+    adj = _adjacency(g.n, g.mask)
+    full = (1 << g.n) - 1
+    if _reach(adj, full) != full:
+        raise ValueError("block decomposition needs a connected graph")
+    blocks, shared = _split_blocks(g.n, adj)
+    return BlockDecomposition(tuple(Block(*b) for b in blocks),
                               frozenset(v + 1 for v in range(g.n) if shared >> v & 1))
 
 
@@ -255,8 +269,8 @@ GRAPH_CLASSES = ("all", "connected", "two_connected")
 
 def enumerate_graphs(n: int, graph_class: str = "all") -> Iterator[Graph]:
     """Every labelled graph of the class on {1..n}, exactly once, in edge-mask
-    order.  The class test runs on neighbour bitsets read straight off each
-    mask; a Graph is built only for the masks that are yielded."""
+    order.  The class test runs on the neighbour bitsets of each mask; a
+    Graph is built only for the masks that are yielded."""
     if graph_class not in GRAPH_CLASSES:
         raise ValueError(f"graph class must be one of {GRAPH_CLASSES}, got {graph_class!r}")
     if n < 0:
@@ -265,27 +279,14 @@ def enumerate_graphs(n: int, graph_class: str = "all") -> Iterator[Graph]:
         raise ValueError(f"enumeration capped at n = {MAX_ENUMERATION_VERTICES}, got {n}")
     if n == 0:
         return
-    pairs = _pairs(n)
-    if graph_class == "all":
-        for mask in range(1 << len(pairs)):
-            yield Graph.from_mask(n, mask)
-        return
     full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i, j = pairs[low.bit_length() - 1]
-            adj[i - 1] |= 1 << (j - 1)
-            adj[j - 1] |= 1 << (i - 1)
-        if _reach(adj, full) != full:
-            continue
-        if graph_class == "two_connected" and (
-                n < 2 or next(_cut_vertices(adj, full), None) is not None):
-            continue
-        yield Graph.from_mask(n, mask)
+    for mask in range(1 << (n * (n - 1) // 2)):
+        if graph_class != "all":
+            adj = _adjacency(n, mask)
+            if _reach(adj, full) != full or graph_class == "two_connected" and (
+                    n < 2 or next(_cut_vertices(adj, full), None) is not None):
+                continue
+        yield Graph(n, mask)
 
 
 @lru_cache(maxsize=None)
@@ -301,19 +302,15 @@ def two_connected_graph_list(n: int) -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=None)
-def connected_block_profiles(n: int) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
-    """Per connected graph on {1..n}: tuple of (size, relabelled mask, vertices) per block.
+def connected_block_profiles(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Per connected graph on {1..n}: tuple of (vertices, relabelled mask) per block.
 
     The profile is colouring-independent, so weight sums over coloured graphs
     can reuse it for every colouring.
     """
     if n == 1:
         return ((),)  # the single-vertex graph has no blocks
-    out = []
-    for g in connected_graph_list(n):
-        d = block_decomposition(g)
-        out.append(tuple((b.size, b.relabelled_mask(), b.vertices) for b in d.blocks))
-    return tuple(out)
+    return tuple(_split_blocks(n, _adjacency(n, g.mask))[0] for g in connected_graph_list(n))
 
 
 def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
@@ -337,28 +334,21 @@ def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
 
 
 def _perms_fixing_colours(colours_sorted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All vertex permutations of {1..n} preserving a sorted colour vector."""
-    slots: dict[int, list[int]] = {}
-    for pos, c in enumerate(colours_sorted, start=1):
-        slots.setdefault(c, []).append(pos)
-    groups = list(slots.values())
-    for assignment in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [0] * len(colours_sorted)
-        for positions, targets in zip(groups, assignment):
-            for v, t in zip(positions, targets):
-                perm[v - 1] = t
-        yield tuple(perm)
+    """All vertex permutations of {1..n} preserving a sorted colour vector:
+    each colour's slots form one run, permuted within itself."""
+    runs = [tuple(run) for _, run in itertools.groupby(
+        range(1, len(colours_sorted) + 1), key=lambda pos: colours_sorted[pos - 1])]
+    for assignment in itertools.product(*(itertools.permutations(run) for run in runs)):
+        yield tuple(itertools.chain.from_iterable(assignment))
 
 
 def _relabel_mask(size: int, mask: int, perm: tuple[int, ...]) -> int:
     """Apply vertex relabelling v -> perm[v-1] to an edge bitmask."""
-    pairs = _pairs(size)
-    bit = _pair_bit(size)
     out = 0
-    for b, (i, j) in enumerate(pairs):
+    for b, (i, j) in enumerate(_pairs(size)):
         if mask >> b & 1:
             a, c = sorted((perm[i - 1], perm[j - 1]))
-            out |= 1 << bit[(a, c)]
+            out |= 1 << _pair_index(a, c, size)
     return out
 
 
@@ -373,14 +363,13 @@ def _canonical_table(size: int, colours_sorted: tuple[int, ...]) -> np.ndarray:
     """mask -> canonical mask, minimized over colour-preserving relabellings."""
     pairs = _pairs(size)
     nbits = len(pairs)
-    bit = _pair_bit(size)
     bits = _mask_bits(size)
     canon = None
     for perm in _perms_fixing_colours(colours_sorted):
         weights = np.empty(nbits, dtype=np.int64)
         for b, (i, j) in enumerate(pairs):
             a, c = sorted((perm[i - 1], perm[j - 1]))
-            weights[b] = 1 << bit[(a, c)]
+            weights[b] = 1 << _pair_index(a, c, size)
         relabelled = bits @ weights
         canon = relabelled if canon is None else np.minimum(canon, relabelled)
     return canon
@@ -389,17 +378,14 @@ def _canonical_table(size: int, colours_sorted: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=400_000)
 def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tuple:
     """Canonical key of a coloured graph given as (vertex count, edge mask, colours)."""
+    if size > MAX_ENUMERATION_VERTICES:
+        raise ValueError(f"canonical keys are capped at {MAX_ENUMERATION_VERTICES} vertices, "
+                         f"got a graph on {size}")
     sorted_colours = tuple(sorted(colours))
     # base relabelling: vertices of each colour, in order, onto that colour's slots
-    slots: dict[int, list[int]] = {}
-    for pos, c in enumerate(sorted_colours, start=1):
-        slots.setdefault(c, []).append(pos)
-    taken = {c: 0 for c in slots}
     base = [0] * size
-    for v in range(1, size + 1):
-        c = colours[v - 1]
-        base[v - 1] = slots[c][taken[c]]
-        taken[c] += 1
+    for slot, v in enumerate(sorted(range(size), key=colours.__getitem__), start=1):
+        base[v] = slot
     mask = _relabel_mask(size, mask, tuple(base))
     if size <= 6:
         return (size, sorted_colours, int(_canonical_table(size, sorted_colours)[mask]))
@@ -415,7 +401,16 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: Mapping) -> Graph:
-    return Graph.from_edges(int(doc["n"]), ((int(i), int(j)) for i, j in doc["edges"]))
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"graph must be an object with n and edges, got {doc!r}")
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int:
+        raise ValueError(f"graph n must be an integer vertex count, got {n!r}")
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int
+            for e in edges)):
+        raise ValueError("graph edges must be a list of [i, j] vertex pairs")
+    return Graph.from_edges(n, edges)
 
 
 def coloured_graph_from_json(doc: Mapping) -> ColouredGraph:

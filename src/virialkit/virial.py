@@ -136,8 +136,8 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     classes: Counter = Counter()
     for profile in connected_block_profiles(m):
         keys = tuple(sorted(
-            canonical_coloured_key(size, mask, tuple(colours[v - 1] for v in verts))
-            for size, mask, verts in profile))
+            canonical_coloured_key(len(verts), mask, tuple(colours[v - 1] for v in verts))
+            for verts, mask in profile))
         classes[keys] += 1
     return tuple(classes.items())
 
@@ -147,7 +147,7 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     """((canonical key, number of labelled graphs), ...) over the two-connected
     graphs on {1..m} coloured by `colours`; model-independent like
     `_connected_block_classes`."""
-    classes = Counter(canonical_coloured_key(m, g.to_mask(), colours)
+    classes = Counter(canonical_coloured_key(m, g.mask, colours)
                       for g in two_connected_graph_list(m))
     return tuple(classes.items())
 

@@ -313,7 +313,7 @@ class SyntheticBlockModel:
         from .graphs import is_two_connected
         if not is_two_connected(cg.graph):
             raise ValueError("block weights are defined on two-connected graphs")
-        key = canonical_coloured_key(cg.graph.n, cg.graph.to_mask(), cg.colours)
+        key = canonical_coloured_key(cg.graph.n, cg.graph.mask, cg.colours)
         self._weights[key] = _to_fraction(weight)
 
     @classmethod
@@ -358,7 +358,7 @@ class SyntheticBlockModel:
     def weight_of_block(self, b: Block, colours: tuple[int, ...]) -> Fraction:
         restricted = tuple(colours[v - 1] for v in b.vertices)
         return self.weight_for_canonical_key(
-            canonical_coloured_key(b.size, b.relabelled_mask(), restricted))
+            canonical_coloured_key(b.size, b.relabelled_mask, restricted))
 
     def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> Fraction:
         return synthetic_weight(ColouredGraph(graph, colours), self)
@@ -393,7 +393,7 @@ class McWeightSource:
         self.params = params
 
     def _params_for(self, graph: Graph, colours: tuple[int, ...]) -> McParams:
-        digest = zlib.crc32(repr((self.params.seed, graph.n, graph.to_mask(), colours)).encode())
+        digest = zlib.crc32(repr((self.params.seed, graph.n, graph.mask, colours)).encode())
         return McParams(self.params.sample_count, int(digest), self.params.scheme)
 
     def connected_weight_with_error(self, graph: Graph,
@@ -594,7 +594,7 @@ def model_to_json(model) -> dict:
         blocks = []
         for (size, colours, mask), w in sorted(model._weights.items(),
                                                key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-            g = Graph.from_mask(size, mask)
+            g = Graph(size, mask)
             blocks.append({"graph": graph_to_json(g), "colours": list(colours), "w": str(w)})
         doc = {"type": "synthetic", "species": model.species_count, "blocks": blocks}
         if model.default_weight is not None:
@@ -624,7 +624,10 @@ def model_from_json(doc: Mapping):
     if kind == "synthetic":
         blocks = []
         species = int(doc.get("species", 0))
-        for i, entry in enumerate(doc.get("blocks", ())):
+        entries = doc.get("blocks", [])
+        if not (isinstance(entries, list) and all(isinstance(e, Mapping) for e in entries)):
+            raise ValueError(f"blocks must be a list of block objects, got {entries!r}")
+        for i, entry in enumerate(entries):
             g = graph_from_json(entry["graph"])
             colours = tuple(int(c) for c in entry["colours"])
             species = max(species, max(colours, default=1))

@@ -349,8 +349,21 @@ HARD_RODS = "<hard rods model>"
     (("bounds", "compute", "--spec"), {"species": 5}, "species"),
     (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
      {"radii": [1, 2], "a": 1.0}, "radii"),
+    (("weights", "kp-check", "--model", HARD_RODS, "--spec"), {"radii": {}, "a": 1.0}, "radii"),
+    (("graphs", "blocks", "--input"), {"n": 1e308, "edges": []}, "graph n"),
+    (("graphs", "blocks", "--input"), {"n": 3, "edges": 5}, "edges"),
+    (("graphs", "blocks", "--input"), {"n": 3, "edges": [[1, None]]}, "edges"),
+    (("graphs", "blocks", "--input"), {"n": 100000, "edges": [[1, 2]]}, "0..1000"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1, "blocks": 5}, "blocks"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1, "blocks": [5]}, "blocks"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1,
+      "blocks": [{"graph": 5, "colours": [1, 1], "w": "1"}]}, "graph"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
-        "int-species", "list-radii"])
+        "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
+        "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
@@ -359,6 +372,22 @@ def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+def test_model_block_above_the_canonical_key_cap_is_usage_error(tmp_path, capsys):
+    # a 12-cycle block would take about 45 min of colour-preserving permutations
+    cycle = [[i, i % 12 + 1] for i in range(1, 13)]
+    path = write(tmp_path / "cycle.json",
+                 {"type": "synthetic", "species": 1,
+                  "blocks": [{"graph": {"n": 12, "edges": cycle}, "colours": [1] * 12,
+                              "w": "1"}]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "virial", "invert", "--model", path, "--degree", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "8 vertices" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -126,10 +126,10 @@ def set_block_decomposition(g: Graph) -> BlockDecomposition:
                 return v
         return None
 
-    def decompose(vertices: set[int], edges: frozenset) -> list[Block]:
+    def decompose(vertices: set[int], edges: frozenset) -> list[tuple[tuple[int, ...], frozenset]]:
         v = cut_vertex(vertices, edges)
         if v is None:
-            return [Block(tuple(sorted(vertices)), edges)]
+            return [(tuple(sorted(vertices)), edges)]
         out = []
         for comp in components(vertices, edges, v):
             sub_vertices = comp | {v}
@@ -137,8 +137,15 @@ def set_block_decomposition(g: Graph) -> BlockDecomposition:
             out.extend(decompose(sub_vertices, sub_edges))
         return out
 
-    blocks = decompose(set(range(1, g.n + 1)), g.edges)
-    blocks.sort(key=lambda b: sorted(b.edges))
+    def relabelled_mask(vertices: tuple[int, ...], edges: frozenset) -> int:
+        pos = {v: i + 1 for i, v in enumerate(vertices)}
+        bit = {pair: b for b, pair in
+               enumerate(itertools.combinations(range(1, len(vertices) + 1), 2))}
+        return sum(1 << bit[tuple(sorted((pos[i], pos[j])))] for i, j in edges)
+
+    parts = decompose(set(range(1, g.n + 1)), g.edges)
+    parts.sort(key=lambda part: sorted(part[1]))
+    blocks = [Block(vertices, relabelled_mask(vertices, edges)) for vertices, edges in parts]
     cuts = frozenset(v for v in range(1, g.n + 1)
                      if g.n > 2 and len(components(set(range(1, g.n + 1)), g.edges, v)) > 1)
     return BlockDecomposition(tuple(blocks), cuts)
@@ -160,7 +167,7 @@ def test_block_decomposition_matches_set_oracle_exhaustively():
             assert block_decomposition(g) == set_block_decomposition(g), g
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [6, 7, 8, 40])
 def test_block_decomposition_matches_set_oracle_on_random_graphs(n):
     rng = random.Random(1000 + n)
     for _ in range(300):
@@ -170,7 +177,7 @@ def test_block_decomposition_matches_set_oracle_on_random_graphs(n):
 
 def test_block_profiles_match_set_oracle():
     for n in range(2, 6):
-        expected = tuple(tuple((b.size, b.relabelled_mask(), b.vertices)
+        expected = tuple(tuple((b.vertices, b.relabelled_mask)
                                for b in set_block_decomposition(g).blocks)
                          for g in enumerate_graphs(n, "connected"))
         assert connected_block_profiles(n) == expected
@@ -205,7 +212,7 @@ def test_enumerate_counts_small():
 def graph_built_enumeration(n, graph_class):
     """The reference walk: a Graph for every edge mask, then the class test on it."""
     for mask in range(1 << (n * (n - 1) // 2)):
-        g = Graph.from_mask(n, mask)
+        g = Graph(n, mask)
         if graph_class == "connected" and not is_connected(g):
             continue
         if graph_class == "two_connected" and not is_two_connected(g):
@@ -216,8 +223,9 @@ def graph_built_enumeration(n, graph_class):
 @pytest.mark.parametrize("graph_class", ["all", "connected", "two_connected"])
 def test_enumeration_matches_the_graph_built_walk(graph_class):
     for n in range(1, 7):
-        assert list(enumerate_graphs(n, graph_class)) == \
-            list(graph_built_enumeration(n, graph_class)), n
+        graphs = list(graph_built_enumeration(n, graph_class))
+        assert list(enumerate_graphs(n, graph_class)) == graphs, n
+        assert all(Graph.from_edges(n, g.sorted_edges()) == g for g in graphs), n
 
 
 def test_enumerate_cap_and_class():
@@ -267,7 +275,7 @@ def test_canonical_key_invariant_under_colour_preserving_relabelling():
         edges = [p for p in pairs if rng.random() < 0.5]
         colours = tuple(rng.randint(1, 3) for _ in range(n))
         g = Graph.from_edges(n, edges)
-        key = canonical_coloured_key(n, g.to_mask(), colours)
+        key = canonical_coloured_key(n, g.mask, colours)
         # colour-preserving relabelling: permute within colour classes
         perm = list(range(1, n + 1))
         by_colour = {}
@@ -281,14 +289,14 @@ def test_canonical_key_invariant_under_colour_preserving_relabelling():
         g2 = Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
         colours2 = tuple(colours[perm.index(v + 1)] for v in range(n))
         assert colours2 == colours  # the relabelling preserved colours
-        assert canonical_coloured_key(n, g2.to_mask(), colours2) == key
+        assert canonical_coloured_key(n, g2.mask, colours2) == key
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 10 - 1))
 def test_connectivity_matches_independent_bfs_n5(mask):
     # independent reachability oracle on plain adjacency sets
-    g = Graph.from_mask(5, mask)
+    g = Graph(5, mask)
     adj = {v: set() for v in range(1, 6)}
     for i, j in g.edges:
         adj[i].add(j)

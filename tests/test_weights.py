@@ -11,6 +11,7 @@ from virialkit.weights import (
     HardRods1D,
     KpSpec,
     McParams,
+    McWeightSource,
     Molecule,
     SyntheticBlockModel,
     kp_check,
@@ -205,6 +206,19 @@ def test_stability_check_2d_orientation_sampling():
 def test_weight_mc_low_discrepancy_scheme():
     est, err = weight_mc(EDGE, HR, McParams(2 ** 15, seed=3, scheme="low-discrepancy"))
     assert abs(est + 2.0) <= 3 * err + 1e-2
+
+
+@pytest.mark.parametrize("edges,colours,seed", [
+    ([(1, 2)], (1, 2), 2310328822),
+    ([(1, 2), (2, 3)], (1, 2, 1), 3796100847),
+    ([(1, 2), (1, 3), (2, 3), (3, 4)], (2, 1, 1, 2), 2111561284),
+], ids=["edge", "path", "triangle-pendant"])
+def test_mc_graph_seeds_are_pinned(edges, colours, seed):
+    # each graph's Monte Carlo stream is seeded from (base seed, n, edge mask,
+    # colours); a change of graph representation must not move these streams
+    source = McWeightSource(HardRods1D({1: 1, 2: 2}, 40), McParams(1000, 3))
+    graph = Graph.from_edges(len(colours), edges)
+    assert source._params_for(graph, colours).seed == seed
 
 
 def test_mc_params_validation():
