@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._config import EXP_MAX, config_list, config_mapping, config_number, config_species
 from .series import RATIONAL, MPSeries, MultiIndex
 from .virial import PressureSeries, VirialSeries
 
@@ -63,7 +64,10 @@ def det_bound_constant(spec: DomainSpec) -> float:
     with the choice u_j = sqrt(r_j / R_j)."""
     quad = sum((d.r / d.R) * d.a * d.a for d in spec.species.values())
     lead = sum(d.r / (math.sqrt(d.r / d.R) * (d.R - d.r)) for d in spec.species.values())
-    return math.exp(lead * math.sqrt(quad))
+    exponent = lead * math.sqrt(quad)
+    if not exponent <= EXP_MAX:  # also refuses nan
+        raise ValueError(f"the bound constant C = exp({exponent:.6g}) is not a finite float")
+    return math.exp(exponent)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -118,16 +122,10 @@ def inverse_bound(spec: DomainSpec, n: MultiIndex, k: MultiIndex) -> float:
 
 @dataclass(frozen=True)
 class DensityDomain:
-    """The density polydisk: |rho_i| < r_i e^{-a_i}, with the weighted sum
-    sum_i |rho_i| e^{a_i}/r_i reported (finite automatically under a cap)."""
+    """The density polydisk: |rho_i| < r_i e^{-a_i}."""
 
     radii: Mapping[int, float]
     spec: DomainSpec
-
-    def weighted_sum(self, rho: Mapping[int, float]) -> float:
-        self.spec.require(rho.keys())
-        return sum(abs(v) * math.exp(self.spec.species[i].a) / self.spec.species[i].r
-                   for i, v in rho.items())
 
     def contains(self, rho: Mapping[int, float]) -> bool:
         self.spec.require(rho.keys())
@@ -373,8 +371,12 @@ def domain_spec_to_json(spec: DomainSpec) -> dict:
 
 
 def domain_spec_from_json(doc: Mapping) -> DomainSpec:
-    entries = doc["species"]
-    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
-        raise ValueError(f"species must be a list of {{i, r, R, a}} objects, got {entries!r}")
-    return DomainSpec({int(e["i"]): SpeciesDomain(float(e["r"]), float(e["R"]), float(e["a"]))
-                       for e in entries})
+    species = {}
+    for k, entry in enumerate(config_list(doc["species"], "species")):
+        at = f"species[{k}]"
+        e = config_mapping(entry, at)
+        r = float(config_number(e["r"], f"{at}.r", "a radius r > 0", lambda x: x > 0))
+        R = float(config_number(e["R"], f"{at}.R", "a radius R > r", lambda x: x > r))
+        a = float(config_number(e["a"], f"{at}.a", "a budget a >= 0", lambda x: x >= 0))
+        species[config_species(e["i"], f"{at}.i")] = SpeciesDomain(r, R, a)
+    return DomainSpec(species)

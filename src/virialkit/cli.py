@@ -23,6 +23,7 @@ from . import bounds as bounds_mod
 from . import graphs as graphs_mod
 from . import virial as virial_mod
 from . import weights as weights_mod
+from ._config import EXP_MAX, config_mapping, config_number, config_species
 from .series import MPSeries, MultiIndex, Truncation, admissible_indices
 from .weights import McParams, McWeightSource, SyntheticBlockModel
 
@@ -78,9 +79,7 @@ def _coeff_out(value):
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a config must be a JSON object, got {type(doc).__name__}")
+        doc = config_mapping(json.load(fh), path)
     schema = doc.get("schema")
     if schema is not None and schema != SCHEMA:
         raise ValueError(f"unsupported config schema {schema!r} (expected {SCHEMA!r})")
@@ -192,9 +191,6 @@ def _virial_by_method(source, truncation: Truncation, method: str,
     """The virial series by one route; the recursive and Lagrange-Good routes
     invert `pressure`, which is built from `source` when not given."""
     if method == "two-connected":
-        if not getattr(source, "block_factorizing", False):
-            raise ValueError("the two-connected route needs a block-factorizing "
-                             "weight source; this model does not declare one")
         return virial_mod.virial_from_two_connected(source, truncation).series
     p = pressure if pressure is not None else virial_mod.pressure_from_weights(source, truncation)
     if method == "recursive":
@@ -272,7 +268,7 @@ def cmd_virial_mu(args) -> int:
 def _species_cap(model, requested: int | None = None) -> int:
     """The requested --species-cap, else the model's own species count."""
     if requested is not None:
-        return requested
+        return config_species(requested, "--species-cap")
     if isinstance(model, SyntheticBlockModel):
         return model.species_count
     return max(model.species)
@@ -298,13 +294,16 @@ def cmd_weights_kp_check(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("kp-check needs an interaction model")
-    spec_doc = _load_json(args.spec)
-    radii = spec_doc["radii"]
-    if not isinstance(radii, dict) or not radii:
-        raise ValueError(f"radii must be a non-empty object of species -> radius, got {radii!r}")
-    radii = {int(k): float(v) for k, v in radii.items()}
-    spec = weights_mod.KpSpec(radii, float(spec_doc["a"]), float(spec_doc.get("b", 0.0)))
-    cap = max(radii) if args.species_cap is None else args.species_cap
+    doc = _load_json(args.spec)
+    radii = {config_species(k, f'radii["{k}"]', key=True):
+             float(config_number(r, f'radii["{k}"]', "a radius > 0", lambda x: x > 0))
+             for k, r in config_mapping(doc["radii"], "radii", nonempty=True).items()}
+    cap = max(radii) if args.species_cap is None else _species_cap(model, args.species_cap)
+    # the criterion weighs species k by e^((a+3b)k): keep that finite up to the cap
+    b = config_number(doc.get("b", 0), "b", "a constant b >= 0", lambda x: x >= 0)
+    a = config_number(doc["a"], "a", f"a slope a > 0 with (a+3b)·{cap} <= {EXP_MAX}",
+                      lambda x: 0 < x and (x + 3 * b) * cap <= EXP_MAX)
+    spec = weights_mod.KpSpec(radii, float(a), float(b))
     report = weights_mod.kp_check(model, spec, cap,
                                   McParams(args.samples, args.seed, args.scheme))
     _emit({"command": "weights kp-check", "model": args.model, "spec": args.spec,

@@ -19,6 +19,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ._config import config_int, config_list, config_mapping, config_species
 from .series import MultiIndex
 
 MAX_ENUMERATION_VERTICES = 8
@@ -400,22 +401,20 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def graph_from_json(doc: Mapping) -> Graph:
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"graph must be an object with n and edges, got {doc!r}")
-    n, edges = doc["n"], doc["edges"]
-    if type(n) is not int:
-        raise ValueError(f"graph n must be an integer vertex count, got {n!r}")
-    if not (isinstance(edges, list) and all(
-            isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int
-            for e in edges)):
-        raise ValueError("graph edges must be a list of [i, j] vertex pairs")
+def graph_from_json(doc: Mapping, path: str = "") -> Graph:
+    """A graph from {"n": ..., "edges": [[i, j], ...]}; `path` is the
+    document's JSON key path, for error messages."""
+    at = f"{path}." if path else ""
+    doc = config_mapping(doc, path or "graph")
+    n = config_int(doc["n"], f"{at}n", 0, MAX_GRAPH_VERTICES, "a vertex count")
+    edges = [[config_int(v, f"{at}edges[{k}][{m}]", 1, n, "a vertex")
+              for m, v in enumerate(config_list(e, f"{at}edges[{k}]", 2))]
+             for k, e in enumerate(config_list(doc["edges"], f"{at}edges"))]
     return Graph.from_edges(n, edges)
 
 
 def coloured_graph_from_json(doc: Mapping) -> ColouredGraph:
     g = graph_from_json(doc)
-    colours = doc.get("colours")
-    if colours is None:
-        colours = [1] * g.n
-    return ColouredGraph(g, tuple(int(c) for c in colours))
+    colours = doc.get("colours", [1] * g.n)
+    return ColouredGraph(g, tuple(config_species(c, f"colours[{k}]")
+                                  for k, c in enumerate(config_list(colours, "colours"))))

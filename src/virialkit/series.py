@@ -23,6 +23,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._config import config_int, config_list, config_mapping, config_number, config_species
+
 RATIONAL = "rational"
 FLOAT = "float"
 
@@ -659,16 +661,19 @@ def series_to_json(a: MPSeries) -> dict:
 
 
 def series_from_json(doc: Mapping) -> MPSeries:
-    trunc = Truncation(int(doc["truncation"]["degree"]), int(doc["truncation"]["species"]))
+    t = config_mapping(doc["truncation"], "truncation")
+    trunc = Truncation(config_int(t["degree"], "truncation.degree", 0),
+                       config_species(t["species"], "truncation.species"))
     field = doc["field"]
     if field not in _FIELDS:
         raise ValueError(f"unknown coefficient field {field!r}")
     terms = {}
-    for entry in doc.get("terms", ()):
-        n = MultiIndex({int(s): int(e) for s, e in entry["n"].items()})
-        c = entry["c"]
-        if field == RATIONAL:
-            # tolerate the typographic minus that sneaks in from documents
-            c = Fraction(str(c).replace("−", "-"))
-        terms[n] = c
+    for k, entry in enumerate(config_list(doc.get("terms", []), "terms")):
+        at = f"terms[{k}]"
+        entry = config_mapping(entry, at)
+        n = MultiIndex({config_species(s, f'{at}.n["{s}"]', key=True):
+                        config_int(e, f'{at}.n["{s}"]', 0)
+                        for s, e in config_mapping(entry["n"], f"{at}.n").items()})
+        c = config_number(entry["c"], f"{at}.c")
+        terms[n] = c if field == RATIONAL else float(c)
     return MPSeries(terms, trunc, field)

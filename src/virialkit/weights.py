@@ -21,6 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._config import (config_int, config_list, config_mapping, config_number,
+                      config_species, to_fraction)
 from .graphs import (
     Block,
     ColouredGraph,
@@ -34,15 +36,6 @@ from .graphs import (
 
 SCHEME_PSEUDO = "pseudo-random"
 SCHEME_LOW_DISCREPANCY = "low-discrepancy"
-
-
-def _to_fraction(value) -> Fraction:
-    """Exact rational from JSON-ish input; floats get decimal-string semantics."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value.replace("−", "-"))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -118,11 +111,11 @@ class HardRods1D(PairPotential):
     dimension = 1
 
     def __init__(self, sigma: Mapping[int, object], box_length: object):
-        self.sigma = {int(k): _to_fraction(v) for k, v in sigma.items()}
+        self.sigma = {int(k): to_fraction(v) for k, v in sigma.items()}
         for k, s in self.sigma.items():
             if s < 0:
                 raise ValueError(f"rod length must be >= 0, got {s} for species {k}")
-        self._L = _to_fraction(box_length)
+        self._L = to_fraction(box_length)
         if self._L <= 0:
             raise ValueError(f"box length must be positive, got {self._L}")
         self.box_length = float(self._L)
@@ -305,7 +298,7 @@ class SyntheticBlockModel:
         self.species_count = species_count
         self._weights: dict[tuple, Fraction] = {}
         self._fallback = fallback
-        self.default_weight = None if default_weight is None else _to_fraction(default_weight)
+        self.default_weight = None if default_weight is None else to_fraction(default_weight)
         for cg, w in blocks:
             self.add_block(cg, w)
 
@@ -314,7 +307,7 @@ class SyntheticBlockModel:
         if not is_two_connected(cg.graph):
             raise ValueError("block weights are defined on two-connected graphs")
         key = canonical_coloured_key(cg.graph.n, cg.graph.mask, cg.colours)
-        self._weights[key] = _to_fraction(weight)
+        self._weights[key] = to_fraction(weight)
 
     @classmethod
     def from_edge_weights(cls, species_count: int,
@@ -603,46 +596,41 @@ def model_to_json(model) -> dict:
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _config_number(value, key: str) -> Fraction:
-    """An exact rational from a model config value, or a ValueError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"{key} must be a number or a rational string, got {value!r}")
-    try:
-        return _to_fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
+# random_fallback weights are num/den with num drawn in [low*den, high*den],
+# den <= 8, as a numpy int64
+_FALLBACK_BOUND = 10 ** 9
 
 
 def model_from_json(doc: Mapping):
     kind = doc.get("type")
     if kind == "hard_rods_1d":
-        sigma = doc["sigma"]
-        if not isinstance(sigma, Mapping):
-            raise ValueError(f"sigma must be an object of species -> rod length, got {sigma!r}")
-        return HardRods1D({int(k): _config_number(v, f"sigma[{k!r}]") for k, v in sigma.items()},
-                          _config_number(doc["L"], "L"))
+        L = config_number(doc["L"], "L", "a box length > 0", lambda x: x > 0)
+        sigma = config_mapping(doc["sigma"], "sigma", nonempty=True)
+        return HardRods1D({config_species(k, f'sigma["{k}"]', key=True):
+                           config_number(v, f'sigma["{k}"]', f"a rod length in [0, {L})",
+                                         lambda x: 0 <= x < L)
+                           for k, v in sigma.items()}, L)
     if kind == "synthetic":
+        species = config_species(doc.get("species", 1), "species")
         blocks = []
-        species = int(doc.get("species", 0))
-        entries = doc.get("blocks", [])
-        if not (isinstance(entries, list) and all(isinstance(e, Mapping) for e in entries)):
-            raise ValueError(f"blocks must be a list of block objects, got {entries!r}")
-        for i, entry in enumerate(entries):
-            g = graph_from_json(entry["graph"])
-            colours = tuple(int(c) for c in entry["colours"])
-            species = max(species, max(colours, default=1))
-            w = _config_number(entry["w"], f"blocks[{i}].w")
-            blocks.append((ColouredGraph(g, colours), w))
+        for i, entry in enumerate(config_list(doc.get("blocks", []), "blocks")):
+            at = f"blocks[{i}]"
+            entry = config_mapping(entry, at)
+            g = graph_from_json(entry["graph"], f"{at}.graph")
+            colours = tuple(config_species(c, f"{at}.colours[{j}]")
+                            for j, c in enumerate(config_list(entry["colours"], f"{at}.colours")))
+            species = max((species, *colours))
+            blocks.append((ColouredGraph(g, colours), config_number(entry["w"], f"{at}.w")))
         fallback = None
         if "random_fallback" in doc:
-            fb = doc["random_fallback"]
-            if not isinstance(fb, Mapping):
-                raise ValueError(f"random_fallback must be an object with a seed, got {fb!r}")
-            base = SyntheticBlockModel.random(int(fb["seed"]), max(species, 1),
-                                              int(fb.get("low", -5)), int(fb.get("high", 5)))
-            fallback = base._fallback
+            fb = config_mapping(doc["random_fallback"], "random_fallback")
+            low = config_int(fb.get("low", -5), "random_fallback.low",
+                             -_FALLBACK_BOUND, _FALLBACK_BOUND)
+            high = config_int(fb.get("high", 5), "random_fallback.high", low, _FALLBACK_BOUND)
+            fallback = SyntheticBlockModel.random(config_int(fb["seed"], "random_fallback.seed"),
+                                                  species, low, high)._fallback
         default_w = doc.get("default_w")
-        return SyntheticBlockModel(max(species, 1), blocks, fallback=fallback,
+        return SyntheticBlockModel(species, blocks, fallback=fallback,
                                    default_weight=None if default_w is None
-                                   else _config_number(default_w, "default_w"))
+                                   else config_number(default_w, "default_w"))
     raise ValueError(f"unknown model type {kind!r}")

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from virialkit._config import S_MAX
 from virialkit.cli import compact_index, dumps, main
 from virialkit.series import MultiIndex
 
@@ -350,7 +351,7 @@ HARD_RODS = "<hard rods model>"
     (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
      {"radii": [1, 2], "a": 1.0}, "radii"),
     (("weights", "kp-check", "--model", HARD_RODS, "--spec"), {"radii": {}, "a": 1.0}, "radii"),
-    (("graphs", "blocks", "--input"), {"n": 1e308, "edges": []}, "graph n"),
+    (("graphs", "blocks", "--input"), {"n": 1e308, "edges": []}, "n: expected"),
     (("graphs", "blocks", "--input"), {"n": 3, "edges": 5}, "edges"),
     (("graphs", "blocks", "--input"), {"n": 3, "edges": [[1, None]]}, "edges"),
     (("graphs", "blocks", "--input"), {"n": 100000, "edges": [[1, 2]]}, "0..1000"),
@@ -361,14 +362,37 @@ HARD_RODS = "<hard rods model>"
     (("virial", "invert", "--degree", "2", "--model"),
      {"type": "synthetic", "species": 1,
       "blocks": [{"graph": 5, "colours": [1, 1], "w": "1"}]}, "graph"),
+    (("weights", "estimate", "--samples", "100", "--model", HARD_RODS, "--graph"),
+     {"n": 2, "edges": [[1, 2]], "colours": 5}, "colours: expected a list"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1,
+      "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [None, 1], "w": "1"}]},
+     "blocks[0].colours[0]: expected a species index"),
+    (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
+     {"radii": {"1": None}, "a": 1.0}, 'radii["1"]: expected a radius'),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": True}, "species: expected"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 0.5}, "species: expected"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1000000}, f"1..{S_MAX}"),
+    (("virial", "invert", "--degree", "2", "--samples", "100", "--model"),
+     {"type": "hard_rods_1d", "sigma": {"1000000": 1.0}, "L": 10.0},
+     f'sigma["1000000"]: expected a species index in 1..{S_MAX}'),
+    (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
+     {"radii": {"100000000": 0.01}, "a": 1.0}, f"1..{S_MAX}"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
-        "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph"])
+        "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
+        "int-colours", "null-colour", "null-radius", "bool-species", "float-species",
+        "species-above-cap", "rod-key-above-cap", "radius-key-above-cap"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
     argv = [hard_rods_model if a == HARD_RODS else a for a in argv]
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, path)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and named in err
@@ -390,7 +414,7 @@ def test_model_block_above_the_canonical_key_cap_is_usage_error(tmp_path, capsys
     assert err.startswith("error:") and "8 vertices" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("cap", ["0", "-1", "1000000"])
 @pytest.mark.parametrize("argv", [
     ("virial", "invert", "--degree", "2"), ("virial", "compare", "--degree", "2"),
     ("virial", "mu", "--degree", "2", "--species", "1"), ("weights", "kp-check"),
@@ -399,10 +423,12 @@ def test_species_cap_below_one_is_usage_error(tmp_path, capsys, hard_rods_model,
     spec = write(tmp_path / "kp.json", {"radii": {"1": 0.01}, "a": 1.0})
     if argv[1] == "kp-check":
         argv += ("--spec", spec)
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--model", hard_rods_model, "--species-cap", cap)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert f"species cap must be >= 1, got {cap}" in err
+    assert f"--species-cap: expected a species index in 1..{S_MAX}, got {cap}" in err
 
 
 @pytest.mark.parametrize("argv", [
