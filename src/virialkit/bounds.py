@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,26 +98,43 @@ def det_bound_exponent_exact(spec: DomainSpec) -> Fraction:
     return lead * quad_root
 
 
+def _times_factor(out: float, factor: Callable[[], float], i: int, what: str) -> float:
+    """out * factor(); ValueError naming species i when that is not a finite
+    float, so a bound beyond the float range is refused rather than
+    overflowing."""
+    try:
+        out *= factor()
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"species i = {i}: the bound factor {what} takes the bound "
+                         f"past the largest float {sys.float_info.max:.6g}")
+    return out
+
+
 def virial_bound(spec: DomainSpec, sup_p: float, n: MultiIndex) -> float:
-    """C * sup|p| * prod_i (e^{a_i}/r_i)^{n_i}."""
+    """C * sup|p| * prod_i (e^{a_i}/r_i)^{n_i}; ValueError when that is not a
+    finite float."""
     if sup_p < 0:
         raise ValueError("sup_p must be >= 0")
     spec.require(n.species)
     out = det_bound_constant(spec) * sup_p
     for i, e in n.items():
         d = spec.species[i]
-        out *= (math.exp(d.a) / d.r) ** e
+        out = _times_factor(out, lambda: (math.exp(d.a) / d.r) ** e, i, f"(e^a/r)^{e}")
     return out
 
 
 def inverse_bound(spec: DomainSpec, n: MultiIndex, k: MultiIndex) -> float:
-    """C * prod_i e^{a_i (n_i + k_i)} / r_i^{n_i} for [rho^n] z(rho)^k / rho^k."""
+    """C * prod_i e^{a_i (n_i + k_i)} / r_i^{n_i} for [rho^n] z(rho)^k / rho^k;
+    ValueError when that is not a finite float."""
     spec.require(n.species)
     spec.require(k.species)
     out = det_bound_constant(spec)
     for i in sorted(set(n.species) | set(k.species)):
-        d = spec.species[i]
-        out *= math.exp(d.a * (n.get(i) + k.get(i))) / d.r ** n.get(i)
+        d, ni, ki = spec.species[i], n.get(i), k.get(i)
+        out = _times_factor(out, lambda: math.exp(d.a * (ni + ki)) / d.r ** ni, i,
+                            f"e^(a·{ni + ki})/r^{ni}")
     return out
 
 

@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 from . import graphs as graphs_mod
 from . import virial as virial_mod
 from . import weights as weights_mod
-from ._config import EXP_MAX, config_mapping, config_number, config_species
+from ._config import EXP_MAX, config_int, config_mapping, config_number, config_species
 from .series import MPSeries, MultiIndex, Truncation, admissible_indices
 from .weights import McParams, McWeightSource, SyntheticBlockModel
 
@@ -315,9 +315,15 @@ def cmd_weights_stability(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("stability needs an interaction model")
-    report = weights_mod.stability_check(model, args.b,
+    # a configuration of max_n molecules is weighed by e^(b·sum of species
+    # indices): keep that finite for the largest species
+    max_n = config_int(args.max_n, "--max-n", 2, weights_mod.MAX_STABILITY_MOLECULES)
+    top = max_n * _species_cap(model)
+    b = config_number(args.b, "--b", f"a constant b >= 0 with b·{top} <= {EXP_MAX}",
+                      lambda x: 0 <= x and x * top <= EXP_MAX)
+    report = weights_mod.stability_check(model, float(b),
                                          McParams(args.samples, args.seed, args.scheme),
-                                         args.max_n)
+                                         max_n)
     _emit({"command": "weights stability", "model": args.model, "seed": args.seed,
            **report.as_dict()}, args)
     return 0 if report.passed else 1

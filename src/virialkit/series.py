@@ -7,9 +7,13 @@ rationals (`fractions.Fraction`) or IEEE doubles, chosen per series and never
 mixed; conversion is explicit and one-way (rational -> float).
 
 Inside a series every monomial is one integer, its key under the truncation
-(see `Truncation`).  `MultiIndex` is the type at the boundary: the
-constructor's input, `MPSeries.terms`, coefficient lookup, sorted output and
-JSON.
+(see `Truncation`), and the coefficients are numerators over one shared
+denominator: integers over a positive integer for the rational field, the
+floats themselves over 1 for the float field.  Products and sums therefore
+run on plain integers, with one gcd pass per result instead of one per
+coefficient operation.  `MultiIndex` and `Fraction` are the types at the
+boundary: the constructor's input, `MPSeries.terms`, coefficient lookup,
+sorted output and JSON.
 
 All values are immutable after construction and all operations are pure, so
 series can be shared freely between threads.
@@ -199,11 +203,33 @@ def _coerce(value, field: str):
 
 
 def _zero(field: str):
-    return Fraction(0) if field == RATIONAL else 0.0
+    """The zero numerator of a field."""
+    return 0 if field == RATIONAL else 0.0
 
 
 def _one(field: str):
-    return Fraction(1) if field == RATIONAL else 1.0
+    """The unit numerator of a field."""
+    return 1 if field == RATIONAL else 1.0
+
+
+def _value(field: str, numerator, denominator: int):
+    """The coefficient a numerator over a denominator stands for."""
+    return Fraction(numerator, denominator) if field == RATIONAL else numerator
+
+
+def _add_into(acc: dict, den: int, terms: Mapping[int, object], tden: int, sign: int = 1) -> int:
+    """Add sign * terms / tden into the numerators `acc` over `den`, in place,
+    both brought to their least common denominator; returns that denominator."""
+    if tden != den:
+        g = math.gcd(den, tden)
+        up, sign = tden // g, sign * (den // g)
+        if up != 1:
+            for k in acc:
+                acc[k] *= up
+            den *= up
+    for k, c in terms.items():
+        acc[k] = acc.get(k, 0) + sign * c
+    return den
 
 
 class MPSeries:
@@ -211,12 +237,17 @@ class MPSeries:
 
     Stored terms are canonical: every monomial is admissible under the
     truncation and no stored coefficient is zero.  They are kept in one dict
-    from the truncation's integer keys (see `Truncation`) to coefficients;
-    `terms` is a read-only view of it keyed by `MultiIndex`, built on first
-    use.
+    from the truncation's integer keys (see `Truncation`) to numerators, over
+    one denominator `_den`.  A rational series keeps integer numerators over
+    a positive integer denominator with gcd(den, *numerators) == 1, which is
+    the least common denominator of its coefficients; a float series keeps
+    its coefficients as numerators over 1.  Both forms are unique, so
+    equality is a compare of dicts and denominators.  `terms` is a read-only
+    view keyed by `MultiIndex` with `Fraction` (or float) values, built on
+    first use.
     """
 
-    __slots__ = ("_terms", "truncation", "field", "_view")
+    __slots__ = ("_terms", "_den", "truncation", "field", "_view")
 
     def __init__(self, terms: Mapping[MultiIndex, object], truncation: Truncation,
                  field: str = RATIONAL):
@@ -229,7 +260,12 @@ class MPSeries:
             c = _coerce(c, field)
             if c != 0:
                 canonical[truncation.pack(n)] = c
+        den = 1
+        if field == RATIONAL:
+            den = math.lcm(*(c.denominator for c in canonical.values()))
+            canonical = {k: c.numerator * (den // c.denominator) for k, c in canonical.items()}
         self._terms = canonical
+        self._den = den
         self.truncation = truncation
         self.field = field
         self._view = None
@@ -258,30 +294,36 @@ class MPSeries:
     def terms(self) -> Mapping[MultiIndex, object]:
         """Read-only view of the terms keyed by `MultiIndex`."""
         if self._view is None:
-            unpack = self.truncation.unpack
-            self._view = MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+            unpack, field, den = self.truncation.unpack, self.field, self._den
+            self._view = MappingProxyType({unpack(k): _value(field, c, den)
+                                           for k, c in self._terms.items()})
         return self._view
 
     def __getitem__(self, n: MultiIndex):
         """Coefficient of z^n; n must be admissible (inadmissible is undefined, not 0)."""
         if not self.truncation.admits(n):
             raise ValueError(f"coefficient of {n!r} is undefined at truncation {self.truncation}")
-        return self._terms.get(self.truncation.pack(n), _zero(self.field))
+        return self._coefficient(self.truncation.pack(n))
+
+    def _coefficient(self, key: int):
+        return _value(self.field, self._terms.get(key, _zero(self.field)), self._den)
 
     @property
     def constant_term(self):
-        return self._terms.get(0, _zero(self.field))
+        return self._coefficient(0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms in graded-lexicographic order (deterministic output)."""
-        return [(self.truncation.unpack(k), c) for k, c in sorted(self._terms.items())]
+        unpack, field, den = self.truncation.unpack, self.field, self._den
+        return [(unpack(k), _value(field, c, den)) for k, c in sorted(self._terms.items())]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MPSeries) and self.field == other.field
-                and self.truncation == other.truncation and self._terms == other._terms)
+                and self.truncation == other.truncation and self._den == other._den
+                and self._terms == other._terms)
 
     __hash__ = None
 
@@ -308,11 +350,19 @@ class MPSeries:
             raise ValueError(f"cannot {op} series with different truncations "
                              f"({self.truncation} vs {other.truncation})")
 
-    def _keyed(self, terms: dict[int, object]) -> MPSeries:
-        """A series of this truncation and field from keyed terms that are
-        admissible and in the field already; only the zeros are dropped."""
+    def _keyed(self, terms: dict[int, object], den: int = 1) -> MPSeries:
+        """A series of this truncation and field from keyed numerators over
+        `den` that are admissible and in the field already: the zeros are
+        dropped and a rational result is reduced by one gcd pass."""
+        terms = {k: c for k, c in terms.items() if c}
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
         out = MPSeries.__new__(MPSeries)
-        out._terms = {k: c for k, c in terms.items() if c != 0}
+        out._terms = terms
+        out._den = den
         out.truncation = self.truncation
         out.field = self.field
         out._view = None
@@ -323,16 +373,15 @@ class MPSeries:
     def __add__(self, other: MPSeries) -> MPSeries:
         self._check_compatible(other, "add")
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, _zero(self.field)) + c
-        return self._keyed(out)
+        return self._keyed(out, _add_into(out, self._den, other._terms, other._den))
 
     def __neg__(self) -> MPSeries:
-        return self._keyed({k: -c for k, c in self._terms.items()})
+        return self._keyed({k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: MPSeries) -> MPSeries:
         self._check_compatible(other, "subtract")
-        return self + -other
+        out = dict(self._terms)
+        return self._keyed(out, _add_into(out, self._den, other._terms, other._den, -1))
 
     def __mul__(self, other) -> MPSeries:
         if not isinstance(other, MPSeries):
@@ -340,24 +389,24 @@ class MPSeries:
         self._check_compatible(other, "multiply")
         limit = self.truncation._limit
         out: dict[int, object] = {}
-        zero = _zero(self.field)
         for k1, c1 in self._terms.items():
             room = limit - k1
             for k2, c2 in other._terms.items():
                 if k2 < room:
                     k = k1 + k2
-                    out[k] = out.get(k, zero) + c1 * c2
-        return self._keyed(out)
+                    out[k] = out.get(k, 0) + c1 * c2
+        return self._keyed(out, self._den * other._den)
 
     def __rmul__(self, other) -> MPSeries:
         return self.scaled(other)
 
     def scaled(self, scalar) -> MPSeries:
         c = _coerce(scalar, self.field)
-        return self._keyed({k: c * v for k, v in self._terms.items()})
+        num, den = (c.numerator, c.denominator) if self.field == RATIONAL else (c, 1)
+        return self._keyed({k: num * v for k, v in self._terms.items()}, self._den * den)
 
     def _exponents(self, species: int) -> tuple[int, Iterator[tuple[int, int, object]]]:
-        """(key of z_species, (key, exponent of z_species, coefficient) per term)."""
+        """(key of z_species, (key, exponent of z_species, numerator) per term)."""
         t = self.truncation
         if not 1 <= species <= t.species:
             raise ValueError(f"species {species} out of range 1..{t.species}")
@@ -367,13 +416,13 @@ class MPSeries:
     def diff(self, species: int) -> MPSeries:
         """Partial derivative with respect to z_species."""
         step, terms = self._exponents(species)
-        return self._keyed({k - step: c * e for k, e, c in terms if e > 0})
+        return self._keyed({k - step: c * e for k, e, c in terms if e > 0}, self._den)
 
     def mul_var(self, species: int) -> MPSeries:
         """Multiply by the variable z_species, discarding over-truncation terms."""
         step, terms = self._exponents(species)
         limit = self.truncation._limit
-        return self._keyed({k + step: c for k, _, c in terms if k + step < limit})
+        return self._keyed({k + step: c for k, _, c in terms if k + step < limit}, self._den)
 
     def div_var(self, species: int) -> MPSeries:
         """Divide by z_species; every term must contain the variable."""
@@ -384,7 +433,7 @@ class MPSeries:
                 raise ValueError(f"term {self.truncation.unpack(k)!r} has no factor "
                                  f"of species {species}")
             out[k - step] = c
-        return self._keyed(out)
+        return self._keyed(out, self._den)
 
     # -- conversions -------------------------------------------------------
 
@@ -566,33 +615,33 @@ def determinant(m: SeriesMatrix) -> MPSeries:
     degrees of its two factors already exceed the truncation (the lowest
     key carries the lowest degree, see `Truncation`), so when the entries
     off the diagonal have no constant term (M = I + O(z)) only column sets
-    close to the row set carry a nonzero minor.
+    close to the row set carry a nonzero minor.  Each minor is summed on
+    integer numerators: a signed product joins the sum over the least
+    common denominator of the two, and the minor is reduced once at the end.
     """
     if m.dimension > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant limited to dimension {MAX_DETERMINANT_DIM}, "
                          f"got {m.dimension}")
     one = MPSeries.one(m.truncation, m.field)
     limit = m.truncation._limit
-    zero = _zero(m.field)
     # column bitmask -> (minor on the last rows, lowest key among its terms)
     minors = {0: (one, 0)}
     for row in reversed(m.entries):
         lows = [min(entry._terms, default=None) for entry in row]
-        sums: dict[int, dict[int, object]] = {}
+        # column bitmask -> [numerators of the new minor, their denominator]
+        sums: dict[int, list] = {}
         for cols, (minor, low) in minors.items():
             for j, entry in enumerate(row):
                 bit = 1 << j
                 if cols & bit or lows[j] is None or lows[j] + low >= limit:
                     continue  # the product is zero
                 term = entry * minor
-                if (cols & (bit - 1)).bit_count() % 2:
-                    term = -term
-                acc = sums.setdefault(cols | bit, {})
-                for k, c in term._terms.items():
-                    acc[k] = acc.get(k, zero) + c
+                sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
+                acc = sums.setdefault(cols | bit, [{}, term._den])
+                acc[1] = _add_into(acc[0], acc[1], term._terms, term._den, sign)
         minors = {}
-        for cols, terms in sums.items():
-            minor = one._keyed(terms)
+        for cols, (terms, den) in sums.items():
+            minor = one._keyed(terms, den)
             if not minor.is_zero():
                 minors[cols] = (minor, min(minor._terms))
     full = minors.get((1 << m.dimension) - 1)
@@ -607,10 +656,12 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
     point: the cost follows the box, prod_i (n_i + 1) points, not the size
     of the series.  The box's points are keys of the truncation (see
     `Truncation`), so a sum of two of them is the key of the sum of their
-    exponents, and the factors' own keyed terms are read directly.
+    exponents, and the factors' own keyed terms are read directly.  The
+    products run on the factors' numerators, and the one coefficient is
+    formed at the end over the product of their denominators.
     """
     if not factors:
-        return _zero(RATIONAL) if n else _one(RATIONAL)
+        return Fraction(0 if n else 1)
     head = factors[0]
     for f in factors[1:]:
         head._check_compatible(f, "multiply")
@@ -624,8 +675,10 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
     inside = set(box)
     zero = _zero(head.field)
     acc = {0: _one(head.field)}
+    den = 1
     for f in factors[:-1]:
         terms = f._terms
+        den *= f._den
         part = [(m, terms[m]) for m in box if m in terms]
         nxt: dict[int, object] = {}
         for a, ca in acc.items():
@@ -640,7 +693,7 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
         cb = terms.get(target - a)
         if cb is not None:
             total += ca * cb
-    return total
+    return _value(head.field, total, den * factors[-1]._den)
 
 
 # -- JSON interchange --------------------------------------------------------

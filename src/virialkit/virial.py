@@ -15,6 +15,7 @@ central cross-check of the whole package.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,26 +153,44 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     return tuple(classes.items())
 
 
+def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
+    """sum over ((canonical block keys), count) classes of count times the
+    product of the keys' block weights.
+
+    Each key's weight is read once as (numerator, denominator); a class
+    multiplies integers, the class products are summed per denominator, and
+    those sums over their least common denominator make the one Fraction
+    built.
+    """
+    weights: dict[tuple, tuple[int, int]] = {}
+    by_den: dict[int, int] = {}
+    for keys, count in classes:
+        num, den = count, 1
+        for key in keys:
+            w = weights.get(key)
+            if w is None:
+                q = model.weight_for_canonical_key(key)
+                w = weights[key] = (q.numerator, q.denominator)
+            num *= w[0]
+            den *= w[1]
+        if num:
+            by_den[den] = by_den.get(den, 0) + num
+    den = math.lcm(*by_den)
+    return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
+
+
 def _sum_connected_weights(model, m: int, colours: tuple[int, ...]):
     """sum over all connected graphs on {1..m} of w(g, colours)."""
     if isinstance(model, SyntheticBlockModel):
-        total = Fraction(0)
-        for keys, count in _connected_block_classes(m, colours):
-            w = Fraction(1)
-            for key in keys:
-                w *= model.weight_for_canonical_key(key)
-            total += count * w
-        return total
+        return _sum_class_weights(model, _connected_block_classes(m, colours))
     return sum(model.connected_weight(g, colours) for g in connected_graph_list(m))
 
 
 def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
     """sum over all two-connected graphs on {1..m} of w(g, colours)."""
     if isinstance(model, SyntheticBlockModel):
-        total = Fraction(0)
-        for key, count in _two_connected_classes(m, colours):
-            total += count * model.weight_for_canonical_key(key)
-        return total
+        return _sum_class_weights(model, (((key,), count)
+                                          for key, count in _two_connected_classes(m, colours)))
     return sum(model.connected_weight(g, colours) for g in two_connected_graph_list(m))
 
 

@@ -235,6 +235,13 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
 
     d = u.dimension
     L = float(u.box_length)
+    try:
+        scale = L ** (d * (n - 1))
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ValueError(f"L = {L:g}: the volume factor L^{d * (n - 1)} of a graph on {n} "
+                         f"vertices in dimension {d} is not a positive finite float")
     odims = _orientation_dims(d)
     pos_cols = (n - 1) * d
     dims = pos_cols + n * odims
@@ -269,7 +276,6 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
     count = p.sample_count
     mean = total / count
     var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    scale = L ** (d * (n - 1))
     return scale * mean, scale * math.sqrt(var / count)
 
 
@@ -528,6 +534,9 @@ class StabilityReport:
         }
 
 
+MAX_STABILITY_MOLECULES = 8
+
+
 def stability_check(u: PairPotential, b: float, trials: McParams, max_n: int,
                     species: Sequence[int] | None = None) -> StabilityReport:
     """Sample random configurations and report violations of the stability
@@ -535,8 +544,9 @@ def stability_check(u: PairPotential, b: float, trials: McParams, max_n: int,
 
     A sampling check, not a proof: it can only falsify.  Report-only.
     """
-    if max_n > 8:
-        raise ValueError("stability sampling capped at configurations of 8 molecules")
+    if max_n > MAX_STABILITY_MOLECULES:
+        raise ValueError(f"stability sampling capped at configurations of "
+                         f"{MAX_STABILITY_MOLECULES} molecules")
     if max_n < 2:
         raise ValueError("need configurations of at least 2 molecules")
     pool = tuple(species) if species is not None else u.species

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -190,6 +191,39 @@ def test_virial_mu(capsys, synthetic_model):
     assert rows == [{"n": {"2": 1}, "c": "-1", "method": "chemical-potential"}]
 
 
+# SHA-256 of the stdout of each command on RANDOM_TWO_SPECIES at degree 5, as
+# written by the Fraction-coefficient series core: the integer-numerator core
+# must print every rational as the same "p/q" string.
+PINNED_STDOUT = {
+    ("invert", "recursive"):
+        "2e248834197db93087247235a166f1a38a8af39e01119816ae7a728417481ed6",
+    ("invert", "lagrange-good"):
+        "edbe0c6d2fda8e4ef8f40bb1599b3f212ba1dd63ee26f856fa58713d9d79fabf",
+    ("invert", "two-connected"):
+        "a42351ddd0f892e9b8759cb5506c6fd873dc725dc6152bbde1bfd708fd89f9e1",
+    ("compare",): "6dc398aeef91ff14172bd69bbd8ea122cd6b3538691de64aeb45e3b922495257",
+    ("mu", "2"): "31ac8dbe0c34306a6cc6c4e29f9591207fc037e2a339a0c0ca22cce6c8507ec6",
+}
+RANDOM_TWO_SPECIES = {
+    "schema": "virialkit/1", "type": "synthetic", "species": 2,
+    "random_fallback": {"seed": 7, "low": -3, "high": 4},
+    "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 2], "w": "3/2"}]}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT), ids="-".join)
+def test_virial_stdout_is_pinned(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # the model path is printed: keep it relative
+    write(tmp_path / "model.json", RANDOM_TWO_SPECIES)
+    argv = ["virial", command[0], "--model", "model.json", "--degree", "5"]
+    if command[0] == "invert":
+        argv += ["--method", command[1]]
+    elif command[0] == "mu":
+        argv += ["--species", command[1]]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
 # -- weights ----------------------------------------------------------------------
 
 
@@ -337,6 +371,14 @@ def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
 
 
 HARD_RODS = "<hard rods model>"
+ONE_SPECIES = "<one-species synthetic model>"
+PATH_400 = {"n": 400, "edges": [[i, i + 1] for i in range(1, 400)], "colours": [1] * 400}
+
+
+@pytest.fixture
+def one_species_model(tmp_path):
+    return write(tmp_path / "one.json",
+                 {"type": "synthetic", "species": 1, "random_fallback": {"seed": 1}})
 
 
 @pytest.mark.parametrize("argv,doc,named", [
@@ -381,15 +423,28 @@ HARD_RODS = "<hard rods model>"
      f'sigma["1000000"]: expected a species index in 1..{S_MAX}'),
     (("weights", "kp-check", "--model", HARD_RODS, "--spec"),
      {"radii": {"100000000": 0.01}, "a": 1.0}, f"1..{S_MAX}"),
+    (("bounds", "compute", "--model", ONE_SPECIES, "--degree", "2", "--spec"),
+     {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 800}]}, "species i = 1"),
+    (("bounds", "compute", "--model", ONE_SPECIES, "--degree", "2", "--spec"),
+     {"species": [{"i": 1, "r": 1e-200, "R": 1.0, "a": 0.3}]}, "largest float"),
+    (("weights", "stability", "--b", "1e308", "--model"),
+     {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 10.0}, "--b: expected"),
+    (("weights", "estimate", "--samples", "100", "--model", HARD_RODS, "--graph"),
+     PATH_400, "on 400 vertices"),
+    (("virial", "invert", "--degree", "3", "--samples", "100", "--model"),
+     {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 1e300}, "L = 1e+300"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
         "int-colours", "null-colour", "null-radius", "bool-species", "float-species",
-        "species-above-cap", "rod-key-above-cap", "radius-key-above-cap"])
+        "species-above-cap", "rod-key-above-cap", "radius-key-above-cap",
+        "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
+        "mc-volume-overflow", "rod-box-volume-overflow"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
-                                               argv, doc, named):
+                                               one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
-    argv = [hard_rods_model if a == HARD_RODS else a for a in argv]
+    models = {HARD_RODS: hard_rods_model, ONE_SPECIES: one_species_model}
+    argv = [models.get(a, a) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, path)
     assert time.perf_counter() - start < 1.0

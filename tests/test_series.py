@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Mapping
@@ -24,6 +25,8 @@ from virialkit.series import (
     series_to_json,
     substitute,
 )
+from virialkit.virial import pressure_from_weights
+from virialkit.weights import SyntheticBlockModel
 
 T31 = Truncation(3, 1)
 T22 = Truncation(2, 2)
@@ -497,20 +500,38 @@ def noisy_series(rng, t: Truncation, field: str) -> MPSeries:
     return MPSeries(terms, t, field)
 
 
+def checked(a: MPSeries) -> MPSeries:
+    """`a`, after asserting that its stored form is reduced, that its `terms`
+    are Fractions (floats) and that the public constructor rebuilds it."""
+    numerators = list(a._terms.values())
+    assert all(numerators)
+    if a.field == RATIONAL:
+        assert type(a._den) is int and a._den > 0
+        assert all(type(c) is int for c in numerators)
+        assert math.gcd(a._den, *numerators) == 1
+        assert all(type(c) is Fraction for c in a.terms.values())
+    else:
+        assert a._den == 1
+        assert all(type(c) is float for c in a.terms.values())
+    assert MPSeries(a.terms, a.truncation, a.field) == a
+    return a
+
+
 @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
 @pytest.mark.parametrize("t", PACKED_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
 def test_packed_core_matches_multiindex_oracles(t, field):
     rng = random.Random(t.degree * 100 + t.species)
     for _ in range(3):
-        a, b, c = (noisy_series(rng, t, field) for _ in range(3))
-        assert bits(a * b) == bits(product_oracle(a, b))
-        assert bits(a + b) == bits(sum_oracle(a, b))
-        assert bits(a - b) == bits(sum_oracle(a, b, -1))
+        a, b, c = (checked(noisy_series(rng, t, field)) for _ in range(3))
+        assert bits(checked(a * b)) == bits(product_oracle(a, b))
+        assert bits(checked(a + b)) == bits(sum_oracle(a, b))
+        assert bits(checked(a - b)) == bits(sum_oracle(a, b, -1))
         assert list(a.sorted_terms()) == grlex_order(a)
         for s in range(1, t.species + 1):
-            assert bits(a.diff(s)) == bits(diff_oracle(a, s))
-            assert bits(a.mul_var(s)) == bits(mul_var_oracle(a, s))
-            assert bits(a.mul_var(s).div_var(s)) == bits(div_var_oracle(a.mul_var(s), s))
+            assert bits(checked(a.diff(s))) == bits(diff_oracle(a, s))
+            assert bits(checked(a.mul_var(s))) == bits(mul_var_oracle(a, s))
+            assert (bits(checked(a.mul_var(s).div_var(s)))
+                    == bits(div_var_oracle(a.mul_var(s), s)))
         for n in admissible_indices(t):
             assert (exact(coefficient_of_product([a, b, c], n))
                     == exact(coefficient_oracle([a, b, c], n)))
@@ -662,3 +683,79 @@ def test_leibniz_rule(a, b, i):
     lhs = (a * b).diff(i).with_truncation(lower)
     rhs = (a.diff(i) * b + a * b.diff(i)).with_truncation(lower)
     assert lhs == rhs
+
+
+# -- integer numerators against the Fraction oracles -----------------------------------
+
+
+def scaled_oracle(a: MPSeries, q) -> MPSeries:
+    return MPSeries({n: q * c for n, c in a.terms.items()}, a.truncation, a.field)
+
+
+def power_sum_oracle(u: MPSeries, coefficient) -> MPSeries:
+    """sum_m coefficient(m) u^m through the Fraction oracles."""
+    power = MPSeries.one(u.truncation)
+    result = scaled_oracle(power, coefficient(0))
+    for m in range(1, u.truncation.degree + 1):
+        power = product_oracle(power, u)
+        result = sum_oracle(result, scaled_oracle(power, coefficient(m)))
+    return result
+
+
+def without_constant(a: MPSeries) -> MPSeries:
+    return MPSeries({n: c for n, c in a.terms.items() if n}, a.truncation)
+
+
+STEPS = ("mul", "add", "sub", "neg", "scaled", "diff", "mul_var", "div_var", "exp",
+         "log", "reciprocal")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sparse_series(T43), sparse_series(T43),
+       st.lists(st.tuples(st.sampled_from(STEPS), st.integers(1, 3), rationals()),
+                min_size=1, max_size=6))
+def test_integer_core_is_reduced_and_matches_fraction_oracles(a, b, steps):
+    x = checked(a)
+    for step, s, q in steps:
+        u = without_constant(x)
+        if step == "mul":
+            y, want = x * b, product_oracle(x, b)
+        elif step == "add":
+            y, want = x + b, sum_oracle(x, b)
+        elif step == "sub":
+            y, want = x - b, sum_oracle(x, b, -1)
+        elif step == "neg":
+            y, want = -x, scaled_oracle(x, -1)
+        elif step == "scaled":
+            y, want = x.scaled(q), scaled_oracle(x, q)
+        elif step == "diff":
+            y, want = x.diff(s), diff_oracle(x, s)
+        elif step == "mul_var":
+            y, want = x.mul_var(s), mul_var_oracle(x, s)
+        elif step == "div_var":
+            y, want = x.mul_var(s).div_var(s), div_var_oracle(mul_var_oracle(x, s), s)
+        elif step == "exp":
+            y, want = exp(u), power_sum_oracle(u, lambda m: Fraction(1, math.factorial(m)))
+        elif step == "log":
+            y = log(u + one(T43)).series
+            want = power_sum_oracle(u, lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
+        else:
+            y, want = reciprocal(u + one(T43)), power_sum_oracle(u, lambda m: (-1) ** m)
+        assert bits(checked(y)) == bits(want)
+        # the same value reached along other paths compares equal
+        assert checked((y + b) - b) == y
+        if q:
+            assert checked(y.scaled(q).scaled(1 / q)) == y
+        if q != 1 and not y.is_zero():
+            assert y.scaled(q) != y
+        x = y
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_coefficient_of_product_on_random_models_matches_fraction_oracle(seed):
+    t = Truncation(5, 2)
+    p = pressure_from_weights(SyntheticBlockModel.random(seed, 2), t).series
+    recips = [checked(reciprocal(p.diff(i))) for i in (1, 2)]
+    for n in admissible_indices(t, min_degree=1):
+        factors = [p] + [recips[i - 1] for i, e in n.items() for _ in range(e)]
+        assert exact(coefficient_of_product(factors, n)) == exact(coefficient_oracle(factors, n))

@@ -108,16 +108,32 @@ def brute_two_connected_sum(model, colours):
 
 def test_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
-        assert virial._sum_connected_weights(MODEL_B, len(colours), colours) == \
-            brute_connected_sum(MODEL_B, colours), colours
+        total = virial._sum_connected_weights(MODEL_B, len(colours), colours)
+        assert type(total) is Fraction
+        assert total == brute_connected_sum(MODEL_B, colours), colours
 
 
 def test_two_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
         if len(colours) < 2:
             continue
-        assert virial._sum_two_connected_weights(MODEL_B, len(colours), colours) == \
-            brute_two_connected_sum(MODEL_B, colours), colours
+        total = virial._sum_two_connected_weights(MODEL_B, len(colours), colours)
+        assert type(total) is Fraction
+        assert total == brute_two_connected_sum(MODEL_B, colours), colours
+
+
+def test_class_table_sums_on_a_second_model_match_brute_force():
+    # the integer products and per-denominator sums against the Fraction
+    # products of the graph-by-graph oracle, through degree 5
+    for colours in TABLE_COLOURINGS:
+        if len(colours) > 5:
+            continue
+        m = len(colours)
+        assert virial._sum_connected_weights(MODEL_A, m, colours) == \
+            brute_connected_sum(MODEL_A, colours), colours
+        if m >= 2:
+            assert virial._sum_two_connected_weights(MODEL_A, m, colours) == \
+                brute_two_connected_sum(MODEL_A, colours), colours
 
 
 @pytest.mark.parametrize("colours,graphs,classes", [
