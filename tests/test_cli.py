@@ -227,6 +227,37 @@ def test_virial_stdout_is_pinned(tmp_path, capsys, monkeypatch, command):
 # -- weights ----------------------------------------------------------------------
 
 
+# SHA-256 of the stdout of Monte Carlo commands on a hard-rod mixture, as
+# written by the exp-of-energy Mayer kernel; the model and graph paths are
+# printed, so they are relative to the working directory
+PINNED_MC_STDOUT = {
+    ("virial", "invert", "--method", "recursive", "--degree", "4", "--samples", "20000"):
+        "d80e2690101c35405415a825cc5853e4e5dafbe47659dd03574fab4d232cba0e",
+    ("virial", "invert", "--method", "recursive", "--degree", "3", "--samples", "100000"):
+        "4ea26299a96630372a4c8aaf5e26ed27cda382b726df93205f9fadaae015e41f",
+    ("virial", "invert", "--method", "lagrange-good", "--degree", "4", "--samples", "20000"):
+        "0d20778dc8e7f49abe0bd76833de1e2fe1b769ab484ebcb993bffe99dd44d0d4",
+    ("weights", "estimate", "--graph", "graph.json", "--samples", "50000"):
+        "269f4a76a4989eb546f22cbff27d56a5fe5261fef2883c2b79c50134dcab13a3",
+}
+ROD_MIXTURE = {"schema": "virialkit/1", "type": "hard_rods_1d",
+               "sigma": {"1": 1.0, "2": 2.0}, "L": 40.0}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_MC_STDOUT),
+                         ids=["invert-d4", "invert-d3", "invert-lg-d4", "estimate"])
+def test_monte_carlo_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", ROD_MIXTURE)
+    write(tmp_path / "graph.json", {"n": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]],
+                                    "colours": [2, 1, 1, 2]})
+    code, out, err = run(capsys, *argv, "--seed", "5", "--model", "model.json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_STDOUT[argv]
+
+
+
+
 def test_weights_estimate_and_determinism(tmp_path, capsys, hard_rods_model):
     graph = write(tmp_path / "edge.json", {"n": 2, "edges": [[1, 2]], "colours": [1, 1]})
     out1 = str(tmp_path / "a.json")

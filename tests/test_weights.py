@@ -221,6 +221,38 @@ def test_mc_graph_seeds_are_pinned(edges, colours, seed):
     assert source._params_for(graph, colours).seed == seed
 
 
+RODS_WITH_POINTS = HardRods1D({1: 1, 2: 2, 3: 0}, 40)
+
+
+def soft_2d(a, b):
+    dx = [abs(p - q) % 10.0 for p, q in zip(a.position, b.position)]
+    r2 = sum(min(c, 10.0 - c) ** 2 for c in dx)
+    return 2.0 * math.exp(-r2) * (1.0 + a.orientation[0] * b.orientation[0])
+
+
+# (estimate, stderr) as float.hex, as written by the exp-of-energy Mayer
+# kernel: a faster kernel must reproduce every bit, the sign of zero included
+@pytest.mark.parametrize("edges,colours,u,params,pinned", [
+    ([(1, 2)], (1, 2), RODS_WITH_POINTS, McParams(30000, 11),
+     ("-0x1.846ff513cc1e0p+1", "0x1.f4f1b80a0a858p-5")),
+    ([(1, 2), (1, 3), (2, 3), (3, 4)], (2, 1, 1, 2), RODS_WITH_POINTS, McParams(70000, 12),
+     ("0x1.0750750750751p+4", "0x1.f0732b933e058p+1")),
+    ([(1, 2), (2, 3)], (3, 3, 1), RODS_WITH_POINTS, McParams(5000, 13),
+     ("0x0.0p+0", "0x0.0p+0")),
+    ([(1, 2), (2, 3), (3, 4), (1, 4)], (1, 2, 1, 2), RODS_WITH_POINTS,
+     McParams(2 ** 14, 14, "low-discrepancy"),
+     ("0x1.7700000000000p+3", "0x1.b0fc7c38c897ap+2")),
+    ([(1, 2), (2, 3), (1, 3)], (1, 2, 2),
+     CustomPairPotential(soft_2d, 2, 10.0, (1, 2)), McParams(400, 15),
+     ("-0x1.858ee7ae5d786p+0", "0x1.4685a068c9fe9p+0")),
+], ids=["edge", "triangle-pendant", "zero-core-path", "cycle-sobol", "soft-2d-triangle"])
+def test_weight_mc_output_is_pinned(edges, colours, u, params, pinned):
+    g = ColouredGraph(Graph.from_edges(len(colours), edges), colours)
+    got = weight_mc(g, u, params)
+    assert tuple(v.hex() for v in got) == pinned
+    assert [np.signbit(v) for v in got] == [np.signbit(float.fromhex(h)) for h in pinned]
+
+
 def test_mc_params_validation():
     with pytest.raises(ValueError):
         McParams(1)
