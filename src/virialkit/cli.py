@@ -277,12 +277,24 @@ def _species_cap(model, requested: int | None = None) -> int:
 # -- weights ----------------------------------------------------------------------
 
 
+# Largest edges × samples `weights estimate` accepts: one Mayer factor per
+# edge per sample, at about 9·10^7 per second on hard rods (K_100 with 10^6
+# samples takes 55 s on a 2-core Xeon, Python 3.11, numpy 2.4), so the cap
+# runs for about a minute; K_1000 would run 499 500 factors per sample.
+MAX_ESTIMATE_MAYER_FACTORS = 5 * 10 ** 9
+
+
 def cmd_weights_estimate(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("weights estimate needs an interaction model")
     cg = graphs_mod.coloured_graph_from_json(_load_json(args.graph))
     params = McParams(args.samples, args.seed, args.scheme)
+    factors = cg.graph.mask.bit_count() * params.sample_count
+    if factors > MAX_ESTIMATE_MAYER_FACTORS:
+        raise ValueError(f"weights estimate is capped at {MAX_ESTIMATE_MAYER_FACTORS} Mayer "
+                         f"factors (edges × samples), got {cg.graph.mask.bit_count()} edges × "
+                         f"{params.sample_count} samples")
     est, err = weights_mod.weight_mc(cg, model, params)
     _emit({"command": "weights estimate", "graph": args.graph, "model": args.model,
            "estimate": est, "stderr": err, "sample_count": args.samples,

@@ -8,6 +8,13 @@ zeta = exp(-U) - 1 over the graph's edges, with the first molecule pinned at
 the origin by translation invariance.  Synthetic models assign exact rational
 weights per two-connected block and extend to connected graphs by block
 factorization.
+
+The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
+through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
+potential may override it with a cheaper exact form (hard rods do: -1 on
+overlap, 0 otherwise), but the override must return the same floats bit for
+bit, the sign of zero included, so that estimates are byte-identical
+whichever path a potential takes.
 """
 
 from __future__ import annotations
@@ -63,7 +70,8 @@ class PairPotential:
     """Symmetric, translation- and rotation-invariant pair energy on a torus.
 
     Subclasses implement `energy`; `energy_batch` has a generic loop fallback
-    that vectorized models should override.
+    that vectorized models should override, and `zeta_batch` may be
+    overridden by a model with a cheaper exact form of its Mayer factors.
     """
 
     dimension: int
@@ -81,6 +89,13 @@ class PairPotential:
             out[idx] = self.energy(m1, m2)
         return out
 
+    def zeta_batch(self, k1: int, x1: np.ndarray, o1, k2: int, x2: np.ndarray, o2) -> np.ndarray:
+        """Mayer factors exp(-U) - 1 of a batch of pairs; U = +inf gives -1.
+
+        An override must return the same floats bit for bit, the sign of
+        zero included, so that Monte Carlo output does not depend on it."""
+        return np.exp(-self.energy_batch(k1, x1, o1, k2, x2, o2)) - 1.0
+
     def exact_abs_zeta_integral(self, k: int, l: int) -> Fraction | None:
         """Closed form of int over R^d of |zeta|, when the model has one."""
         return None
@@ -94,14 +109,16 @@ def zeta(u: PairPotential, m1: Molecule, m2: Molecule) -> float:
     return math.exp(-e) - 1.0
 
 
-def _zeta_batch(u: PairPotential, k1, x1, o1, k2, x2, o2) -> np.ndarray:
-    return np.exp(-u.energy_batch(k1, x1, o1, k2, x2, o2)) - 1.0
-
-
 def minimum_image(dx: np.ndarray, box_length: float) -> np.ndarray:
-    """Componentwise minimum-image displacement on the torus [0, L)^d."""
-    d = np.abs(dx) % box_length
-    return np.minimum(d, box_length - d)
+    """Componentwise minimum-image displacement on the torus [0, L)^d.
+
+    Differences of in-box positions have |dx| < L, where the remainder is the
+    identity, so it is taken only when some |dx| is not below L; the test is
+    written so that a NaN also takes it."""
+    d = np.abs(dx)
+    if d.size and not d.max() < box_length:
+        d %= box_length
+    return np.minimum(d, box_length - d, out=d)
 
 
 class HardRods1D(PairPotential):
@@ -120,18 +137,23 @@ class HardRods1D(PairPotential):
             raise ValueError(f"box length must be positive, got {self._L}")
         self.box_length = float(self._L)
         self.species = tuple(sorted(self.sigma))
-
-    def _core(self, k: int, l: int) -> float:
-        return float(self.sigma[k] + self.sigma[l]) / 2.0
+        # overlap distance (sigma_k + sigma_l)/2 of each species pair, as a float
+        self._core = {(k, l): float(s + t) / 2.0
+                      for k, s in self.sigma.items() for l, t in self.sigma.items()}
 
     def energy(self, m1: Molecule, m2: Molecule) -> float:
         dx = abs(m1.position[0] - m2.position[0]) % self.box_length
         dx = min(dx, self.box_length - dx)
-        return math.inf if dx < self._core(m1.species, m2.species) else 0.0
+        return math.inf if dx < self._core[m1.species, m2.species] else 0.0
 
     def energy_batch(self, k1, x1, o1, k2, x2, o2) -> np.ndarray:
         d = minimum_image(x1[:, 0] - x2[:, 0], self.box_length)
-        return np.where(d < self._core(k1, k2), np.inf, 0.0)
+        return np.where(d < self._core[k1, k2], np.inf, 0.0)
+
+    def zeta_batch(self, k1, x1, o1, k2, x2, o2) -> np.ndarray:
+        d = minimum_image(x1[:, 0] - x2[:, 0], self.box_length)
+        # 0 - False = +0.0 and 0 - True = -1.0: exp(-0) - 1 and exp(-inf) - 1
+        return np.subtract(0.0, d < self._core[k1, k2], out=d)
 
     def exact_abs_zeta_integral(self, k: int, l: int) -> Fraction:
         return self.sigma[k] + self.sigma[l]
@@ -267,8 +289,8 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
                 orientations.append(_orientations_from_unit(cols, d))
         values = np.ones(m)
         for i, j in edges:
-            values *= _zeta_batch(u, g.colours[i - 1], positions[i - 1], orientations[i - 1],
-                                  g.colours[j - 1], positions[j - 1], orientations[j - 1])
+            values *= u.zeta_batch(g.colours[i - 1], positions[i - 1], orientations[i - 1],
+                                   g.colours[j - 1], positions[j - 1], orientations[j - 1])
         total += float(values.sum())
         total_sq += float((values * values).sum())
         remaining -= m
@@ -471,7 +493,7 @@ def _abs_zeta_integral_mc(u: PairPotential, k: int, l: int, quadrature: McParams
         x2 = L * unit[:, :d]
         o1 = _orientations_from_unit(unit[:, d: d + odims], d) if odims else None
         o2 = _orientations_from_unit(unit[:, d + odims: d + 2 * odims], d) if odims else None
-        z = _zeta_batch(u, k, np.zeros((m, d)), o1, l, x2, o2)
+        z = u.zeta_batch(k, np.zeros((m, d)), o1, l, x2, o2)
         total += float(np.abs(z).sum())
         remaining -= m
     return (L ** d) * total / quadrature.sample_count

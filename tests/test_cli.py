@@ -404,6 +404,8 @@ def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
 HARD_RODS = "<hard rods model>"
 ONE_SPECIES = "<one-species synthetic model>"
 PATH_400 = {"n": 400, "edges": [[i, i + 1] for i in range(1, 400)], "colours": [1] * 400}
+K_100 = {"n": 100, "edges": [[i, j] for i in range(1, 101) for j in range(i + 1, 101)],
+         "colours": [1] * 100}
 
 
 @pytest.fixture
@@ -462,6 +464,8 @@ def one_species_model(tmp_path):
      {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 10.0}, "--b: expected"),
     (("weights", "estimate", "--samples", "100", "--model", HARD_RODS, "--graph"),
      PATH_400, "on 400 vertices"),
+    (("weights", "estimate", "--samples", "2000000", "--model", HARD_RODS, "--graph"),
+     K_100, "capped at 5000000000 Mayer factors (edges × samples), got 4950 edges"),
     (("virial", "invert", "--degree", "3", "--samples", "100", "--model"),
      {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 1e300}, "L = 1e+300"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
@@ -470,7 +474,7 @@ def one_species_model(tmp_path):
         "int-colours", "null-colour", "null-radius", "bool-species", "float-species",
         "species-above-cap", "rod-key-above-cap", "radius-key-above-cap",
         "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
-        "mc-volume-overflow", "rod-box-volume-overflow"])
+        "mc-volume-overflow", "rod-box-volume-overflow", "estimate-above-mayer-cap"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)

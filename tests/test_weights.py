@@ -8,6 +8,7 @@ import pytest
 from virialkit.graphs import ColouredGraph, Graph
 from virialkit.weights import (
     CustomPairPotential,
+    PairPotential,
     HardRods1D,
     KpSpec,
     McParams,
@@ -15,6 +16,7 @@ from virialkit.weights import (
     Molecule,
     SyntheticBlockModel,
     kp_check,
+    minimum_image,
     model_from_json,
     model_to_json,
     pair_integral_exact,
@@ -23,6 +25,7 @@ from virialkit.weights import (
     weight_mc,
     zeta,
 )
+from virialkit.weights import _abs_zeta_integral_mc
 
 HR = HardRods1D({1: 1}, 10)
 EDGE = ColouredGraph(Graph.from_edges(2, [(1, 2)]), (1, 1))
@@ -59,6 +62,42 @@ def test_zeta_symmetry_sampled():
 def test_zeta_periodic_minimum_image():
     # rods at 0.3 and 9.9 are 0.4 apart through the boundary
     assert zeta(HR, mol(0.3), mol(9.9)) == -1.0
+
+
+def kernel_inputs(L, seed):
+    """Coordinate columns for the Mayer kernels: in-box, out-of-box, and the
+    edge cases |dx| = L, +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    in_box = L * rng.random((2, 4000))
+    wide = (6.0 * rng.random((2, 4000)) - 3.0) * L
+    edge = np.array([[0.0, -0.0, L, 0.0, L, 2 * L, -L, np.inf, -np.inf, np.nan, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, L, -L, 0.0, L, 0.0, 1.0, 0.0, np.nan, np.inf]])
+    return [in_box, wide, np.concatenate([in_box, edge], axis=1), edge]
+
+
+def test_minimum_image_matches_the_remainder_oracle():
+    L = 40.0
+    for x1, x2 in kernel_inputs(L, 21):
+        for dx in (x1 - x2, np.stack([x1 - x2, x2 - x1], axis=1)):
+            with np.errstate(invalid="ignore"):
+                want = np.minimum(np.abs(dx) % L, L - np.abs(dx) % L)
+                got = minimum_image(dx, L)
+            assert got.tobytes() == want.tobytes()
+    assert minimum_image(np.empty(0), L).shape == (0,)
+
+
+def test_hard_rods_zeta_batch_matches_the_exp_of_energy_oracle():
+    rods = HardRods1D({1: 1, 2: Fraction(5, 2), 3: 0}, 40)
+    for x1, x2 in kernel_inputs(rods.box_length, 22):
+        x1, x2 = x1[:, None], x2[:, None]
+        for k1 in rods.species:
+            for k2 in rods.species:
+                with np.errstate(invalid="ignore"):
+                    want = PairPotential.zeta_batch(rods, k1, x1, None, k2, x2, None)
+                    got = rods.zeta_batch(k1, x1, None, k2, x2, None)
+                assert got.tobytes() == want.tobytes()
+                assert set(got.tolist()) <= {-1.0, 0.0}
+                assert not np.signbit(got[got == 0.0]).any()
 
 
 def test_molecule_validation():
@@ -415,6 +454,27 @@ def test_kp_check_free_gas_trivially_passes():
     assert report.integral_domain == "box (monte-carlo)"
     assert report.entries[0].lhs == 0.0
     assert report.passed
+
+
+def test_kp_check_box_integral_of_wrapped_rods():
+    # a custom potential has no closed-form integral: kp-check samples the box
+    rods = HardRods1D({1: 1, 2: 2}, 10)
+    u = CustomPairPotential(rods.energy, 1, 10.0, (1, 2))
+    spec = KpSpec({1: 0.01, 2: 0.02}, a=1.0)
+    quadrature = McParams(4000, seed=6)
+    report = kp_check(u, spec, 2, quadrature)
+    assert report.integral_domain == "box (monte-carlo)"
+    assert report.passed
+    growth = {kp: spec.radii[kp] * math.exp(kp) for kp in (1, 2)}
+    for entry in report.entries:
+        k = entry.species
+        integrals = {kp: _abs_zeta_integral_mc(u, k, kp, quadrature) for kp in (1, 2)}
+        assert entry.lhs == sum(growth[kp] * integrals[kp] for kp in (1, 2))
+        for kp, value in integrals.items():
+            width = float(rods.sigma[k] + rods.sigma[kp])
+            p = width / 10.0  # |zeta| is the indicator of an overlap
+            stderr = 10.0 * math.sqrt(p * (1.0 - p) / quadrature.sample_count)
+            assert abs(value - width) <= 4 * stderr
 
 
 def test_kp_spec_validation():
