@@ -290,10 +290,10 @@ def cmd_weights_estimate(args) -> int:
         raise ValueError("weights estimate needs an interaction model")
     cg = graphs_mod.coloured_graph_from_json(_load_json(args.graph))
     params = McParams(args.samples, args.seed, args.scheme)
-    factors = cg.graph.mask.bit_count() * params.sample_count
-    if factors > MAX_ESTIMATE_MAYER_FACTORS:
+    edges = cg.graph.mask.bit_count()
+    if edges * params.sample_count > MAX_ESTIMATE_MAYER_FACTORS:
         raise ValueError(f"weights estimate is capped at {MAX_ESTIMATE_MAYER_FACTORS} Mayer "
-                         f"factors (edges × samples), got {cg.graph.mask.bit_count()} edges × "
+                         f"factors (edges × samples), got {edges} edges × "
                          f"{params.sample_count} samples")
     est, err = weights_mod.weight_mc(cg, model, params)
     _emit({"command": "weights estimate", "graph": args.graph, "model": args.model,

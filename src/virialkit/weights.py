@@ -70,8 +70,7 @@ class PairPotential:
     """Symmetric, translation- and rotation-invariant pair energy on a torus.
 
     Subclasses implement `energy`; `energy_batch` has a generic loop fallback
-    that vectorized models should override, and `zeta_batch` may be
-    overridden by a model with a cheaper exact form of its Mayer factors.
+    that vectorized models should override.
     """
 
     dimension: int

@@ -256,8 +256,6 @@ def test_monte_carlo_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_STDOUT[argv]
 
 
-
-
 def test_weights_estimate_and_determinism(tmp_path, capsys, hard_rods_model):
     graph = write(tmp_path / "edge.json", {"n": 2, "edges": [[1, 2]], "colours": [1, 1]})
     out1 = str(tmp_path / "a.json")

@@ -8,13 +8,14 @@ import pytest
 from virialkit.graphs import ColouredGraph, Graph
 from virialkit.weights import (
     CustomPairPotential,
-    PairPotential,
     HardRods1D,
     KpSpec,
     McParams,
     McWeightSource,
     Molecule,
+    PairPotential,
     SyntheticBlockModel,
+    _abs_zeta_integral_mc,
     kp_check,
     minimum_image,
     model_from_json,
@@ -25,7 +26,6 @@ from virialkit.weights import (
     weight_mc,
     zeta,
 )
-from virialkit.weights import _abs_zeta_integral_mc
 
 HR = HardRods1D({1: 1}, 10)
 EDGE = ColouredGraph(Graph.from_edges(2, [(1, 2)]), (1, 1))
