@@ -224,6 +224,24 @@ def test_virial_stdout_is_pinned(tmp_path, capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
+# The same model at degree 6: every m = 6 class-table key reaches the output
+# through the random fallback weight drawn from repr((seed, key)).
+PINNED_STDOUT_DEGREE_6 = {
+    "recursive": "1938b6b82bc0848f387ef0662fd527638774470030a8aada53cb6bea40a213ba",
+    "two-connected": "26f7f8f6b2fec2f0032e29f7a3919359daa2fa7f2c418a19e455cf75ee14bfac",
+}
+
+
+@pytest.mark.parametrize("method", list(PINNED_STDOUT_DEGREE_6))
+def test_virial_stdout_is_pinned_at_degree_6(tmp_path, capsys, monkeypatch, method):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", RANDOM_TWO_SPECIES)
+    code, out, err = run(capsys, "virial", "invert", "--model", "model.json", "--degree", "6",
+                         "--method", method)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_DEGREE_6[method]
+
+
 # -- weights ----------------------------------------------------------------------
 
 
