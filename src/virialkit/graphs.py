@@ -353,26 +353,29 @@ def _relabel_mask(size: int, mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _mask_bits(size: int) -> np.ndarray:
-    nbits = len(_pairs(size))
-    return (np.arange(1 << nbits, dtype=np.int64)[:, None] >> np.arange(nbits)) & 1
+def _subset_ors(bits: np.ndarray) -> np.ndarray:
+    """out[:, x] = OR of bits[:, b] over the set bits b of x."""
+    out = np.zeros((len(bits), 1), dtype=np.int64)
+    for b in range(bits.shape[1]):
+        out = np.concatenate((out, out | bits[:, b, None]), axis=1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _canonical_table(size: int, colours_sorted: tuple[int, ...]) -> np.ndarray:
-    """mask -> canonical mask, minimized over colour-preserving relabellings."""
-    pairs = _pairs(size)
-    nbits = len(pairs)
-    bits = _mask_bits(size)
-    canon = None
-    for perm in _perms_fixing_colours(colours_sorted):
-        weights = np.empty(nbits, dtype=np.int64)
-        for b, (i, j) in enumerate(pairs):
-            a, c = sorted((perm[i - 1], perm[j - 1]))
-            weights[b] = 1 << _pair_index(a, c, size)
-        relabelled = bits @ weights
-        canon = relabelled if canon is None else np.minimum(canon, relabelled)
+    """mask -> canonical mask, minimized over colour-preserving relabellings.
+
+    A relabelling moves each edge bit to one bit, so it maps the mask
+    hi << k | lo to HI[hi] | LO[lo], with one small table per half of the
+    bits; a permutation's table over all masks is the outer OR of the two."""
+    perms = np.array(list(_perms_fixing_colours(colours_sorted)), dtype=np.int64)
+    i, j = np.array(_pairs(size), dtype=np.int64).reshape(-1, 2).T - 1
+    moved = 1 << _pair_index(np.minimum(perms[:, i], perms[:, j]),
+                             np.maximum(perms[:, i], perms[:, j]), size)
+    k = len(i) // 2
+    canon = np.full(1 << len(i), np.iinfo(np.int64).max)
+    for lo, hi in zip(_subset_ors(moved[:, :k]), _subset_ors(moved[:, k:])):
+        np.minimum(canon, (hi[:, None] | lo).ravel(), out=canon)
     return canon
 
 

@@ -22,9 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+import numpy as np
+
 from .graphs import (
+    _canonical_table,
     canonical_colouring,
-    canonical_coloured_key,
+    canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
     connected_block_profiles,
     connected_graph_list,
     two_connected_graph_list,
@@ -126,31 +129,62 @@ def _check_weight_sum_size(truncation: Truncation) -> None:
 
 
 @lru_cache(maxsize=None)
+def _block_slots(m: int):
+    """The blocks of the connected graphs on {1..m} as slots of a (profiles x
+    most blocks, at least 1) matrix, grouped by vertex set: (shape, groups),
+    each group (vertices, flat slot indices, relabelled masks)."""
+    profiles = connected_block_profiles(m)
+    width = max(1, max(map(len, profiles)))
+    slots: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    for row, profile in enumerate(profiles):
+        for col, (verts, mask) in enumerate(profile):
+            at, masks = slots.setdefault(verts, ([], []))
+            at.append(row * width + col)
+            masks.append(mask)
+    return (len(profiles), width), tuple((verts, np.array(at), np.array(masks, dtype=np.int64))
+                                         for verts, (at, masks) in slots.items())
+
+
+@lru_cache(maxsize=None)
 def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((sorted canonical block keys, number of labelled graphs), ...) over the
-    connected graphs on {1..m} coloured by `colours`.
+    connected graphs on {1..m} coloured by the sorted `colours`.
 
     A block-factorizing weight depends only on the multiset of canonical
     (block, restricted colouring) keys, which no model enters, so the table is
-    built once per (m, colours) and shared by every model.
+    built once per (m, colours) and shared by every model.  A block on
+    ascending vertices restricts sorted colours to sorted colours, so its key
+    is `_canonical_table` of that pattern at its relabelled mask: one lookup
+    per vertex set, each distinct key interned as an integer code.  Sorting
+    the codes of each profile and counting equal rows gives the table.
     """
-    classes: Counter = Counter()
-    for profile in connected_block_profiles(m):
-        keys = tuple(sorted(
-            canonical_coloured_key(len(verts), mask, tuple(colours[v - 1] for v in verts))
-            for verts, mask in profile))
-        classes[keys] += 1
-    return tuple(classes.items())
+    shape, groups = _block_slots(m)
+    index: dict[tuple, int] = {}
+    codes = np.full(shape, -1, dtype=np.int64)  # -1 pads profiles with fewer blocks
+    for verts, at, masks in groups:
+        size, restricted = len(verts), tuple(colours[v - 1] for v in verts)
+        canon, inverse = np.unique(_canonical_table(size, restricted)[masks],
+                                   return_inverse=True)
+        code = [index.setdefault((size, restricted, c), len(index)) for c in canon.tolist()]
+        codes.flat[at] = np.array(code, dtype=np.int64)[inverse]
+    codes.sort(axis=1)
+    codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
+    starts = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1]).any(axis=1)])
+    counts = np.diff(starts, append=len(codes))
+    keys = list(index)
+    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), count)
+                 for row, count in zip(codes[starts].tolist(), counts.tolist()))
 
 
 @lru_cache(maxsize=None)
 def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((canonical key, number of labelled graphs), ...) over the two-connected
-    graphs on {1..m} coloured by `colours`; model-independent like
+    graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
+    lookup over their masks; model-independent like
     `_connected_block_classes`."""
-    classes = Counter(canonical_coloured_key(m, g.mask, colours)
-                      for g in two_connected_graph_list(m))
-    return tuple(classes.items())
+    masks = np.array([g.mask for g in two_connected_graph_list(m)], dtype=np.int64)
+    canon, counts = np.unique(_canonical_table(m, colours)[masks], return_counts=True)
+    return tuple(((m, colours, c), count) for c, count in zip(canon.tolist(), counts.tolist()))
 
 
 def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from virialkit.graphs import (
     is_connected,
     is_two_connected,
 )
+from virialkit.graphs import _canonical_table, _pair_index, _pairs, _perms_fixing_colours, \
+    _relabel_mask
 from virialkit.series import MultiIndex
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
@@ -290,6 +293,53 @@ def test_canonical_key_invariant_under_colour_preserving_relabelling():
         colours2 = tuple(colours[perm.index(v + 1)] for v in range(n))
         assert colours2 == colours  # the relabelling preserved colours
         assert canonical_coloured_key(n, g2.mask, colours2) == key
+
+
+def matmul_canonical_table(size, colours_sorted):
+    """The oracle: the canonical table as one int64 (masks x edge bits) @
+    (edge bits) product per colour-preserving permutation."""
+    pairs = _pairs(size)
+    bits = (np.arange(1 << len(pairs), dtype=np.int64)[:, None] >> np.arange(len(pairs))) & 1
+    canon = None
+    for perm in _perms_fixing_colours(colours_sorted):
+        weights = np.array([1 << _pair_index(*sorted((perm[i - 1], perm[j - 1])), size)
+                            for i, j in pairs], dtype=np.int64)
+        relabelled = bits @ weights
+        canon = relabelled if canon is None else np.minimum(canon, relabelled)
+    return canon
+
+
+def sorted_colour_patterns(size):
+    """One sorted colour vector per composition of `size` into colour runs."""
+    for cuts in itertools.product((False, True), repeat=size - 1):
+        colour, colours = 1, [1]
+        for cut in cuts:
+            colour += cut
+            colours.append(colour)
+        yield tuple(colours)
+
+
+CANONICAL_TABLE_PATTERNS = [p for size in range(1, 6) for p in sorted_colour_patterns(size)] + \
+    [(1,) * 6, (1, 1, 1, 2, 2, 2), (1, 2, 3, 4, 5, 6)]
+
+
+def test_canonical_table_equals_the_matmul_table():
+    assert len(CANONICAL_TABLE_PATTERNS) == 31 + 3
+    for colours in CANONICAL_TABLE_PATTERNS:
+        table = _canonical_table(len(colours), colours)
+        expected = matmul_canonical_table(len(colours), colours)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected), colours
+
+
+def test_canonical_table_equals_the_minimum_over_relabellings():
+    rng = random.Random(16)
+    for colours in [(1, 1), (1, 1, 2), (1, 2, 2, 2), (1, 1, 2, 3, 3), (1,) * 6,
+                    (1, 1, 1, 2, 2, 2), (1, 1, 2, 2, 3, 3)]:
+        size = len(colours)
+        table = _canonical_table(size, colours)
+        for mask in rng.sample(range(len(table)), min(len(table), 12)):
+            assert int(table[mask]) == min(_relabel_mask(size, mask, perm)
+                                           for perm in _perms_fixing_colours(colours))
 
 
 @settings(max_examples=100, deadline=None)

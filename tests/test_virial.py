@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,8 @@ from virialkit import virial
 from virialkit.graphs import (
     ColouredGraph,
     canonical_colouring,
+    canonical_coloured_key,
+    connected_block_profiles,
     connected_graph_list,
     two_connected_graph_list,
 )
@@ -148,6 +151,41 @@ def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, c
               virial._two_connected_classes(m, colours))
     assert tuple(sum(count for _, count in t) for t in tables) == graphs
     assert tuple(len(t) for t in tables) == classes
+
+
+def walked_connected_classes(m, colours):
+    """The oracle: one canonical_coloured_key per block of every block profile."""
+    return Counter(tuple(sorted(
+        canonical_coloured_key(len(verts), mask, tuple(colours[v - 1] for v in verts))
+        for verts, mask in profile)) for profile in connected_block_profiles(m))
+
+
+def walked_two_connected_classes(m, colours):
+    return Counter(canonical_coloured_key(m, g.mask, colours) for g in two_connected_graph_list(m))
+
+
+def is_plain_key(key):
+    """(int, tuple of int, int), built from Python ints only: the random
+    fallback weight is drawn from repr((seed, key))."""
+    size, colours, mask = key
+    return (type(size) is int and type(colours) is tuple
+            and all(type(c) is int for c in colours) and type(mask) is int)
+
+
+def test_class_tables_equal_the_key_walk():
+    # (1, 2, 3, 4, 5, 6) has 12 981 distinct block keys and 26 704 classes
+    for colours in TABLE_COLOURINGS + [(1, 2, 3, 4, 5, 6)]:
+        m = len(colours)
+        connected = virial._connected_block_classes(m, colours)
+        two_connected = virial._two_connected_classes(m, colours)
+        assert len(connected) == len(set(keys for keys, _ in connected))
+        assert Counter(dict(connected)) == walked_connected_classes(m, colours), colours
+        assert len(two_connected) == len(set(key for key, _ in two_connected))
+        assert Counter(dict(two_connected)) == walked_two_connected_classes(m, colours), colours
+        assert all(type(keys) is tuple and all(map(is_plain_key, keys)) and type(count) is int
+                   for keys, count in connected)
+        assert all(is_plain_key(key) and type(count) is int for key, count in two_connected)
+    assert len(virial._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 26704
 
 
 def test_class_tables_are_model_independent():
