@@ -475,8 +475,11 @@ class KpReport:
 
 
 def _abs_zeta_integral_mc(u: PairPotential, k: int, l: int, quadrature: McParams) -> float:
-    """Box integral of |zeta| between a pinned molecule of species k and a
-    uniformly placed molecule of species l (numeric fallback)."""
+    """Box integral of |zeta| between a pinned molecule of one species and a
+    uniformly placed molecule of the other (numeric fallback).  The integral
+    is symmetric in k and l, so both orders pin the lower species and draw the
+    one stream of the unordered pair."""
+    k, l = min(k, l), max(k, l)
     d = u.dimension
     L = float(u.box_length)
     odims = _orientation_dims(d)
@@ -513,10 +516,15 @@ def kp_check(u: PairPotential, spec: KpSpec, species_cap: int,
                 for k in range(1, species_cap + 1) for l in range(1, species_cap + 1))
     domain = "R^d (exact)" if exact else "box (monte-carlo)"
 
+    integrals: dict[tuple[int, int], float] = {}
+
     def integral(k: int, l: int) -> float:
-        if exact:
-            return float(u.exact_abs_zeta_integral(k, l))
-        return _abs_zeta_integral_mc(u, k, l, quadrature)
+        """int |zeta_kl|, once per unordered pair."""
+        pair = (min(k, l), max(k, l))
+        if pair not in integrals:
+            integrals[pair] = (float(u.exact_abs_zeta_integral(*pair)) if exact
+                               else _abs_zeta_integral_mc(u, *pair, quadrature))
+        return integrals[pair]
 
     growth = {kp: spec.radii[kp] * math.exp((spec.a + 3.0 * spec.b) * kp)
               for kp in range(1, species_cap + 1)}
