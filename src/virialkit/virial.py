@@ -128,6 +128,14 @@ def _check_weight_sum_size(truncation: Truncation) -> None:
                          f"got degree {truncation.degree}")
 
 
+def _row_counts(rows: np.ndarray) -> tuple[list, list]:
+    """The distinct rows of an integer matrix, as lists of Python ints, and
+    the number of times each occurs."""
+    rows = rows[np.lexsort(rows.T)]  # equal rows now adjacent
+    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
+
+
 @lru_cache(maxsize=None)
 def _block_slots(m: int):
     """The blocks of the connected graphs on {1..m} as slots of a (profiles x
@@ -155,25 +163,24 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     built once per (m, colours) and shared by every model.  A block on
     ascending vertices restricts sorted colours to sorted colours, so its key
     is `_canonical_table` of that pattern at its relabelled mask: one lookup
-    per vertex set, each distinct key interned as an integer code.  Sorting
-    the codes of each profile and counting equal rows gives the table.
+    per vertex set, coded as (pattern number, canonical mask) in one integer.
+    Sorting the codes of each profile and counting equal rows gives the table.
     """
     shape, groups = _block_slots(m)
-    index: dict[tuple, int] = {}
+    shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
+    patterns: dict[tuple, int] = {}
     codes = np.full(shape, -1, dtype=np.int64)  # -1 pads profiles with fewer blocks
     for verts, at, masks in groups:
-        size, restricted = len(verts), tuple(colours[v - 1] for v in verts)
-        canon, inverse = np.unique(_canonical_table(size, restricted)[masks],
-                                   return_inverse=True)
-        code = [index.setdefault((size, restricted, c), len(index)) for c in canon.tolist()]
-        codes.flat[at] = np.array(code, dtype=np.int64)[inverse]
+        pattern = (len(verts), tuple(colours[v - 1] for v in verts))
+        codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
+                          | _canonical_table(*pattern)[masks])
     codes.sort(axis=1)
-    codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
-    starts = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1]).any(axis=1)])
-    counts = np.diff(starts, append=len(codes))
-    keys = list(index)
+    rows, counts = _row_counts(codes)
+    pattern_of = list(patterns)
+    keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))
+            for row in rows for c in row if c >= 0}
     return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), count)
-                 for row, count in zip(codes[starts].tolist(), counts.tolist()))
+                 for row, count in zip(rows, counts))
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +190,8 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     lookup over their masks; model-independent like
     `_connected_block_classes`."""
     masks = np.array([g.mask for g in two_connected_graph_list(m)], dtype=np.int64)
-    canon, counts = np.unique(_canonical_table(m, colours)[masks], return_counts=True)
-    return tuple(((m, colours, c), count) for c, count in zip(canon.tolist(), counts.tolist()))
+    rows, counts = _row_counts(_canonical_table(m, colours)[masks, None])
+    return tuple(((m, colours, c), count) for (c,), count in zip(rows, counts))
 
 
 def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
@@ -251,11 +258,13 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     For a synthetic block model the sum runs over the class table of
     (|n|, colouring): one entry per multiset of canonical block keys, with the
     number of labelled graphs that share it.  The table is model-independent
-    and memoised, so only the first model of a shape walks the graphs; every
-    later one multiplies its block weights over the table's entries (75 to
-    3 074 at degree 6 over three species, against 26 704 graphs).  Other
-    sources are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES
-    raise ValueError.
+    and memoised.  It is built without a per-graph key walk: the blocks of
+    every connected graph sit in a per-degree slot matrix, each vertex set's
+    masks index its canonical table once, and equal rows of key codes are
+    counted.  Every model multiplies its block weights over the table's
+    entries (75 to 3 074 at degree 6 over three species, against 26 704
+    graphs).  Other sources are summed graph by graph.  Degrees above
+    MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     series = _weight_sum_series(_sum_connected_weights, model, truncation, min_degree=1)
     for k in range(1, truncation.species + 1):
@@ -447,9 +456,10 @@ def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
 
     For a synthetic block model the sum runs over the memoised,
     model-independent class table of (|n|, colouring): one entry per
-    canonical coloured key with its number of labelled graphs.  Other sources
-    are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES raise
-    ValueError.
+    canonical coloured key with its number of labelled graphs, read as one
+    canonical-table lookup over the masks of the two-connected graphs.  Other
+    sources are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES
+    raise ValueError.
     """
     _require_block_factorizing(model)
     return TwoConnectedGF(_weight_sum_series(_sum_two_connected_weights, model, truncation,
