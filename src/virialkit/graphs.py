@@ -329,9 +329,13 @@ def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
 # The canonical key of (graph, colours) is the minimum of the relabelled edge
 # mask over all relabellings that map each vertex to a slot of its own colour
 # in the sorted colour vector.  Keys coincide exactly for colour-preserving-
-# isomorphic coloured graphs.  For sizes <= 6 the minimization is vectorized
-# over all 2^(n(n-1)/2) masks at once (one table per colour pattern), which is
-# what makes exhaustive weight sums over 26704 connected graphs affordable.
+# isomorphic coloured graphs.  For sizes <= 6 the minimization runs over all
+# 2^(n(n-1)/2) masks at once, one table per colour pattern: each permutation
+# sends the low and the high half of the edge bits through two small lookup
+# tables, whose outer OR is the relabelled mask of every mask.  The class
+# tables of the weight sums index these tables directly with numpy;
+# `canonical_coloured_key` serves callers with one graph at a time, and above
+# size 6 it minimizes over the permutations mask by mask.
 
 
 def _perms_fixing_colours(colours_sorted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
