@@ -128,14 +128,6 @@ def _check_weight_sum_size(truncation: Truncation) -> None:
                          f"got degree {truncation.degree}")
 
 
-def _row_counts(rows: np.ndarray) -> tuple[list, list]:
-    """The distinct rows of an integer matrix, as lists of Python ints, and
-    the number of times each occurs."""
-    rows = rows[np.lexsort(rows.T)]  # equal rows now adjacent
-    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
-    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
-
-
 @lru_cache(maxsize=None)
 def _block_slots(m: int):
     """The blocks of the connected graphs on {1..m} as slots of a (profiles x
@@ -175,12 +167,14 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
         codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
                           | _canonical_table(*pattern)[masks])
     codes.sort(axis=1)
-    rows, counts = _row_counts(codes)
+    codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
+    starts = [0, *(np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1).tolist()]
+    rows, ends = codes[starts].tolist(), starts[1:] + [len(codes)]
     pattern_of = list(patterns)
     keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))
             for row in rows for c in row if c >= 0}
-    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), count)
-                 for row, count in zip(rows, counts))
+    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), end - start)
+                 for row, start, end in zip(rows, starts, ends))
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +184,8 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     lookup over their masks; model-independent like
     `_connected_block_classes`."""
     masks = np.array([g.mask for g in two_connected_graph_list(m)], dtype=np.int64)
-    rows, counts = _row_counts(_canonical_table(m, colours)[masks, None])
-    return tuple(((m, colours, c), count) for (c,), count in zip(rows, counts))
+    classes = Counter(_canonical_table(m, colours)[masks].tolist())
+    return tuple(((m, colours, c), count) for c, count in classes.items())
 
 
 def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
