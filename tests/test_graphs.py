@@ -26,8 +26,13 @@ from virialkit.graphs import (
     is_connected,
     is_two_connected,
 )
-from virialkit.graphs import _canonical_table, _pair_index, _pairs, _perms_fixing_colours, \
-    _relabel_mask
+from virialkit.graphs import (
+    _canonical_table,
+    _pair_index,
+    _pairs,
+    _perms_fixing_colours,
+    _relabel_mask,
+)
 from virialkit.series import MultiIndex
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])

@@ -465,6 +465,8 @@ def test_kp_check_box_integral_of_wrapped_rods():
     report = kp_check(u, spec, 2, quadrature)
     assert report.integral_domain == "box (monte-carlo)"
     assert report.passed
+    # one stream per unordered pair, so both entries share the cross integral
+    assert _abs_zeta_integral_mc(u, 2, 1, quadrature) == _abs_zeta_integral_mc(u, 1, 2, quadrature)
     growth = {kp: spec.radii[kp] * math.exp(kp) for kp in (1, 2)}
     for entry in report.entries:
         k = entry.species
@@ -475,23 +477,6 @@ def test_kp_check_box_integral_of_wrapped_rods():
             p = width / 10.0  # |zeta| is the indicator of an overlap
             stderr = 10.0 * math.sqrt(p * (1.0 - p) / quadrature.sample_count)
             assert abs(value - width) <= 4 * stderr
-
-
-def test_kp_check_box_integral_is_symmetric_in_the_species():
-    # one stream per unordered pair: both orders give the same number, so the
-    # two kp-check entries share it
-    rods = HardRods1D({1: 1, 2: 2}, 10)
-    u = CustomPairPotential(rods.energy, 1, 10.0, (1, 2))
-    quadrature = McParams(4000, seed=6)
-    cross = _abs_zeta_integral_mc(u, 1, 2, quadrature)
-    assert _abs_zeta_integral_mc(u, 2, 1, quadrature) == cross
-    spec = KpSpec({1: 0.01, 2: 0.02}, a=1.0)
-    growth = {kp: spec.radii[kp] * math.exp(kp) for kp in (1, 2)}
-    report = kp_check(u, spec, 2, quadrature)
-    assert report.entries[0].lhs == growth[1] * _abs_zeta_integral_mc(u, 1, 1, quadrature) + \
-        growth[2] * cross
-    assert report.entries[1].lhs == growth[1] * cross + \
-        growth[2] * _abs_zeta_integral_mc(u, 2, 2, quadrature)
 
 
 def test_kp_spec_validation():
