@@ -535,6 +535,21 @@ def reciprocal(a: MPSeries) -> MPSeries:
     return _power_sum(u, lambda m: (-1) ** m).scaled(inv_c0)
 
 
+def _powers(family: Mapping[int, MPSeries], truncation: Truncation,
+            field: str) -> Callable[[int, int], MPSeries]:
+    """Memoised power(i, e) = family[i]^e, each built as power(i, e - 1) * family[i]."""
+    cache: dict[tuple[int, int], MPSeries] = {}
+
+    def power(species: int, e: int) -> MPSeries:
+        key = (species, e)
+        if key not in cache:
+            cache[key] = (MPSeries.one(truncation, field) if e == 0
+                          else power(species, e - 1) * family[species])
+        return cache[key]
+
+    return power
+
+
 def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
     """Compose: sum_n outer[n] * prod_i family[i]^{n_i}.
 
@@ -553,18 +568,7 @@ def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
     if field != outer.field:
         raise ValueError(f"cannot substitute {field} family into {outer.field} series")
 
-    # cache powers family[i]^e as needed
-    powers: dict[tuple[int, int], MPSeries] = {}
-
-    def fam_power(species: int, e: int) -> MPSeries:
-        key = (species, e)
-        if key not in powers:
-            if e == 0:
-                powers[key] = MPSeries.one(truncation, field)
-            else:
-                powers[key] = fam_power(species, e - 1) * family[species]
-        return powers[key]
-
+    fam_power = _powers(family, truncation, field)
     result = MPSeries.zero(truncation, field)
     for n, c in outer.terms.items():
         if n.degree > truncation.degree:

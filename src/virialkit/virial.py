@@ -38,6 +38,7 @@ from .series import (
     MultiIndex,
     SeriesMatrix,
     Truncation,
+    _powers,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -301,10 +302,10 @@ def _active_species(p: PressureSeries) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def _check_invertible(p: PressureSeries, species) -> dict[int, object]:
+def _check_invertible(series: MPSeries, species) -> dict[int, object]:
     b1 = {}
     for i in species:
-        b = p.series[MultiIndex.single(i)]
+        b = series[MultiIndex.single(i)]
         if b == 0:
             raise ValueError(f"b(e_{i}) = 0: the density relation is not invertible "
                              f"for species {i}")
@@ -323,25 +324,18 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
     t = series.truncation
     field = series.field
     active = _active_species(p)
-    b1 = _check_invertible(p, active)
+    b1 = _check_invertible(series, active)
     fam = densities(p).by_species
 
-    pow_cache: dict[tuple[int, int], MPSeries] = {}
-
-    def rho_power(species: int, e: int) -> MPSeries:
-        key = (species, e)
-        if key not in pow_cache:
-            if e == 0:
-                pow_cache[key] = MPSeries.one(t, field)
-            else:
-                pow_cache[key] = rho_power(species, e - 1) * fam[species]
-        return pow_cache[key]
+    rho_power = _powers(fam, t, field)
+    # rho^n = rho^(n without its top species s) * rho_s^(n_s), memoised by prefix
+    monomials = {MultiIndex(): MPSeries.one(t, field)}
 
     def rho_monomial(n: MultiIndex) -> MPSeries:
-        out = MPSeries.one(t, field)
-        for s, e in n.items():
-            out = out * rho_power(s, e)
-        return out
+        if n not in monomials:
+            *rest, (s, e) = n.items()
+            monomials[n] = rho_monomial(MultiIndex(rest)) * rho_power(s, e)
+        return monomials[n]
 
     active_set = set(active)
     running = MPSeries.zero(t, field)  # sum of processed c(n) rho^n
@@ -364,57 +358,38 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
 
 class LagrangeGoodInverter:
     """Coefficient extraction c(n) = [z^n] p * (dp/dz)^{-n} * det M(z) with
-    M_ij = delta_ij + z_i d2p/dz_i dz_j / (dp/dz_i) over species 1..N, where N
-    is the largest species index appearing in n.
+    M_ij = delta_ij + z_i d2p/dz_i dz_j / (dp/dz_i) over species 1..N.
 
-    A_N = p * det M_N is cached per top species N, next to the reciprocals
-    1/(dp/dz_i) and the entries of M, so one c(n) is a single extraction
-    [z^n] A_N * prod_i (1/(dp/dz_i))^{n_i} over the box of exponents <= n
-    (`coefficient_of_product`, with 1/(dp/dz_i) repeated n_i times): no full
-    series product is formed per n, and streams of n stay cheap.
+    Any N >= top(n), the largest species in n, gives the same [z^n]: at z_j = 0
+    for every j > top(n), row j of M is the unit row, so M is block triangular
+    and det M_N is the determinant over species 1..top(n).  So the inverter
+    holds one A = p * det M_N and the reciprocals 1/(dp/dz_i) for i <= N, N the
+    largest top species requested so far, and one c(n) is a single extraction
+    [z^n] A * prod_i (1/(dp/dz_i))^{n_i} over the box of exponents <= n
+    (`coefficient_of_product`, with 1/(dp/dz_i) repeated n_i times).
     """
 
     def __init__(self, p: PressureSeries):
         self.series = p.series
-        self._dp: dict[int, MPSeries] = {}
-        self._recip: dict[int, MPSeries] = {}
-        self._entry: dict[tuple[int, int], MPSeries] = {}
-        self._p_det: dict[int, MPSeries] = {}
-
-    def _d(self, i: int) -> MPSeries:
-        if i not in self._dp:
-            self._dp[i] = self.series.diff(i)
-        return self._dp[i]
-
-    def _r(self, i: int) -> MPSeries:
-        if i not in self._recip:
-            d = self._d(i)
-            if d.constant_term == 0:
-                raise ValueError(f"b(e_{i}) = 0: Lagrange-Good needs dp/dz_{i}(0) != 0")
-            self._recip[i] = reciprocal(d)
-        return self._recip[i]
-
-    def _m(self, i: int, j: int) -> MPSeries:
-        """Entry M_ij, which does not depend on N."""
-        key = (i, j)
-        if key not in self._entry:
-            t, field = self.series.truncation, self.series.field
-            entry = self._d(i).diff(j).mul_var(i) * self._r(i)
-            self._entry[key] = MPSeries.one(t, field) + entry if i == j else entry
-        return self._entry[key]
-
-    def _a(self, n_top: int) -> MPSeries:
-        """A_N = p * det M_N."""
-        if n_top not in self._p_det:
-            t, field = self.series.truncation, self.series.field
-            rows = [[self._m(i, j) for j in range(1, n_top + 1)] for i in range(1, n_top + 1)]
-            self._p_det[n_top] = self.series * determinant(SeriesMatrix(rows, t, field))
-        return self._p_det[n_top]
+        self._top = -1  # N; no A before the first request
+        self._a: MPSeries | None = None
+        self._recip: list[MPSeries] = []
 
     def coefficient(self, n: MultiIndex):
         pairs = n.items()
-        n_top = pairs[-1][0] if pairs else 0
-        factors = [self._a(n_top)] + [self._r(i) for i, e in pairs for _ in range(e)]
+        top = pairs[-1][0] if pairs else 0
+        if top > self._top:
+            p, species = self.series, range(1, top + 1)
+            _check_invertible(p, species)  # before anything is replaced
+            dp = [p.diff(i) for i in species]
+            recip = self._recip + [reciprocal(d) for d in dp[len(self._recip):]]
+            rows = [[dp[i - 1].diff(j).mul_var(i) * recip[i - 1] for j in species]
+                    for i in species]
+            for i, row in enumerate(rows):
+                row[i] = MPSeries.one(p.truncation, p.field) + row[i]
+            self._a = p * determinant(SeriesMatrix(rows, p.truncation, p.field))
+            self._top, self._recip = top, recip
+        factors = [self._a] + [self._recip[i - 1] for i, e in pairs for _ in range(e)]
         return coefficient_of_product(factors, n)
 
 
