@@ -282,6 +282,10 @@ def _species_cap(model, requested: int | None = None) -> int:
 # samples takes 55 s on a 2-core Xeon, Python 3.11, numpy 2.4), so the cap
 # runs for about a minute; K_1000 would run 499 500 factors per sample.
 MAX_ESTIMATE_MAYER_FACTORS = 5 * 10 ** 9
+# Largest sample chunk `weights estimate` holds: min(samples, MC_CHUNK) rows of
+# float64 coordinates.  The per-vertex copies about double it: a 300-vertex rod
+# path (a 157 MB chunk) peaked at 338 MB; a 1000-vertex path needs 0.5 GB.
+MAX_ESTIMATE_CHUNK_BYTES = 1 << 28
 
 
 def cmd_weights_estimate(args) -> int:
@@ -295,6 +299,11 @@ def cmd_weights_estimate(args) -> int:
         raise ValueError(f"weights estimate is capped at {MAX_ESTIMATE_MAYER_FACTORS} Mayer "
                          f"factors (edges × samples), got {edges} edges × "
                          f"{params.sample_count} samples")
+    dims = weights_mod.mc_sample_dims(cg.graph.n, model.dimension)
+    chunk = min(params.sample_count, weights_mod.MC_CHUNK)
+    if chunk * dims * 8 > MAX_ESTIMATE_CHUNK_BYTES:
+        raise ValueError(f"weights estimate is capped at {MAX_ESTIMATE_CHUNK_BYTES} bytes per "
+                         f"sample chunk (samples × coordinates × 8), got {chunk} × {dims} × 8")
     est, err = weights_mod.weight_mc(cg, model, params)
     _emit({"command": "weights estimate", "graph": args.graph, "model": args.model,
            "estimate": est, "stderr": err, "sample_count": args.samples,

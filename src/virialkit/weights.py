@@ -223,8 +223,16 @@ class _UnitSampler:
             return self._sobol.random(count)[:, : self.dims]
 
 
+MC_CHUNK = 1 << 16  # samples drawn and evaluated at once
+
+
 def _orientation_dims(d: int) -> int:
     return {1: 0, 2: 1, 3: 2}[d]
+
+
+def mc_sample_dims(n: int, d: int) -> int:
+    """Unit-cube coordinates per sample on n vertices: n - 1 positions, n orientations."""
+    return (n - 1) * d + n * _orientation_dims(d)
 
 
 def _orientations_from_unit(u: np.ndarray, d: int) -> np.ndarray | None:
@@ -265,16 +273,14 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
                          f"vertices in dimension {d} is not a positive finite float")
     odims = _orientation_dims(d)
     pos_cols = (n - 1) * d
-    dims = pos_cols + n * odims
-    sampler = _UnitSampler(p, dims)
+    sampler = _UnitSampler(p, mc_sample_dims(n, d))
     edges = g.graph.sorted_edges()
 
     total = 0.0
     total_sq = 0.0
     remaining = p.sample_count
-    chunk_size = 1 << 16
     while remaining > 0:
-        m = min(chunk_size, remaining)
+        m = min(MC_CHUNK, remaining)
         unit = sampler.draw(m)
         positions = [np.zeros((m, d))]  # molecule 1 at the origin
         for v in range(1, n):
@@ -490,7 +496,7 @@ def _abs_zeta_integral_mc(u: PairPotential, k: int, l: int, quadrature: McParams
     total = 0.0
     remaining = quadrature.sample_count
     while remaining > 0:
-        m = min(1 << 16, remaining)
+        m = min(MC_CHUNK, remaining)
         unit = sampler.draw(m)
         x2 = L * unit[:, :d]
         o1 = _orientations_from_unit(unit[:, d: d + odims], d) if odims else None

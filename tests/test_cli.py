@@ -418,8 +418,10 @@ def test_malformed_model_config_is_usage_error(tmp_path, capsys, doc):
 
 
 HARD_RODS = "<hard rods model>"
+UNIT_BOX_RODS = "<short hard rods model in a box of length 1>"
 ONE_SPECIES = "<one-species synthetic model>"
 PATH_400 = {"n": 400, "edges": [[i, i + 1] for i in range(1, 400)], "colours": [1] * 400}
+PATH_1000 = {"n": 1000, "edges": [[i, i + 1] for i in range(1, 1000)], "colours": [1] * 1000}
 K_100 = {"n": 100, "edges": [[i, j] for i in range(1, 101) for j in range(i + 1, 101)],
          "colours": [1] * 100}
 
@@ -484,17 +486,22 @@ def one_species_model(tmp_path):
      K_100, "capped at 5000000000 Mayer factors (edges × samples), got 4950 edges"),
     (("virial", "invert", "--degree", "3", "--samples", "100", "--model"),
      {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 1e300}, "L = 1e+300"),
+    (("weights", "estimate", "--samples", "65536", "--model", UNIT_BOX_RODS, "--graph"),
+     PATH_1000, "capped at 268435456 bytes per sample chunk"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
         "int-colours", "null-colour", "null-radius", "bool-species", "float-species",
         "species-above-cap", "rod-key-above-cap", "radius-key-above-cap",
         "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
-        "mc-volume-overflow", "rod-box-volume-overflow", "estimate-above-mayer-cap"])
+        "mc-volume-overflow", "estimate-above-mayer-cap", "rod-box-volume-overflow",
+        "estimate-above-chunk-cap"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
-    models = {HARD_RODS: hard_rods_model, ONE_SPECIES: one_species_model}
+    models = {HARD_RODS: hard_rods_model, ONE_SPECIES: one_species_model,
+              UNIT_BOX_RODS: write(tmp_path / "unit.json", {"type": "hard_rods_1d",
+                                                            "sigma": {"1": 0.001}, "L": 1.0})}
     argv = [models.get(a, a) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, path)
