@@ -53,7 +53,7 @@ def dumps(doc, indent: int = 0) -> str:
             return "[]"
         rows = [f"{inner}{dumps(v, indent + 1)}" for v in doc]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(doc, bool) or doc is None:
+    if isinstance(doc, (bool, str)) or doc is None:
         return json.dumps(doc)
     if isinstance(doc, int):
         return str(doc)
@@ -61,8 +61,6 @@ def dumps(doc, indent: int = 0) -> str:
         return _format_float(doc)
     if isinstance(doc, Fraction):
         return json.dumps(str(doc))
-    if isinstance(doc, str):
-        return json.dumps(doc)
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 
 
@@ -219,6 +217,7 @@ def cmd_virial_invert(args) -> int:
 
 
 def cmd_virial_compare(args) -> int:
+    config_number(args.tol, "--tol", "a tolerance >= 0", lambda x: x >= 0)
     model = weights_mod.model_from_json(_load_json(args.model))
     source = _weight_source(model, args)
     truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
@@ -265,13 +264,15 @@ def cmd_virial_mu(args) -> int:
     return 0
 
 
-def _species_cap(model, requested: int | None = None) -> int:
-    """The requested --species-cap, else the model's own species count."""
-    if requested is not None:
-        return config_species(requested, "--species-cap")
-    if isinstance(model, SyntheticBlockModel):
-        return model.species_count
-    return max(model.species)
+def _species_cap(model, requested: int | None = None, path: str = "--species-cap") -> int:
+    """The requested species cap, else the model's own species count; an
+    interaction model has no species above its largest to sample."""
+    synthetic = isinstance(model, SyntheticBlockModel)
+    top = model.species_count if synthetic else max(model.species)
+    cap = top if requested is None else config_species(requested, path)
+    if cap > top and not synthetic:
+        raise ValueError(f"{path}: expected a species index in 1..{top}, the model's, got {cap}")
+    return cap
 
 
 # -- weights ----------------------------------------------------------------------
@@ -319,7 +320,8 @@ def cmd_weights_kp_check(args) -> int:
     radii = {config_species(k, f'radii["{k}"]', key=True):
              float(config_number(r, f'radii["{k}"]', "a radius > 0", lambda x: x > 0))
              for k, r in config_mapping(doc["radii"], "radii", nonempty=True).items()}
-    cap = max(radii) if args.species_cap is None else _species_cap(model, args.species_cap)
+    cap = (_species_cap(model, max(radii), "radii") if args.species_cap is None
+           else _species_cap(model, args.species_cap))
     # the criterion weighs species k by e^((a+3b)k): keep that finite up to the cap
     b = config_number(doc.get("b", 0), "b", "a constant b >= 0", lambda x: x >= 0)
     a = config_number(doc["a"], "a", f"a slope a > 0 with (a+3b)·{cap} <= {EXP_MAX}",

@@ -172,10 +172,8 @@ class Truncation:
         return MultiIndex.from_exponents(key // place % radix for place in self._places[1:])
 
 
-def admissible_indices(truncation: Truncation, min_degree: int = 0,
-                       max_degree: int | None = None) -> Iterator[MultiIndex]:
+def admissible_indices(truncation: Truncation, min_degree: int = 0) -> Iterator[MultiIndex]:
     """All admissible multi-indices in graded-lexicographic order."""
-    top = truncation.degree if max_degree is None else min(max_degree, truncation.degree)
     s = truncation.species
 
     def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -186,7 +184,7 @@ def admissible_indices(truncation: Truncation, min_degree: int = 0,
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    for d in range(min_degree, top + 1):
+    for d in range(min_degree, truncation.degree + 1):
         for dense in compositions(d, s):
             yield MultiIndex.from_exponents(dense)
 

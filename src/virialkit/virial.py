@@ -25,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .graphs import (
+    MAX_WEIGHT_SUM_VERTICES,
     _canonical_table,
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
@@ -38,7 +39,10 @@ from .series import (
     MultiIndex,
     SeriesMatrix,
     Truncation,
+    _add_into,
     _powers,
+    _value,
+    _zero,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -116,34 +120,11 @@ class InversionProblem:
 # -- building the pressure ----------------------------------------------------
 
 
-# Weight sums run over the labelled graphs on {1..m}.  The walk reaches
-# m = 6 (26 704 connected graphs) in seconds; at m = 7 the 1 866 256 block
-# profiles take minutes and gigabytes, so larger degrees are refused up front.
-MAX_WEIGHT_SUM_VERTICES = 6
-
-
 def _check_weight_sum_size(truncation: Truncation) -> None:
     if truncation.degree > MAX_WEIGHT_SUM_VERTICES:
         raise ValueError(f"weight sums are capped at degree {MAX_WEIGHT_SUM_VERTICES} "
                          f"(labelled graphs on at most {MAX_WEIGHT_SUM_VERTICES} vertices), "
                          f"got degree {truncation.degree}")
-
-
-@lru_cache(maxsize=None)
-def _block_slots(m: int):
-    """The blocks of the connected graphs on {1..m} as slots of a (profiles x
-    most blocks, at least 1) matrix, grouped by vertex set: (shape, groups),
-    each group (vertices, flat slot indices, relabelled masks)."""
-    profiles = connected_block_profiles(m)
-    width = max(1, max(map(len, profiles)))
-    slots: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for row, profile in enumerate(profiles):
-        for col, (verts, mask) in enumerate(profile):
-            at, masks = slots.setdefault(verts, ([], []))
-            at.append(row * width + col)
-            masks.append(mask)
-    return (len(profiles), width), tuple((verts, np.array(at), np.array(masks, dtype=np.int64))
-                                         for verts, (at, masks) in slots.items())
 
 
 @lru_cache(maxsize=None)
@@ -157,12 +138,12 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     ascending vertices restricts sorted colours to sorted colours, so its key
     is `_canonical_table` of that pattern at its relabelled mask: one lookup
     per vertex set, coded as (pattern number, canonical mask) in one integer.
-    Sorting the codes of each profile and counting equal rows gives the table.
+    Sorting the codes of each row and counting equal rows gives the table.
     """
-    shape, groups = _block_slots(m)
+    shape, groups = connected_block_profiles(m)
     shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
     patterns: dict[tuple, int] = {}
-    codes = np.full(shape, -1, dtype=np.int64)  # -1 pads profiles with fewer blocks
+    codes = np.full(shape, -1, dtype=np.int64)  # -1 pads graphs with fewer blocks
     for verts, at, masks in groups:
         pattern = (len(verts), tuple(colours[v - 1] for v in verts))
         codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
@@ -182,9 +163,11 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
 def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((canonical key, number of labelled graphs), ...) over the two-connected
     graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
-    lookup over their masks; model-independent like
-    `_connected_block_classes`."""
-    masks = np.array([g.mask for g in two_connected_graph_list(m)], dtype=np.int64)
+    lookup over the block table's masks on all m vertices, which are these
+    graphs' own masks; model-independent like `_connected_block_classes`."""
+    _, groups = connected_block_profiles(m)
+    masks = next((masks for verts, _, masks in groups if len(verts) == m),
+                 np.zeros(0, dtype=np.int64))
     classes = Counter(_canonical_table(m, colours)[masks].tolist())
     return tuple(((m, colours, c), count) for c, count in classes.items())
 
@@ -338,7 +321,8 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
         return monomials[n]
 
     active_set = set(active)
-    running = MPSeries.zero(t, field)  # sum of processed c(n) rho^n
+    # sum of processed c(n) rho^n: keyed numerators over `den`, added in place
+    running, den = {}, 1
     coeffs = {}
     for n in admissible_indices(t, min_degree=1):
         if not set(n.species) <= active_set:
@@ -346,10 +330,11 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
         diagonal = Fraction(1) if field == RATIONAL else 1.0
         for s, e in n.items():
             diagonal *= b1[s] ** e
-        c = (series[n] - running[n]) / diagonal
+        c = (series[n] - _value(field, running.get(t.pack(n), _zero(field)), den)) / diagonal
         if c != 0:
             coeffs[n] = c
-            running = running + rho_monomial(n).scaled(c)
+            term = rho_monomial(n).scaled(c)
+            den = _add_into(running, den, term._terms, term._den)
     return VirialSeries(MPSeries(coeffs, t, field), RECURSIVE)
 
 

@@ -282,16 +282,11 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         unit = sampler.draw(m)
-        positions = [np.zeros((m, d))]  # molecule 1 at the origin
-        for v in range(1, n):
-            positions.append(L * unit[:, (v - 1) * d: v * d])
-        orientations: list[np.ndarray | None] = []
-        for v in range(n):
-            if odims == 0:
-                orientations.append(None)
-            else:
-                cols = unit[:, pos_cols + v * odims: pos_cols + (v + 1) * odims]
-                orientations.append(_orientations_from_unit(cols, d))
+        # molecule 1 at the origin; in 1D every orientation is None
+        positions = [np.zeros((m, d))] + [L * unit[:, (v - 1) * d: v * d] for v in range(1, n)]
+        orientations = [_orientations_from_unit(unit[:, pos_cols + v * odims:
+                                                     pos_cols + (v + 1) * odims], d)
+                        for v in range(n)]
         values = np.ones(m)
         for i, j in edges:
             values *= u.zeta_batch(g.colours[i - 1], positions[i - 1], orientations[i - 1],
@@ -424,8 +419,6 @@ class McWeightSource:
 
     def connected_weight_with_error(self, graph: Graph,
                                     colours: tuple[int, ...]) -> tuple[float, float]:
-        if graph.n == 1:
-            return 1.0, 0.0
         cg = ColouredGraph(graph, colours)
         return weight_mc(cg, self.potential, self._params_for(graph, colours))
 
@@ -650,11 +643,15 @@ def model_from_json(doc: Mapping):
     kind = doc.get("type")
     if kind == "hard_rods_1d":
         L = config_number(doc["L"], "L", "a box length > 0", lambda x: x > 0)
-        sigma = config_mapping(doc["sigma"], "sigma", nonempty=True)
-        return HardRods1D({config_species(k, f'sigma["{k}"]', key=True):
-                           config_number(v, f'sigma["{k}"]', f"a rod length in [0, {L})",
-                                         lambda x: 0 <= x < L)
-                           for k, v in sigma.items()}, L)
+        sigma = {config_species(k, f'sigma["{k}"]', key=True):
+                 config_number(v, f'sigma["{k}"]', f"a rod length in [0, {L})",
+                               lambda x: 0 <= x < L)
+                 for k, v in config_mapping(doc["sigma"], "sigma", nonempty=True).items()}
+        missing = next((k for k in range(1, max(sigma)) if k not in sigma), None)
+        if missing is not None:
+            raise ValueError(f"sigma: expected rod lengths for species 1..{max(sigma)} with "
+                             f'no gap, missing sigma["{missing}"]')
+        return HardRods1D(sigma, L)
     if kind == "synthetic":
         species = config_species(doc.get("species", 1), "species")
         blocks = []

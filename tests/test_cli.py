@@ -422,6 +422,8 @@ UNIT_BOX_RODS = "<short hard rods model in a box of length 1>"
 ONE_SPECIES = "<one-species synthetic model>"
 PATH_400 = {"n": 400, "edges": [[i, i + 1] for i in range(1, 400)], "colours": [1] * 400}
 PATH_1000 = {"n": 1000, "edges": [[i, i + 1] for i in range(1, 1000)], "colours": [1] * 1000}
+TWO_RODS = "<two-species hard rods model>"
+TWO_RODS_DOC = {"type": "hard_rods_1d", "sigma": {"1": 1, "2": 2}, "L": 10}
 K_100 = {"n": 100, "edges": [[i, j] for i in range(1, 101) for j in range(i + 1, 101)],
          "colours": [1] * 100}
 
@@ -488,6 +490,19 @@ def one_species_model(tmp_path):
      {"type": "hard_rods_1d", "sigma": {"1": 1.0}, "L": 1e300}, "L = 1e+300"),
     (("weights", "estimate", "--samples", "65536", "--model", UNIT_BOX_RODS, "--graph"),
      PATH_1000, "capped at 268435456 bytes per sample chunk"),
+    (("virial", "invert", "--degree", "2", "--samples", "100", "--species-cap", "3",
+      "--model"), TWO_RODS_DOC, "--species-cap: expected a species index in 1..2"),
+    (("weights", "kp-check", "--samples", "100", "--model", TWO_RODS, "--spec"),
+     {"radii": {"1": 0.5, "2": 1.0, "3": 1.5}, "a": 1.0},
+     "radii: expected a species index in 1..2"),
+    (("virial", "invert", "--degree", "2", "--samples", "100", "--model"),
+     {"type": "hard_rods_1d", "sigma": {"1": 1, "3": 2}, "L": 10}, 'missing sigma["2"]'),
+    (("virial", "compare", "--degree", "2", "--samples", "100", "--tol", "nan", "--model"),
+     TWO_RODS_DOC, "--tol: expected"),
+    (("virial", "compare", "--degree", "2", "--samples", "100", "--tol", "inf", "--model"),
+     TWO_RODS_DOC, "--tol: expected"),
+    (("virial", "compare", "--degree", "2", "--samples", "100", "--tol", "-1", "--model"),
+     TWO_RODS_DOC, "--tol: expected"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
@@ -495,11 +510,13 @@ def one_species_model(tmp_path):
         "species-above-cap", "rod-key-above-cap", "radius-key-above-cap",
         "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
         "mc-volume-overflow", "estimate-above-mayer-cap", "rod-box-volume-overflow",
-        "estimate-above-chunk-cap"])
+        "estimate-above-chunk-cap", "cap-above-rod-species", "radii-above-rod-species",
+        "rod-species-gap", "nan-tol", "inf-tol", "negative-tol"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
     models = {HARD_RODS: hard_rods_model, ONE_SPECIES: one_species_model,
+              TWO_RODS: write(tmp_path / "two.json", TWO_RODS_DOC),
               UNIT_BOX_RODS: write(tmp_path / "unit.json", {"type": "hard_rods_1d",
                                                             "sigma": {"1": 0.001}, "L": 1.0})}
     argv = [models.get(a, a) for a in argv]

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virialkit import graphs
 from virialkit.graphs import (
     Block,
     BlockDecomposition,
@@ -18,6 +20,7 @@ from virialkit.graphs import (
     canonical_colouring,
     canonical_coloured_key,
     connected_block_profiles,
+    connected_graph_list,
     dissymmetry_check,
     enumerate_graphs,
     graph_from_json,
@@ -25,6 +28,7 @@ from virialkit.graphs import (
     coloured_graph_from_json,
     is_connected,
     is_two_connected,
+    two_connected_graph_list,
 )
 from virialkit.graphs import (
     _canonical_table,
@@ -183,13 +187,65 @@ def test_block_decomposition_matches_set_oracle_on_random_graphs(n):
         assert block_decomposition(g) == set_block_decomposition(g), g
 
 
+def decoded_block_profiles(n):
+    """The block table read back as one list of (vertices, relabelled mask)
+    per row; a row's blocks fill its first columns."""
+    (rows, width), groups = connected_block_profiles(n)
+    table = [[None] * width for _ in range(rows)]
+    for verts, at, masks in groups:
+        for slot, mask in zip(at.tolist(), masks.tolist()):
+            assert table[slot // width][slot % width] is None
+            table[slot // width][slot % width] = (verts, mask)
+    profiles = []
+    for row in table:
+        used = row.index(None) if None in row else width
+        assert row[used:] == [None] * (width - used)
+        profiles.append(tuple(row[:used]))
+    return tuple(profiles)
+
+
 def test_block_profiles_match_set_oracle():
     for n in range(2, 6):
         expected = tuple(tuple((b.vertices, b.relabelled_mask)
                                for b in set_block_decomposition(g).blocks)
                          for g in enumerate_graphs(n, "connected"))
-        assert connected_block_profiles(n) == expected
-    assert connected_block_profiles(1) == ((),)
+        assert decoded_block_profiles(n) == expected
+        assert connected_block_profiles(n)[0] == (len(expected), n - 1)
+    assert connected_block_profiles(1) == ((1, 1), ())
+
+
+def test_two_connected_list_is_read_off_the_block_table():
+    for n in range(1, 7):
+        listed = two_connected_graph_list(n)
+        assert listed == tuple(enumerate_graphs(n, "two_connected")), n
+        connected = {id(g) for g in connected_graph_list(n)}
+        assert all(id(g) in connected for g in listed), n
+
+
+def test_cold_two_connected_list_walks_only_the_connected_masks(monkeypatch):
+    walks = []
+
+    def counting(n, graph_class="all"):
+        walks.append((n, graph_class))
+        return enumerate_graphs(n, graph_class)
+
+    monkeypatch.setattr(graphs, "enumerate_graphs", counting)
+    for fn in (connected_graph_list, two_connected_graph_list, connected_block_profiles):
+        fn.cache_clear()
+    for n in range(1, 7):
+        two_connected_graph_list(n)
+    assert walks == [(n, "connected") for n in range(1, 7)]
+
+
+def test_block_table_refuses_seven_vertices_at_once():
+    built = connected_graph_list.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped at n = 6"):
+        connected_block_profiles(7)
+    with pytest.raises(ValueError, match="capped at n = 6"):
+        two_connected_graph_list(7)
+    assert time.perf_counter() - start < 0.5
+    assert connected_graph_list.cache_info().currsize == built
 
 
 def test_block_cut_tree_examples():

@@ -8,9 +8,10 @@ import pytest
 from virialkit import virial
 from virialkit.graphs import (
     ColouredGraph,
+    _adjacency,
+    _split_blocks,
     canonical_colouring,
     canonical_coloured_key,
-    connected_block_profiles,
     connected_graph_list,
     two_connected_graph_list,
 )
@@ -153,11 +154,21 @@ def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, c
     assert tuple(len(t) for t in tables) == classes
 
 
+@lru_cache(maxsize=None)
+def split_block_profiles(m):
+    """(vertices, relabelled mask) per block of every connected graph on
+    {1..m}, split graph by graph; the single vertex has no blocks."""
+    if m == 1:
+        return ((),)
+    return tuple(_split_blocks(m, _adjacency(m, g.mask))[0] for g in connected_graph_list(m))
+
+
 def walked_connected_classes(m, colours):
-    """The oracle: one canonical_coloured_key per block of every block profile."""
+    """The oracle: one canonical_coloured_key per block of every connected
+    graph, split without the block table."""
     return Counter(tuple(sorted(
         canonical_coloured_key(len(verts), mask, tuple(colours[v - 1] for v in verts))
-        for verts, mask in profile)) for profile in connected_block_profiles(m))
+        for verts, mask in profile)) for profile in split_block_profiles(m))
 
 
 def walked_two_connected_classes(m, colours):
