@@ -271,7 +271,8 @@ def _species_cap(model, requested: int | None = None, path: str = "--species-cap
     top = model.species_count if synthetic else max(model.species)
     cap = top if requested is None else config_species(requested, path)
     if cap > top and not synthetic:
-        raise ValueError(f"{path}: expected a species index in 1..{top}, the model's, got {cap}")
+        raise ValueError(f"{path}: expected a species index in 1..{top} (the model's species), "
+                         f"got {cap}")
     return cap
 
 
