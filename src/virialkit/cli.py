@@ -53,7 +53,7 @@ def dumps(doc, indent: int = 0) -> str:
             return "[]"
         rows = [f"{inner}{dumps(v, indent + 1)}" for v in doc]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(doc, (bool, str)) or doc is None:
+    if isinstance(doc, bool) or doc is None:
         return json.dumps(doc)
     if isinstance(doc, int):
         return str(doc)
@@ -61,6 +61,8 @@ def dumps(doc, indent: int = 0) -> str:
         return _format_float(doc)
     if isinstance(doc, Fraction):
         return json.dumps(str(doc))
+    if isinstance(doc, str):
+        return json.dumps(doc)
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 
 

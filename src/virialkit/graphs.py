@@ -54,7 +54,7 @@ def _adjacency(n: int, mask: int) -> list[int]:
     return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices {1..n}: bit b of `mask` is the
     edge `_pairs(n)[b]`.  `from_edges` is the validating constructor."""
@@ -296,8 +296,8 @@ def connected_graph_list(n: int) -> tuple[Graph, ...]:
     return tuple(enumerate_graphs(n, "connected"))
 
 
-# The block table splits every connected graph on {1..n}: 26 704 at n = 6 in
-# about a second, 1 866 256 at n = 7 in minutes and gigabytes.
+# The block table covers the connected graphs on {1..n}: 26 704 at n = 6,
+# 1 866 256 at n = 7, where listing them alone takes minutes and gigabytes.
 MAX_WEIGHT_SUM_VERTICES = 6
 
 
@@ -306,29 +306,57 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
     """The blocks of the connected graphs on {1..n} (none for n = 1) as slots of
     a (graphs x width) matrix, width = max(1, n - 1) the most blocks: ((rows,
     width), groups).  Row r is connected_graph_list(n)[r]; a group is (vertices,
-    flat slot indices, relabelled masks) of the blocks on one vertex set."""
+    flat slot indices, relabelled masks) of the blocks on one vertex set, in
+    the order of their first slots.  All graphs are tested at once, vertex set
+    by vertex set: a set is connected when a vertex has a neighbour in its
+    connected rest, two-connected (or one edge) when every rest is connected,
+    and a block when it is two-connected inside no larger two-connected set;
+    the blocks of a graph sit in the order of their lowest edges."""
     if n > MAX_WEIGHT_SUM_VERTICES:
         raise ValueError(f"block tables are capped at n = {MAX_WEIGHT_SUM_VERTICES}, got {n}")
     graphs = connected_graph_list(n)
     width = max(1, n - 1)
-    slots: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for row, g in enumerate(graphs if n > 1 else ()):
-        for col, (verts, mask) in enumerate(_split_blocks(n, _adjacency(n, g.mask))[0]):
-            at, masks = slots.setdefault(verts, ([], []))
-            at.append(row * width + col)
-            masks.append(mask)
-    return (len(graphs), width), tuple((verts, np.array(at), np.array(masks, dtype=np.int64))
-                                       for verts, (at, masks) in slots.items())
+    masks = np.array([g.mask for g in graphs], dtype=np.int64)
+    sets = [vs for k in range(2, n + 1) for vs in itertools.combinations(range(1, n + 1), k)]
+    bits = {vs: [_pair_index(i, j, n) for i, j in itertools.combinations(vs, 2)] for vs in sets}
+    span = {vs: sum(1 << b for b in bits[vs]) for vs in sets}  # the set's possible edges
+    rests = {vs: [vs[:k] + vs[k + 1:] for k in range(len(vs))] for vs in sets}
+    connected = dict.fromkeys(itertools.combinations(range(1, n + 1), 1), True)
+    for vs in sets:
+        connected[vs] = np.any([connected[r] & (masks & (span[vs] ^ span.get(r, 0)) != 0)
+                                for r in rests[vs]], axis=0)
+    covered, found, lowest = {}, [], np.zeros_like(masks)  # lowest: the blocks' lowest edges
+    for vs in reversed(sets):  # every set inside vs is popped after vs
+        two = connected.pop(vs) & np.all([connected[r] for r in rests[vs]], axis=0)
+        above = covered.pop(vs, False)
+        for r in rests[vs]:
+            covered[r] = covered.get(r, False) | two | above
+        rows = np.flatnonzero(two & ~above)
+        edges = masks[rows] & span[vs]
+        lowest[rows] |= edges & -edges
+        found.append((vs, rows, edges))
+    ones = np.array([x.bit_count() for x in range(1 << n * (n - 1) // 2)])
+    groups = [(vs, rows * width + ones[lowest[rows] & ((edges & -edges) - 1)],
+               sum((edges >> b & 1) << k for k, b in enumerate(bits[vs])))
+              for vs, rows, edges in found if len(rows)]
+    return (len(graphs), width), tuple(sorted(groups, key=lambda group: group[1][0]))
+
+
+def _two_connected_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, masks) of the block table's group on all n vertices: the
+    two-connected graphs, whose one block is the whole graph."""
+    (_, width), groups = connected_block_profiles(n)
+    empty = np.zeros(0, dtype=np.int64)
+    at, masks = next(((at, masks) for vs, at, masks in groups if len(vs) == n), (empty, empty))
+    return at // width, masks
 
 
 @lru_cache(maxsize=None)
 def two_connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Memoized list of all two-connected graphs on {1..n}, in mask order:
-    the rows of the block table whose one block is on every vertex."""
-    (_, width), groups = connected_block_profiles(n)
-    graphs = connected_graph_list(n)
-    return next((tuple(graphs[slot // width] for slot in at.tolist())
-                 for verts, at, _ in groups if len(verts) == n), ())
+    """Memoized list of all two-connected graphs on {1..n}, in mask order,
+    read off the block table."""
+    rows = _two_connected_rows(n)[0].tolist()
+    return tuple(map(connected_graph_list(n).__getitem__, rows))
 
 
 def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:

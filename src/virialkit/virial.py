@@ -27,6 +27,7 @@ import numpy as np
 from .graphs import (
     MAX_WEIGHT_SUM_VERTICES,
     _canonical_table,
+    _two_connected_rows,
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
     connected_block_profiles,
@@ -163,12 +164,9 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
 def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((canonical key, number of labelled graphs), ...) over the two-connected
     graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
-    lookup over the block table's masks on all m vertices, which are these
-    graphs' own masks; model-independent like `_connected_block_classes`."""
-    _, groups = connected_block_profiles(m)
-    masks = next((masks for verts, _, masks in groups if len(verts) == m),
-                 np.zeros(0, dtype=np.int64))
-    classes = Counter(_canonical_table(m, colours)[masks].tolist())
+    lookup over their masks in the block table; model-independent like
+    `_connected_block_classes`."""
+    classes = Counter(_canonical_table(m, colours)[_two_connected_rows(m)[1]].tolist())
     return tuple(((m, colours, c), count) for c, count in classes.items())
 
 

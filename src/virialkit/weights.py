@@ -282,11 +282,16 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         unit = sampler.draw(m)
-        # molecule 1 at the origin; in 1D every orientation is None
-        positions = [np.zeros((m, d))] + [L * unit[:, (v - 1) * d: v * d] for v in range(1, n)]
-        orientations = [_orientations_from_unit(unit[:, pos_cols + v * odims:
-                                                     pos_cols + (v + 1) * odims], d)
-                        for v in range(n)]
+        positions = [np.zeros((m, d))]  # molecule 1 at the origin
+        for v in range(1, n):
+            positions.append(L * unit[:, (v - 1) * d: v * d])
+        orientations: list[np.ndarray | None] = []
+        for v in range(n):
+            if odims == 0:
+                orientations.append(None)
+            else:
+                cols = unit[:, pos_cols + v * odims: pos_cols + (v + 1) * odims]
+                orientations.append(_orientations_from_unit(cols, d))
         values = np.ones(m)
         for i, j in edges:
             values *= u.zeta_batch(g.colours[i - 1], positions[i - 1], orientations[i - 1],
@@ -419,6 +424,8 @@ class McWeightSource:
 
     def connected_weight_with_error(self, graph: Graph,
                                     colours: tuple[int, ...]) -> tuple[float, float]:
+        if graph.n == 1:
+            return 1.0, 0.0
         cg = ColouredGraph(graph, colours)
         return weight_mc(cg, self.potential, self._params_for(graph, colours))
 

@@ -31,11 +31,13 @@ from virialkit.graphs import (
     two_connected_graph_list,
 )
 from virialkit.graphs import (
+    _adjacency,
     _canonical_table,
     _pair_index,
     _pairs,
     _perms_fixing_colours,
     _relabel_mask,
+    _split_blocks,
 )
 from virialkit.series import MultiIndex
 
@@ -212,6 +214,24 @@ def test_block_profiles_match_set_oracle():
         assert decoded_block_profiles(n) == expected
         assert connected_block_profiles(n)[0] == (len(expected), n - 1)
     assert connected_block_profiles(1) == ((1, 1), ())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_table_equals_the_graph_by_graph_split(n):
+    """Every slot, mask, dtype and group of the table built for all graphs at
+    once, against `_split_blocks` run graph by graph with the groups in the
+    order the slots first name them."""
+    (rows, width), groups = connected_block_profiles(n)
+    expected: dict = {}
+    for row, g in enumerate(connected_graph_list(n) if n > 1 else ()):
+        for col, (verts, mask) in enumerate(_split_blocks(n, _adjacency(n, g.mask))[0]):
+            at, masks = expected.setdefault(verts, ([], []))
+            at.append(row * width + col)
+            masks.append(mask)
+    assert (rows, width) == (len(connected_graph_list(n)), max(1, n - 1))
+    assert [(verts, at.tolist(), masks.tolist()) for verts, at, masks in groups] == \
+        [(verts, at, masks) for verts, (at, masks) in expected.items()]
+    assert all(at.dtype == masks.dtype == np.int64 for _, at, masks in groups)
 
 
 def test_two_connected_list_is_read_off_the_block_table():
