@@ -152,7 +152,7 @@ def cmd_graphs_dissymmetry(args) -> int:
     _check_graph_size(args.n, MAX_DISSYMMETRY_VERTICES, "dissymmetry")
     results = []
     all_pass = True
-    for g in graphs_mod.enumerate_graphs(args.n, "connected"):
+    for g in graphs_mod.connected_graph_list(args.n):
         lhs, rhs = graphs_mod.dissymmetry_check(g)
         ok = lhs == rhs
         all_pass &= ok

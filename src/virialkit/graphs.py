@@ -2,13 +2,15 @@
 
 A graph on {1..n} is stored as one edge bitmask (bit b is the edge
 `_pairs(n)[b]`); edge lists appear only at the boundary: JSON, CLI output and
-Monte Carlo weights.  Enumeration walks the masks 0 .. 2^(n(n-1)/2)-1.  Every
-structural question runs on neighbour bitsets read off the mask, in one pass
-over its binary digits, through one reachability search: connectivity,
-two-connectivity and articulation points by deleting vertices, and block
-decomposition by splitting the vertex set at its first cut vertex until no
-part has one.  The per-degree block table of the weight sums (n <= 6) is
-the exception: it tests every vertex set of every connected graph at once.
+Monte Carlo weights.  For one graph, every structural question runs on
+neighbour bitsets read off the mask, in one pass over its binary digits,
+through one reachability search: connectivity, two-connectivity and
+articulation points by deleting vertices, and block decomposition by
+splitting the vertex set at its first cut vertex until no part has one;
+`enumerate_graphs` walks the masks 0 .. 2^(n(n-1)/2)-1 one at a time this
+way.  The memoised lists and block tables of the weight sums (n <= 6) test
+many masks at once instead, with numpy, vertex set by vertex set: the
+connected list tests every mask, and the block table every connected one.
 """
 
 from __future__ import annotations
@@ -291,15 +293,51 @@ def enumerate_graphs(n: int, graph_class: str = "all") -> Iterator[Graph]:
         yield Graph(n, mask)
 
 
+# The connected graph lists and the block table stop at n = 6: 26 704
+# connected graphs, from one test of all 2^15 edge masks.  At n = 7 there are
+# 1 866 256 of 2^21 masks, and the lazy `enumerate_graphs` walk alone takes
+# about 14 s on a 2-core Xeon.
+MAX_WEIGHT_SUM_VERTICES = 6
+
+
+def _vertex_sets(n: int) -> tuple[list, dict, dict]:
+    """(sets, span, rests): the vertex sets of {1..n} with two or more
+    vertices, smaller sets first; each set's possible edges as a mask; and
+    its rests, the set minus one vertex, in the order of that vertex."""
+    sets = [vs for k in range(2, n + 1) for vs in itertools.combinations(range(1, n + 1), k)]
+    span = {vs: sum(1 << _pair_index(i, j, n) for i, j in itertools.combinations(vs, 2))
+            for vs in sets}
+    rests = {vs: [vs[:k] + vs[k + 1:] for k in range(len(vs))] for vs in sets}
+    return sets, span, rests
+
+
+def _connected_sets(n: int, masks: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Each nonempty vertex set of {1..n} -> which of the edge masks (an int64
+    array) connect the subgraph it induces, as a boolean column.  A set is
+    connected when some vertex has a neighbour in its connected rest."""
+    sets, span, rests = _vertex_sets(n)
+    connected = {(v,): np.ones(len(masks), dtype=bool) for v in range(1, n + 1)}
+    for vs in sets:
+        connected[vs] = np.any([connected[r] & (masks & (span[vs] ^ span.get(r, 0)) != 0)
+                                for r in rests[vs]], axis=0)
+    return connected
+
+
 @lru_cache(maxsize=None)
 def connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Memoized list of all connected graphs on {1..n}."""
-    return tuple(enumerate_graphs(n, "connected"))
-
-
-# The block table covers the connected graphs on {1..n}: 26 704 at n = 6 and
-# 1 866 256 at n = 7, whose mask walk alone takes about 14 s on a 2-core Xeon.
-MAX_WEIGHT_SUM_VERTICES = 6
+    """Memoized list of all connected graphs on {1..n}, in mask order: the
+    masks 0 .. 2^(n(n-1)/2)-1 whose full vertex set is connected, all tested
+    at once (n <= 6)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if n > MAX_WEIGHT_SUM_VERTICES:
+        raise ValueError(f"connected graph lists are capped at n = {MAX_WEIGHT_SUM_VERTICES}, "
+                         f"got {n}")
+    if n == 0:
+        return ()
+    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    full = _connected_sets(n, masks)[tuple(range(1, n + 1))]
+    return tuple(Graph(n, mask) for mask in masks[full].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -309,8 +347,8 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
     width), groups).  Row r is connected_graph_list(n)[r]; a group is (vertices,
     flat slot indices, relabelled masks) of the blocks on one vertex set, in
     the order of their first slots.  All graphs are tested at once, vertex set
-    by vertex set: a set is connected when a vertex has a neighbour in its
-    connected rest, two-connected (or one edge) when every rest is connected,
+    by vertex set, with the connectivity test of the list run again on its
+    masks: a set is two-connected (or one edge) when every rest is connected,
     and a block when it is two-connected inside no larger two-connected set;
     the blocks of a graph sit in the order of their lowest edges."""
     if n > MAX_WEIGHT_SUM_VERTICES:
@@ -318,14 +356,8 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
     graphs = connected_graph_list(n)
     width = max(1, n - 1)
     masks = np.array([g.mask for g in graphs], dtype=np.int64)
-    sets = [vs for k in range(2, n + 1) for vs in itertools.combinations(range(1, n + 1), k)]
-    bits = {vs: [_pair_index(i, j, n) for i, j in itertools.combinations(vs, 2)] for vs in sets}
-    span = {vs: sum(1 << b for b in bits[vs]) for vs in sets}  # the set's possible edges
-    rests = {vs: [vs[:k] + vs[k + 1:] for k in range(len(vs))] for vs in sets}
-    connected = dict.fromkeys(itertools.combinations(range(1, n + 1), 1), True)
-    for vs in sets:
-        connected[vs] = np.any([connected[r] & (masks & (span[vs] ^ span.get(r, 0)) != 0)
-                                for r in rests[vs]], axis=0)
+    sets, span, rests = _vertex_sets(n)
+    connected = _connected_sets(n, masks)
     covered, found, lowest = {}, [], np.zeros_like(masks)  # lowest: the blocks' lowest edges
     for vs in reversed(sets):  # every set inside vs is popped after vs
         two = connected.pop(vs) & np.all([connected[r] for r in rests[vs]], axis=0)
@@ -337,6 +369,7 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
         lowest[rows] |= edges & -edges
         found.append((vs, rows, edges))
     ones = np.array([x.bit_count() for x in range(1 << n * (n - 1) // 2)])
+    bits = {vs: [b for b in range(span[vs].bit_length()) if span[vs] >> b & 1] for vs in sets}
     groups = [(vs, rows * width + ones[lowest[rows] & ((edges & -edges) - 1)],
                sum((edges >> b & 1) << k for k, b in enumerate(bits[vs])))
               for vs, rows, edges in found if len(rows)]

@@ -242,30 +242,53 @@ def test_two_connected_list_is_read_off_the_block_table():
         assert all(id(g) in connected for g in listed), n
 
 
-def test_cold_two_connected_list_walks_only_the_connected_masks(monkeypatch):
-    walks = []
+def test_connected_list_equals_the_mask_walk():
+    for n in range(0, 7):
+        listed = connected_graph_list(n)
+        assert listed == tuple(enumerate_graphs(n, "connected")), n
+        masks = [g.mask for g in listed]
+        assert masks == sorted(set(masks)), n
+        assert all(type(mask) is int for mask in masks), n
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The (n, class) of every `graphs.enumerate_graphs` call from here on."""
+    calls = []
 
     def counting(n, graph_class="all"):
-        walks.append((n, graph_class))
+        calls.append((n, graph_class))
         return enumerate_graphs(n, graph_class)
 
     monkeypatch.setattr(graphs, "enumerate_graphs", counting)
+    return calls
+
+
+def test_cold_graph_lists_and_block_table_walk_no_mask(walks):
     for fn in (connected_graph_list, two_connected_graph_list, connected_block_profiles):
         fn.cache_clear()
     for n in range(1, 7):
+        connected_graph_list(n)
         two_connected_graph_list(n)
-    assert walks == [(n, "connected") for n in range(1, 7)]
+        connected_block_profiles(n)
+    assert walks == []
 
 
-def test_block_table_refuses_seven_vertices_at_once():
+def test_block_table_refuses_seven_vertices_at_once(walks):
     built = connected_graph_list.cache_info().currsize
     start = time.perf_counter()
     with pytest.raises(ValueError, match="capped at n = 6"):
         connected_block_profiles(7)
     with pytest.raises(ValueError, match="capped at n = 6"):
         two_connected_graph_list(7)
+    for n in (7, 8):
+        with pytest.raises(ValueError, match="capped at n = 6"):
+            connected_graph_list(n)
     assert time.perf_counter() - start < 0.5
     assert connected_graph_list.cache_info().currsize == built
+    assert walks == []
+    with pytest.raises(ValueError, match=">= 0"):
+        connected_graph_list(-1)
 
 
 def test_block_cut_tree_examples():
