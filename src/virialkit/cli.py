@@ -227,7 +227,8 @@ def cmd_virial_compare(args) -> int:
     if getattr(source, "block_factorizing", False):
         methods.append("two-connected")
     # Both inversion routes read the same pressure: build it once, since for
-    # a Monte Carlo source every build is a full run over all graphs.
+    # a Monte Carlo source every build samples each (vertex count, colouring)
+    # again.
     p = virial_mod.pressure_from_weights(source, truncation)
     results = {m: _virial_by_method(source, truncation, m, p) for m in methods}
     base = results["recursive"]
@@ -383,14 +384,18 @@ def cmd_bounds_compute(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+MC_SAMPLES_HELP = ("Monte Carlo samples: per (vertex count, colouring) for the pressure, "
+                   "per graph for weights estimate and the two-connected route")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="virialkit",
                                      description="Multispecies virial expansions")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p, samples_default=100_000):
+    def add_common(p, samples_default=100_000, samples_help=MC_SAMPLES_HELP):
         p.add_argument("--seed", type=int, default=0, help="64-bit seed for any sampling")
-        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--samples", type=int, default=samples_default, help=samples_help)
         p.add_argument("--scheme", choices=(weights_mod.SCHEME_PSEUDO,
                                             weights_mod.SCHEME_LOW_DISCREPANCY),
                        default=weights_mod.SCHEME_PSEUDO)
@@ -452,13 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     w_kp.add_argument("--model", required=True)
     w_kp.add_argument("--spec", required=True)
     w_kp.add_argument("--species-cap", type=int, default=None)
-    add_common(w_kp)
+    add_common(w_kp, samples_help="samples per species pair for a box integral of |zeta| "
+                                  "that has no closed form")
     w_kp.set_defaults(handler=cmd_weights_kp_check)
     w_st = wsub.add_parser("stability")
     w_st.add_argument("--model", required=True)
     w_st.add_argument("--b", type=float, required=True)
     w_st.add_argument("--max-n", type=int, default=4)
-    add_common(w_st, samples_default=2000)
+    add_common(w_st, samples_default=2000, samples_help="random configurations to test")
     w_st.set_defaults(handler=cmd_weights_stability)
 
     bounds = sub.add_parser("bounds", help="convergence constants and audits")

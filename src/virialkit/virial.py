@@ -31,7 +31,6 @@ from .graphs import (
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
     connected_block_profiles,
-    connected_graph_list,
     two_connected_graph_list,
 )
 from .series import (
@@ -197,10 +196,11 @@ def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
 
 
 def _sum_connected_weights(model, m: int, colours: tuple[int, ...]):
-    """sum over all connected graphs on {1..m} of w(g, colours)."""
+    """sum over all connected graphs on {1..m} of w(g, colours): over the class
+    table for a synthetic model, one joint Monte Carlo estimate otherwise."""
     if isinstance(model, SyntheticBlockModel):
         return _sum_class_weights(model, _connected_block_classes(m, colours))
-    return sum(model.connected_weight(g, colours) for g in connected_graph_list(m))
+    return model.connected_sum_with_error(m, colours)[0]
 
 
 def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
@@ -239,7 +239,8 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     masks index its canonical table once, and equal rows of key codes are
     counted.  Every model multiplies its block weights over the table's
     entries (75 to 3 074 at degree 6 over three species, against 26 704
-    graphs).  Other sources are summed graph by graph.  Degrees above
+    graphs).  A Monte Carlo source estimates each (|n|, colouring) sum at
+    once, from one sample stream (`weights.mayer_sum_mc`).  Degrees above
     MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     series = _weight_sum_series(_sum_connected_weights, model, truncation, min_degree=1)
@@ -251,18 +252,15 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
 
 def mc_pressure_series(potential: PairPotential, params: McParams,
                        truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
-    """Monte Carlo pressure series plus the standard error of each b(n)
-    (independent per-graph estimates, errors added in quadrature)."""
+    """Monte Carlo pressure series plus the standard error of each b(n), read
+    off the same joint estimate per (|n|, colouring) that
+    `pressure_from_weights` makes, so the b(n) of both are bit-equal."""
     errors: dict[MultiIndex, float] = {}
 
     def sum_with_errors(source: McWeightSource, m: int, colours: tuple[int, ...]) -> float:
-        total, var = 0.0, 0.0
-        for g in connected_graph_list(m):
-            est, err = source.connected_weight_with_error(g, colours)
-            total += est
-            var += err * err
+        total, err = source.connected_sum_with_error(m, colours)
         n = MultiIndex(Counter(colours))
-        errors[n] = var ** 0.5 / n.factorial()
+        errors[n] = err / n.factorial()
         return total
 
     series = _weight_sum_series(sum_with_errors, McWeightSource(potential, params), truncation,

@@ -9,6 +9,13 @@ the origin by translation invariance.  Synthetic models assign exact rational
 weights per two-connected block and extend to connected graphs by block
 factorization.
 
+Monte Carlo estimates come two ways from one sampler (`_mc_integral`): the
+weight of a single graph (`weight_mc`), and the sum of the weights of all
+connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
+evaluates each pair's Mayer factor once per sample and sums the graphs by
+subset recursion.  The pressure needs only the sums; `weights estimate` and
+the two-connected route estimate single graphs.
+
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
 potential may override it with a cheaper exact form (hard rods do: -1 on
@@ -34,6 +41,8 @@ from .graphs import (
     Block,
     ColouredGraph,
     Graph,
+    _pair_index,
+    _pairs,
     block_decomposition,
     canonical_coloured_key,
     graph_from_json,
@@ -248,6 +257,59 @@ def _orientations_from_unit(u: np.ndarray, d: int) -> np.ndarray | None:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
+             values: Callable[[int, list, list], np.ndarray]) -> tuple[float, float]:
+    """(estimate, stderr) of the box integral of a sampled function of n
+    molecules, molecule 1 pinned at the origin.
+
+    `values(count, positions, orientations)` returns one float per sample from
+    per-vertex arrays: positions[v] of shape (count, d), orientations[v] of
+    shape (count, d) or None in one dimension.  Both estimators share it, so
+    the volume check, the sampler and the mapping of the unit cube exist once.  Samples are drawn `rows` at a
+    time, and the mean is scaled by the volume L^(d(n-1)) of the free
+    positions; a volume that is not a positive finite float raises ValueError
+    before any sampling.
+    """
+    d = u.dimension
+    L = float(u.box_length)
+    try:
+        scale = L ** (d * (n - 1))
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ValueError(f"L = {L:g}: the volume factor L^{d * (n - 1)} of a graph on {n} "
+                         f"vertices in dimension {d} is not a positive finite float")
+    odims = _orientation_dims(d)
+    pos_cols = (n - 1) * d
+    sampler = _UnitSampler(p, mc_sample_dims(n, d))
+
+    total = 0.0
+    total_sq = 0.0
+    remaining = p.sample_count
+    while remaining > 0:
+        count = min(rows, remaining)
+        unit = sampler.draw(count)
+        positions = [np.zeros((count, d))]  # molecule 1 at the origin
+        for v in range(1, n):
+            positions.append(L * unit[:, (v - 1) * d: v * d])
+        orientations: list[np.ndarray | None] = []
+        for v in range(n):
+            if odims == 0:
+                orientations.append(None)
+            else:
+                cols = unit[:, pos_cols + v * odims: pos_cols + (v + 1) * odims]
+                orientations.append(_orientations_from_unit(cols, d))
+        x = values(count, positions, orientations)
+        total += float(x.sum())
+        total_sq += float((x * x).sum())
+        remaining -= count
+
+    count = p.sample_count
+    mean = total / count
+    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
+    return scale * mean, scale * math.sqrt(var / count)
+
+
 def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, float]:
     """Monte Carlo estimate of the cluster integral of a coloured connected graph.
 
@@ -261,49 +323,93 @@ def weight_mc(g: ColouredGraph, u: PairPotential, p: McParams) -> tuple[float, f
         return 1.0, 0.0
     if n < 1 or not is_connected(g.graph):
         raise ValueError("cluster weights are defined for connected graphs")
-
-    d = u.dimension
-    L = float(u.box_length)
-    try:
-        scale = L ** (d * (n - 1))
-    except OverflowError:
-        scale = math.inf
-    if not 0 < scale < math.inf:
-        raise ValueError(f"L = {L:g}: the volume factor L^{d * (n - 1)} of a graph on {n} "
-                         f"vertices in dimension {d} is not a positive finite float")
-    odims = _orientation_dims(d)
-    pos_cols = (n - 1) * d
-    sampler = _UnitSampler(p, mc_sample_dims(n, d))
     edges = g.graph.sorted_edges()
 
-    total = 0.0
-    total_sq = 0.0
-    remaining = p.sample_count
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        unit = sampler.draw(m)
-        positions = [np.zeros((m, d))]  # molecule 1 at the origin
-        for v in range(1, n):
-            positions.append(L * unit[:, (v - 1) * d: v * d])
-        orientations: list[np.ndarray | None] = []
-        for v in range(n):
-            if odims == 0:
-                orientations.append(None)
-            else:
-                cols = unit[:, pos_cols + v * odims: pos_cols + (v + 1) * odims]
-                orientations.append(_orientations_from_unit(cols, d))
-        values = np.ones(m)
+    def mayer_product(count, positions, orientations):
+        values = np.ones(count)
         for i, j in edges:
             values *= u.zeta_batch(g.colours[i - 1], positions[i - 1], orientations[i - 1],
                                    g.colours[j - 1], positions[j - 1], orientations[j - 1])
-        total += float(values.sum())
-        total_sq += float((values * values).sum())
-        remaining -= m
+        return values
 
-    count = p.sample_count
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    return scale * mean, scale * math.sqrt(var / count)
+    return _mc_integral(n, u, p, MC_CHUNK, mayer_product)
+
+
+def _times(x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray | None:
+    """x * y, where None stands for a row of ones."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x * y
+
+
+def _connected_sum(m: int, zeta: np.ndarray) -> np.ndarray:
+    """Per sample, the sum over the connected graphs on {1..m} of the product
+    of Mayer factors over their edges.
+
+    `zeta` has one row per vertex pair in `_pairs(m)` order (the edge-bit
+    order of `Graph` masks) and one column per sample.  With vertex sets as
+    bitmasks (vertex v is bit v - 1), A(S) = prod_{i<j in S} (1 + zeta_ij) is
+    the sum over all graphs on S, and the connected part follows by splitting
+    off the component of the lowest vertex:
+    C(S) = A(S) - sum_{T contains min S, T proper subset of S} C(T) A(S - T).
+    Only sets containing vertex 1 need C, so the work is O(3^m) rows.  Rows
+    that are all ones (A of the empty set and of single vertices, C of
+    {1}) are never formed.
+    """
+    if m == 1:
+        return np.ones(zeta.shape[1])
+    f = 1.0 + zeta
+    a: list[np.ndarray | None] = [None] * (1 << m)
+    # link[r] = prod_{i in r} (1 + zeta_iv) for the sets r below vertex v
+    link: list[np.ndarray | None] = [None] * (1 << (m - 1))
+    for v in range(1, m):
+        top = 1 << v
+        for r in range(1, top):
+            i = r.bit_length() - 1
+            link[r] = _times(link[r ^ (1 << i)], f[_pair_index(i + 1, v + 1, m)])
+            a[top | r] = _times(a[r], link[r])
+    c: list[np.ndarray | None] = [None] * (1 << (m - 1))  # c[s >> 1] = C(s), 1 in s
+    for s in range(3, 1 << m, 2):
+        rest = s ^ 1
+        acc = a[s].copy()
+        t = rest
+        while t:  # T = {1} + t over the proper subsets t of rest, the empty set last
+            t = (t - 1) & rest
+            term = _times(c[t >> 1], a[rest ^ t])
+            acc -= 1.0 if term is None else term
+        c[s >> 1] = acc
+    return c[-1]
+
+
+def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
+                 p: McParams) -> tuple[float, float]:
+    """Monte Carlo estimate of the sum of the cluster integrals of all
+    connected graphs on {1..m} coloured by `colours`, with its stderr.
+
+    The integral is linear, so the sum is one integral of the summed Mayer
+    products: each sample evaluates every pair's Mayer factor once and sums
+    the connected graphs by subset recursion (`_connected_sum`).  Samples are
+    drawn MC_CHUNK >> (m - 1) at a time, so that the at most 2^(m+1) subset
+    rows of a chunk hold at most 4 MC_CHUNK floats at every m.  m = 1 gives
+    exactly (1.0, 0.0).
+    """
+    if m < 1 or len(colours) != m:
+        raise ValueError(f"need a colour for each of m >= 1 vertices, got m = {m} "
+                         f"and {len(colours)} colours")
+    if m == 1:
+        return 1.0, 0.0
+    pairs = _pairs(m)
+
+    def connected_sum(count, positions, orientations):
+        zeta = np.empty((len(pairs), count))
+        for b, (i, j) in enumerate(pairs):
+            zeta[b] = u.zeta_batch(colours[i - 1], positions[i - 1], orientations[i - 1],
+                                   colours[j - 1], positions[j - 1], orientations[j - 1])
+        return _connected_sum(m, zeta)
+
+    return _mc_integral(m, u, p, MC_CHUNK >> (m - 1), connected_sum)
 
 
 # -- synthetic block-factorizing models --------------------------------------
@@ -406,9 +512,12 @@ def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
 class McWeightSource:
     """Adapter: Monte Carlo cluster integrals as a (float-field) weight source.
 
-    Each coloured graph gets its own seed derived from the base seed and the
-    graph, so results do not depend on evaluation order.  Rigid molecules
-    factorize over blocks, hence `block_factorizing` is True.
+    The pressure reads one estimate per (vertex count, colouring): the sum
+    over all connected graphs from `mayer_sum_mc`.  Single graphs (the
+    two-connected route) get one estimate each.  Every estimate draws its own
+    stream, seeded from the base seed and what it estimates, so results do not
+    depend on evaluation order.  Rigid molecules factorize over blocks, hence
+    `block_factorizing` is True.
     """
 
     field = "float"
@@ -418,19 +527,24 @@ class McWeightSource:
         self.potential = potential
         self.params = params
 
-    def _params_for(self, graph: Graph, colours: tuple[int, ...]) -> McParams:
-        digest = zlib.crc32(repr((self.params.seed, graph.n, graph.mask, colours)).encode())
+    def _stream(self, *key) -> McParams:
+        """The base parameters with the seed crc32(repr((base seed, *key))):
+        key (n, edge mask, colours) for one graph, (m, colours) for the sum
+        over the connected graphs on m vertices."""
+        digest = zlib.crc32(repr((self.params.seed, *key)).encode())
         return McParams(self.params.sample_count, int(digest), self.params.scheme)
 
-    def connected_weight_with_error(self, graph: Graph,
-                                    colours: tuple[int, ...]) -> tuple[float, float]:
-        if graph.n == 1:
-            return 1.0, 0.0
-        cg = ColouredGraph(graph, colours)
-        return weight_mc(cg, self.potential, self._params_for(graph, colours))
+    def _params_for(self, graph: Graph, colours: tuple[int, ...]) -> McParams:
+        return self._stream(graph.n, graph.mask, colours)
+
+    def connected_sum_with_error(self, m: int,
+                                 colours: tuple[int, ...]) -> tuple[float, float]:
+        """sum over the connected graphs on {1..m} of their weights, with its stderr."""
+        return mayer_sum_mc(m, colours, self.potential, self._stream(m, colours))
 
     def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> float:
-        return self.connected_weight_with_error(graph, colours)[0]
+        return weight_mc(ColouredGraph(graph, colours), self.potential,
+                         self._params_for(graph, colours))[0]
 
 
 # -- interaction-criteria checks ----------------------------------------------

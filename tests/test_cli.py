@@ -245,16 +245,18 @@ def test_virial_stdout_is_pinned_at_degree_6(tmp_path, capsys, monkeypatch, meth
 # -- weights ----------------------------------------------------------------------
 
 
-# SHA-256 of the stdout of Monte Carlo commands on a hard-rod mixture, as
-# written by the exp-of-energy Mayer kernel; the model and graph paths are
-# printed, so they are relative to the working directory
+# SHA-256 of the stdout of Monte Carlo commands on a hard-rod mixture; the
+# model and graph paths are printed, so they are relative to the working
+# directory.  `weights estimate` is one `weight_mc` run, as written by the
+# exp-of-energy Mayer kernel; the `virial invert` pressures are one joint
+# estimate per (vertex count, colouring) by subset recursion
 PINNED_MC_STDOUT = {
     ("virial", "invert", "--method", "recursive", "--degree", "4", "--samples", "20000"):
-        "d80e2690101c35405415a825cc5853e4e5dafbe47659dd03574fab4d232cba0e",
+        "16a4a53f4ce813a8575377a6f64cd89ccbf55910b3a91425e189849b9afb03ca",
     ("virial", "invert", "--method", "recursive", "--degree", "3", "--samples", "100000"):
-        "4ea26299a96630372a4c8aaf5e26ed27cda382b726df93205f9fadaae015e41f",
+        "1e007daf003fb1396902363e9e843cd37652f81ea9f8b00d0ff48056571b5dcc",
     ("virial", "invert", "--method", "lagrange-good", "--degree", "4", "--samples", "20000"):
-        "0d20778dc8e7f49abe0bd76833de1e2fe1b769ab484ebcb993bffe99dd44d0d4",
+        "7f75d3069631b99153f7cd8b06e388d2587b4e44c6278832f8ac1bac08ee3270",
     ("weights", "estimate", "--graph", "graph.json", "--samples", "50000"):
         "269f4a76a4989eb546f22cbff27d56a5fe5261fef2883c2b79c50134dcab13a3",
 }

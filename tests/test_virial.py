@@ -573,10 +573,25 @@ def test_pressure_from_weights_with_mc_source_runs():
     assert abs(float(v.series[e(2)]) - 1.0) < 0.25
 
 
+def test_mc_pressure_series_b_within_four_errors_of_tonks():
+    # hard rods in a box wider than any 4-rod cluster: b(n) of the Tonks gas,
+    # (-sum_k n_k sigma_k)^(|n| - 1) / n!, with the overlap width of a pair
+    # the sum of the rod lengths
+    sigma = {1: 1, 2: 2}
+    t = Truncation(4, 2)
+    p, errs = mc_pressure_series(HardRods1D(sigma, 40), McParams(100_000, seed=17), t)
+    for n in admissible_indices(t, min_degree=1):
+        exact = Fraction(-sum(e * sigma[k] for k, e in n.items())) ** (n.degree - 1) \
+            / n.factorial()
+        assert abs(p.series[n] - float(exact)) <= 4 * errs[n], (n, p.series[n], errs[n])
+        assert (errs[n] > 0) == (n.degree > 1)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_mc_pressure_series_matches_pressure_from_mc_weights(seed):
-    # both builds share one weight-sum loop: b(n) agree to the last bit, and
-    # every admissible n carries an error, zero only for the single vertex
+    # both builds read the same joint estimate per (|n|, colouring): b(n)
+    # agree to the last bit, and every admissible n carries an error, zero
+    # only for the single vertex
     rods = HardRods1D({1: 1.0, 2: 0.5}, 10.0)
     t = Truncation(3, 2)
     p, errs = mc_pressure_series(rods, McParams(2000, seed=seed), t)

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from virialkit.graphs import ColouredGraph, Graph
+from virialkit.graphs import ColouredGraph, Graph, connected_graph_list
 from virialkit.weights import (
     CustomPairPotential,
     HardRods1D,
@@ -16,7 +17,9 @@ from virialkit.weights import (
     PairPotential,
     SyntheticBlockModel,
     _abs_zeta_integral_mc,
+    _connected_sum,
     kp_check,
+    mayer_sum_mc,
     minimum_image,
     model_from_json,
     model_to_json,
@@ -290,6 +293,120 @@ def test_weight_mc_output_is_pinned(edges, colours, u, params, pinned):
     got = weight_mc(g, u, params)
     assert tuple(v.hex() for v in got) == pinned
     assert [np.signbit(v) for v in got] == [np.signbit(float.fromhex(h)) for h in pinned]
+
+
+# -- joint Monte Carlo sums over the connected graphs ----------------------------------
+
+
+def brute_connected_sum(m, zeta):
+    """The oracle: per sample, sum over the labelled connected graphs on
+    {1..m} of the product of their edges' rows of `zeta` (bit b of a mask is
+    row b), and the same sum of absolute values."""
+    total = np.zeros(zeta.shape[1])
+    scale = np.zeros(zeta.shape[1])
+    for g in connected_graph_list(m):
+        product = np.ones(zeta.shape[1])
+        for b in range(len(zeta)):
+            if g.mask >> b & 1:
+                product = product * zeta[b]
+        total += product
+        scale += np.abs(product)
+    return total, scale
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_subset_recursion_is_exact_on_hard_core_factors(m):
+    rng = np.random.default_rng(m)
+    zeta = -(rng.random((m * (m - 1) // 2, 300)) < 0.4).astype(float)
+    want, _ = brute_connected_sum(m, zeta)
+    got = _connected_sum(m, zeta)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.round(got))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_subset_recursion_matches_the_graph_sum_on_float_factors(m):
+    rng = np.random.default_rng(100 + m)
+    zeta = rng.uniform(-1.0, 1.5, (m * (m - 1) // 2, 40))
+    want, scale = brute_connected_sum(m, zeta)
+    # relative to the sum of the absolute terms: the graph sum may cancel
+    assert np.all(np.abs(_connected_sum(m, zeta) - want) <= 1e-12 * scale)
+
+
+RODS_12 = HardRods1D({1: 1, 2: 2}, 40)
+
+
+def per_graph_sum(m, colours, u, params):
+    """sum over the connected graphs of their weight_mc estimates, each on its
+    own stream, with the errors added in quadrature."""
+    total, var = 0.0, 0.0
+    for index, g in enumerate(connected_graph_list(m)):
+        est, err = weight_mc(ColouredGraph(g, colours), u,
+                             McParams(params.sample_count, params.seed + index, params.scheme))
+        total += est
+        var += err * err
+    return total, math.sqrt(var)
+
+
+@pytest.mark.parametrize("colours,u,params", [
+    ((1, 2, 2), CustomPairPotential(soft_2d, 2, 10.0, (1, 2)), McParams(3000, 41)),
+    ((1, 1, 2, 2), RODS_12, McParams(2 ** 14, 42, "low-discrepancy")),
+    ((1, 2, 2, 2), RODS_12, McParams(100_000, 43)),
+], ids=["soft-2d", "rods-sobol", "rods"])
+def test_joint_sum_agrees_with_the_per_graph_oracle(colours, u, params):
+    m = len(colours)
+    est, err = mayer_sum_mc(m, colours, u, params)
+    want, want_err = per_graph_sum(m, colours, u, McParams(params.sample_count,
+                                                           params.seed + 1000, params.scheme))
+    assert err > 0 and want_err > 0
+    assert abs(est - want) <= 4 * math.hypot(err, want_err)
+
+
+def test_joint_sum_of_one_vertex_and_bad_colourings():
+    assert mayer_sum_mc(1, (2,), RODS_12, McParams(100)) == (1.0, 0.0)
+    for m, colours in ((0, ()), (2, (1,)), (3, (1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="colour"):
+            mayer_sum_mc(m, colours, RODS_12, McParams(100))
+
+
+def test_joint_sum_keeps_the_volume_check():
+    with pytest.raises(ValueError, match="L = 1e[+]300"):
+        mayer_sum_mc(3, (1, 1, 1), HardRods1D({1: 1}, 1e300), McParams(100))
+
+
+def test_joint_sum_repeats_byte_for_byte():
+    for u, params in ((RODS_12, McParams(70_000, 7)),
+                      (CustomPairPotential(soft_2d, 2, 10.0, (1, 2)), McParams(500, 8))):
+        runs = [mayer_sum_mc(3, (1, 2, 2), u, params) for _ in range(2)]
+        assert [tuple(v.hex() for v in r) for r in runs] == \
+            [tuple(v.hex() for v in runs[0])] * 2
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_joint_sum_chunks_are_no_larger_than_weight_mcs():
+    params = McParams(200_000, 9)
+    path = ColouredGraph(Graph.from_edges(6, [(v, v + 1) for v in range(1, 6)]), (1,) * 6)
+    limit = peak_bytes(lambda: weight_mc(path, RODS_12, params))
+    for colours in ((1, 2), (1, 1, 1, 2, 2, 2)):
+        assert peak_bytes(lambda: mayer_sum_mc(len(colours), colours, RODS_12, params)) <= limit
+
+
+@pytest.mark.parametrize("m,colours,seed", [
+    (2, (1, 2), 1229667891),
+    (4, (1, 1, 2, 2), 1705859142),
+])
+def test_mc_weight_sum_seeds_are_pinned(m, colours, seed):
+    # one stream per (base seed, m, colours), as the per-graph streams
+    source = McWeightSource(RODS_12, McParams(1000, 3))
+    assert source._stream(m, colours).seed == seed
 
 
 def test_mc_params_validation():
