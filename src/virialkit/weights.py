@@ -38,6 +38,7 @@ import numpy as np
 from ._config import (config_int, config_list, config_mapping, config_number,
                       config_species, to_fraction)
 from .graphs import (
+    MAX_WEIGHT_SUM_VERTICES,
     Block,
     ColouredGraph,
     Graph,
@@ -258,14 +259,14 @@ def _orientations_from_unit(u: np.ndarray, d: int) -> np.ndarray | None:
 
 
 def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
-             values: Callable[[int, list, list], np.ndarray]) -> tuple[float, float]:
+                 values: Callable[[int, list, list], np.ndarray]) -> tuple[float, float]:
     """(estimate, stderr) of the box integral of a sampled function of n
-    molecules, molecule 1 pinned at the origin.
+    molecules, molecule 1 pinned at the origin; both estimators share it, so
+    the volume check, the sampler and the mapping of the unit cube exist once.
 
     `values(count, positions, orientations)` returns one float per sample from
     per-vertex arrays: positions[v] of shape (count, d), orientations[v] of
-    shape (count, d) or None in one dimension.  Both estimators share it, so
-    the volume check, the sampler and the mapping of the unit cube exist once.  Samples are drawn `rows` at a
+    shape (count, d) or None in one dimension.  Samples are drawn `rows` at a
     time, and the mean is scaled by the volume L^(d(n-1)) of the free
     positions; a volume that is not a positive finite float raises ValueError
     before any sampling.
@@ -393,11 +394,15 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
     the connected graphs by subset recursion (`_connected_sum`).  Samples are
     drawn MC_CHUNK >> (m - 1) at a time, so that the at most 2^(m+1) subset
     rows of a chunk hold at most 4 MC_CHUNK floats at every m.  m = 1 gives
-    exactly (1.0, 0.0).
+    exactly (1.0, 0.0); m is capped at MAX_WEIGHT_SUM_VERTICES, like every
+    weight sum.
     """
     if m < 1 or len(colours) != m:
         raise ValueError(f"need a colour for each of m >= 1 vertices, got m = {m} "
                          f"and {len(colours)} colours")
+    if m > MAX_WEIGHT_SUM_VERTICES:
+        raise ValueError(f"weight sums are capped at {MAX_WEIGHT_SUM_VERTICES} vertices, "
+                         f"got m = {m}")
     if m == 1:
         return 1.0, 0.0
     pairs = _pairs(m)

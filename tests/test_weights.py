@@ -362,11 +362,13 @@ def test_joint_sum_agrees_with_the_per_graph_oracle(colours, u, params):
     assert abs(est - want) <= 4 * math.hypot(err, want_err)
 
 
-def test_joint_sum_of_one_vertex_and_bad_colourings():
+def test_joint_sum_of_one_vertex_bad_colourings_and_the_size_cap():
     assert mayer_sum_mc(1, (2,), RODS_12, McParams(100)) == (1.0, 0.0)
     for m, colours in ((0, ()), (2, (1,)), (3, (1, 1, 1, 1))):
         with pytest.raises(ValueError, match="colour"):
             mayer_sum_mc(m, colours, RODS_12, McParams(100))
+    with pytest.raises(ValueError, match="capped at 6 vertices"):
+        mayer_sum_mc(7, (1,) * 7, RODS_12, McParams(100))
 
 
 def test_joint_sum_keeps_the_volume_check():
@@ -377,9 +379,8 @@ def test_joint_sum_keeps_the_volume_check():
 def test_joint_sum_repeats_byte_for_byte():
     for u, params in ((RODS_12, McParams(70_000, 7)),
                       (CustomPairPotential(soft_2d, 2, 10.0, (1, 2)), McParams(500, 8))):
-        runs = [mayer_sum_mc(3, (1, 2, 2), u, params) for _ in range(2)]
-        assert [tuple(v.hex() for v in r) for r in runs] == \
-            [tuple(v.hex() for v in runs[0])] * 2
+        first, second = (mayer_sum_mc(3, (1, 2, 2), u, params) for _ in range(2))
+        assert [v.hex() for v in first] == [v.hex() for v in second]
 
 
 def peak_bytes(call):
