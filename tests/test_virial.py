@@ -581,7 +581,7 @@ def test_mc_pressure_series_b_within_four_errors_of_tonks():
     t = Truncation(4, 2)
     p, errs = mc_pressure_series(HardRods1D(sigma, 40), McParams(100_000, seed=17), t)
     for n in admissible_indices(t, min_degree=1):
-        exact = Fraction(-sum(e * sigma[k] for k, e in n.items())) ** (n.degree - 1) \
+        exact = Fraction(-sum(count * sigma[k] for k, count in n.items())) ** (n.degree - 1) \
             / n.factorial()
         assert abs(p.series[n] - float(exact)) <= 4 * errs[n], (n, p.series[n], errs[n])
         assert (errs[n] > 0) == (n.degree > 1)
