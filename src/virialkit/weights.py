@@ -9,12 +9,13 @@ the origin by translation invariance.  Synthetic models assign exact rational
 weights per two-connected block and extend to connected graphs by block
 factorization.
 
-Monte Carlo estimates come two ways from one sampler (`_mc_integral`): the
-weight of a single graph (`weight_mc`), and the sum of the weights of all
+Every Monte Carlo box integral runs on one sampler (`_mc_integral`): the
+weight of a single graph (`weight_mc`), the sum of the weights of all
 connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
 evaluates each pair's Mayer factor once per sample and sums the graphs by
-subset recursion.  The pressure needs only the sums; `weights estimate` and
-the two-connected route estimate single graphs.
+subset recursion, and the pair integral of |zeta| of the convergence check.
+The pressure needs only the sums; `weights estimate` and the two-connected
+route estimate single graphs.
 
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
@@ -261,8 +262,9 @@ def _orientations_from_unit(u: np.ndarray, d: int) -> np.ndarray | None:
 def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
                  values: Callable[[int, list, list], np.ndarray]) -> tuple[float, float]:
     """(estimate, stderr) of the box integral of a sampled function of n
-    molecules, molecule 1 pinned at the origin; both estimators share it, so
-    the volume check, the sampler and the mapping of the unit cube exist once.
+    molecules, molecule 1 pinned at the origin; every Monte Carlo integral
+    here runs through it, so the volume check, the sampler and the mapping of
+    the unit cube exist once.
 
     `values(count, positions, orientations)` returns one float per sample from
     per-vertex arrays: positions[v] of shape (count, d), orientations[v] of
@@ -605,25 +607,14 @@ def _abs_zeta_integral_mc(u: PairPotential, k: int, l: int, quadrature: McParams
     is symmetric in k and l, so both orders pin the lower species and draw the
     one stream of the unordered pair."""
     k, l = min(k, l), max(k, l)
-    d = u.dimension
-    L = float(u.box_length)
-    odims = _orientation_dims(d)
-    dims = d + 2 * odims
-    sampler = _UnitSampler(McParams(quadrature.sample_count,
-                                    quadrature.seed ^ zlib.crc32(f"kp:{k}:{l}".encode()),
-                                    quadrature.scheme), dims)
-    total = 0.0
-    remaining = quadrature.sample_count
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        unit = sampler.draw(m)
-        x2 = L * unit[:, :d]
-        o1 = _orientations_from_unit(unit[:, d: d + odims], d) if odims else None
-        o2 = _orientations_from_unit(unit[:, d + odims: d + 2 * odims], d) if odims else None
-        z = u.zeta_batch(k, np.zeros((m, d)), o1, l, x2, o2)
-        total += float(np.abs(z).sum())
-        remaining -= m
-    return (L ** d) * total / quadrature.sample_count
+    params = McParams(quadrature.sample_count,
+                      quadrature.seed ^ zlib.crc32(f"kp:{k}:{l}".encode()), quadrature.scheme)
+
+    def abs_zeta(count, positions, orientations):
+        return np.abs(u.zeta_batch(k, positions[0], orientations[0],
+                                   l, positions[1], orientations[1]))
+
+    return _mc_integral(2, u, params, MC_CHUNK, abs_zeta)[0]
 
 
 def kp_check(u: PairPotential, spec: KpSpec, species_cap: int,
