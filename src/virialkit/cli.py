@@ -298,6 +298,8 @@ def cmd_weights_estimate(args) -> int:
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("weights estimate needs an interaction model")
     cg = graphs_mod.coloured_graph_from_json(_load_json(args.graph))
+    for k, colour in enumerate(cg.colours):  # each colour must be one of the model's species
+        _species_cap(model, colour, f"colours[{k}]")
     params = McParams(args.samples, args.seed, args.scheme)
     edges = cg.graph.mask.bit_count()
     if edges * params.sample_count > MAX_ESTIMATE_MAYER_FACTORS:
@@ -385,7 +387,9 @@ def cmd_bounds_compute(args) -> int:
 
 
 MC_SAMPLES_HELP = ("Monte Carlo samples: per (vertex count, colouring) for the pressure, "
-                   "per graph for weights estimate and the two-connected route")
+                   "per graph for weights estimate, per labelled graph for the two-connected "
+                   "route, where a class of c isomorphic graphs draws c × samples in one run")
+SEED_MAX = 2 ** 64 - 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,6 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            args.seed = config_int(args.seed, "--seed", 0, SEED_MAX, "a 64-bit seed")
         return args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ from .graphs import (
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
     connected_block_profiles,
-    two_connected_graph_list,
 )
 from .series import (
     RATIONAL,
@@ -204,11 +203,11 @@ def _sum_connected_weights(model, m: int, colours: tuple[int, ...]):
 
 
 def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
-    """sum over all two-connected graphs on {1..m} of w(g, colours)."""
+    """sum over all two-connected graphs on {1..m} of w(g, colours), by class."""
+    classes = _two_connected_classes(m, colours)
     if isinstance(model, SyntheticBlockModel):
-        return _sum_class_weights(model, (((key,), count)
-                                          for key, count in _two_connected_classes(m, colours)))
-    return sum(model.connected_weight(g, colours) for g in two_connected_graph_list(m))
+        return _sum_class_weights(model, (((key,), count) for key, count in classes))
+    return sum(count * model.class_weight_with_error(key, count)[0] for key, count in classes)
 
 
 def _weight_sum_series(sum_weights, model, truncation: Truncation,
@@ -404,12 +403,12 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
     """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum).
 
-    For a synthetic block model the sum runs over the memoised,
-    model-independent class table of (|n|, colouring): one entry per
-    canonical coloured key with its number of labelled graphs, read as one
-    canonical-table lookup over the masks of the two-connected graphs.  Other
-    sources are summed graph by graph.  Degrees above MAX_WEIGHT_SUM_VERTICES
-    raise ValueError.
+    The sum runs over the memoised, model-independent class table of
+    (|n|, colouring): one entry per canonical coloured key with its number of
+    labelled graphs, read as one canonical-table lookup over the masks of the
+    two-connected graphs.  A Monte Carlo source makes one run per class (27 at
+    degree 4 over two species, against 57 labelled graphs).  Degrees above
+    MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     _require_block_factorizing(model)
     return TwoConnectedGF(_weight_sum_series(_sum_two_connected_weights, model, truncation,

@@ -14,8 +14,8 @@ weight of a single graph (`weight_mc`), the sum of the weights of all
 connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
 evaluates each pair's Mayer factor once per sample and sums the graphs by
 subset recursion, and the pair integral of |zeta| of the convergence check.
-The pressure needs only the sums; `weights estimate` and the two-connected
-route estimate single graphs.
+The pressure needs only the sums; `weights estimate` estimates one graph and
+the two-connected route one canonical graph per class of isomorphic graphs.
 
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -499,9 +499,6 @@ class SyntheticBlockModel:
         return self.weight_for_canonical_key(
             canonical_coloured_key(b.size, b.relabelled_mask, restricted))
 
-    def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> Fraction:
-        return synthetic_weight(ColouredGraph(graph, colours), self)
-
 
 def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
     """Weight of a connected coloured graph under a block-factorizing model:
@@ -520,11 +517,11 @@ class McWeightSource:
     """Adapter: Monte Carlo cluster integrals as a (float-field) weight source.
 
     The pressure reads one estimate per (vertex count, colouring): the sum
-    over all connected graphs from `mayer_sum_mc`.  Single graphs (the
-    two-connected route) get one estimate each.  Every estimate draws its own
-    stream, seeded from the base seed and what it estimates, so results do not
-    depend on evaluation order.  Rigid molecules factorize over blocks, hence
-    `block_factorizing` is True.
+    over all connected graphs from `mayer_sum_mc`.  The two-connected route
+    reads one per class of isomorphic two-connected graphs.  Every estimate
+    draws its own stream, seeded from the base seed and what it estimates, so
+    results do not depend on evaluation order.  Rigid molecules factorize over
+    blocks, hence `block_factorizing` is True.
     """
 
     field = "float"
@@ -536,22 +533,24 @@ class McWeightSource:
 
     def _stream(self, *key) -> McParams:
         """The base parameters with the seed crc32(repr((base seed, *key))):
-        key (n, edge mask, colours) for one graph, (m, colours) for the sum
-        over the connected graphs on m vertices."""
+        key (n, edge mask, colours) for one graph, the canonical graph of a
+        class, and (m, colours) for the sum over the connected graphs on m vertices."""
         digest = zlib.crc32(repr((self.params.seed, *key)).encode())
         return McParams(self.params.sample_count, int(digest), self.params.scheme)
-
-    def _params_for(self, graph: Graph, colours: tuple[int, ...]) -> McParams:
-        return self._stream(graph.n, graph.mask, colours)
 
     def connected_sum_with_error(self, m: int,
                                  colours: tuple[int, ...]) -> tuple[float, float]:
         """sum over the connected graphs on {1..m} of their weights, with its stderr."""
         return mayer_sum_mc(m, colours, self.potential, self._stream(m, colours))
 
-    def connected_weight(self, graph: Graph, colours: tuple[int, ...]) -> float:
-        return weight_mc(ColouredGraph(graph, colours), self.potential,
-                         self._params_for(graph, colours))[0]
+    def class_weight_with_error(self, key: tuple, count: int) -> tuple[float, float]:
+        """(weight, stderr) of each of the `count` graphs in the class of the
+        canonical key (size, colours, mask): one `weight_mc` run of count × samples
+        on its canonical graph, so count × weight has the variance of count graph runs."""
+        size, colours, mask = key
+        stream = self._stream(size, mask, colours)
+        return weight_mc(ColouredGraph(Graph(size, mask), colours), self.potential,
+                         replace(stream, sample_count=count * stream.sample_count))
 
 
 # -- interaction-criteria checks ----------------------------------------------

@@ -143,7 +143,8 @@ def test_virial_compare_builds_the_pressure_once(capsys, monkeypatch, hard_rods_
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
-    assert run(capsys, *argv)[1] == out  # Monte Carlo seeds are per graph
+    # every Monte Carlo stream is seeded from --seed and what it estimates
+    assert run(capsys, *argv)[1] == out
 
 
 def test_virial_invert_ideal_gas(tmp_path, capsys):
@@ -505,6 +506,9 @@ def one_species_model(tmp_path):
      TWO_RODS_DOC, "--tol: expected"),
     (("virial", "compare", "--degree", "2", "--samples", "100", "--tol", "-1", "--model"),
      TWO_RODS_DOC, "--tol: expected"),
+    (("weights", "estimate", "--samples", "100", "--model", TWO_RODS, "--graph"),
+     {"n": 2, "edges": [[1, 2]], "colours": [3, 1]},
+     "colours[0]: expected a species index in 1..2 (the model's species), got 3"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
@@ -513,7 +517,7 @@ def one_species_model(tmp_path):
         "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
         "mc-volume-overflow", "estimate-above-mayer-cap", "rod-box-volume-overflow",
         "estimate-above-chunk-cap", "cap-above-rod-species", "radii-above-rod-species",
-        "rod-species-gap", "nan-tol", "inf-tol", "negative-tol"])
+        "rod-species-gap", "nan-tol", "inf-tol", "negative-tol", "colour-above-rod-species"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
@@ -599,3 +603,44 @@ def test_two_connected_method_on_non_factorizing_model(tmp_path, capsys, hard_ro
     with pytest.raises(ValueError):
         _virial_by_method(Opaque(), Truncation(2, 1), "two-connected")
 
+
+
+SAMPLING_COMMANDS = [
+    ("virial", "invert", "--degree", "2", "--model", TWO_RODS),
+    ("virial", "compare", "--degree", "2", "--tol", "1", "--model", TWO_RODS),
+    ("virial", "mu", "--degree", "2", "--species", "1", "--model", TWO_RODS),
+    ("weights", "estimate", "--graph", "<edge>", "--model", TWO_RODS),
+    ("weights", "kp-check", "--spec", "<kp spec>", "--model", TWO_RODS),
+    ("weights", "stability", "--b", "0", "--model", TWO_RODS),
+    ("bounds", "compute", "--spec", "<domain spec>", "--model", ONE_SPECIES),
+]
+SAMPLING_IDS = ["invert", "compare", "mu", "estimate", "kp-check", "stability", "bounds"]
+
+
+def sampling_argv(tmp_path, one_species_model, argv):
+    files = {TWO_RODS: write(tmp_path / "two.json", TWO_RODS_DOC),
+             ONE_SPECIES: one_species_model,
+             "<edge>": write(tmp_path / "edge.json",
+                             {"n": 2, "edges": [[1, 2]], "colours": [1, 2]}),
+             "<kp spec>": write(tmp_path / "kp.json", {"radii": {"1": 0.01}, "a": 1.0}),
+             "<domain spec>": write(tmp_path / "d.json",
+                                    {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}]})}
+    return [files.get(a, a) for a in argv] + ["--samples", "100"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "-18446744073709551616"])
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=SAMPLING_IDS)
+def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, one_species_model, argv, seed):
+    code, out, err = run(capsys, *sampling_argv(tmp_path, one_species_model, argv),
+                         "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed: expected a 64-bit seed in 0..{2 ** 64 - 1}, got {seed}\n"
+
+
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=SAMPLING_IDS)
+def test_every_64_bit_seed_is_accepted(tmp_path, capsys, one_species_model, argv):
+    for seed in ("0", str(2 ** 64 - 1)):
+        code, out, err = run(capsys, *sampling_argv(tmp_path, one_species_model, argv),
+                             "--seed", seed)
+        assert code in (0, 1) and err == "", (seed, err)
+        assert json.loads(out)["seed"] == int(seed)

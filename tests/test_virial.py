@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,9 +6,10 @@ from functools import lru_cache
 
 import pytest
 
-from virialkit import virial
+from virialkit import virial, weights
 from virialkit.graphs import (
     ColouredGraph,
+    Graph,
     _adjacency,
     _split_blocks,
     canonical_colouring,
@@ -21,6 +23,7 @@ from virialkit.series import (
     MultiIndex,
     Truncation,
     admissible_indices,
+    log,
     substitute,
 )
 from virialkit.virial import (
@@ -41,11 +44,13 @@ from virialkit.virial import (
     virial_inversion_problem,
 )
 from virialkit.weights import (
+    CustomPairPotential,
     HardRods1D,
     McParams,
     McWeightSource,
     SyntheticBlockModel,
     synthetic_weight,
+    weight_mc,
 )
 
 
@@ -600,3 +605,85 @@ def test_mc_pressure_series_matches_pressure_from_mc_weights(seed):
     assert all(type(b) is float for b in p.series.terms.values())
     assert list(errs) == list(admissible_indices(t, min_degree=1))
     assert all((err == 0.0) == (n.degree == 1) for n, err in errs.items())
+
+
+# -- the two-connected route on Monte Carlo sources -------------------------------------------
+
+
+ROD_MIXTURE = HardRods1D({1: 1, 2: 2}, 40)
+
+
+def recorded_weight_mc_runs(monkeypatch):
+    """Wrap `weights.weight_mc`; the list it returns fills with the
+    (graph, params) of every run."""
+    runs = []
+    run = weights.weight_mc
+
+    def recording(g, u, p):
+        runs.append((g, p))
+        return run(g, u, p)
+
+    monkeypatch.setattr(weights, "weight_mc", recording)
+    return runs
+
+
+@pytest.mark.parametrize("degree,classes,graphs", [(4, 27, 57), (5, 165, 1485)])
+def test_two_connected_route_makes_one_mc_run_per_class(monkeypatch, degree, classes, graphs):
+    # one run per canonical class, where one run per labelled graph made `graphs`;
+    # a class of c graphs draws c × samples, so the samples drawn are unchanged
+    runs = recorded_weight_mc_runs(monkeypatch)
+    two_connected_gf(McWeightSource(ROD_MIXTURE, McParams(3, seed=1)), Truncation(degree, 2))
+    assert len(runs) == classes
+    assert sum(p.sample_count for _, p in runs) == 3 * graphs
+
+
+def per_graph_two_connected_sum(source, m, colours):
+    """The oracle: one weight_mc run per labelled two-connected graph on
+    {1..m}, each on the stream (m, its mask, colours)."""
+    return sum(weight_mc(ColouredGraph(g, colours), source.potential,
+                         source._stream(m, g.mask, colours))[0]
+               for g in two_connected_graph_list(m))
+
+
+def soft_1d(a, b):
+    d = abs(a.position[0] - b.position[0]) % 10.0
+    return 0.5 * math.exp(-min(d, 10.0 - d) ** 2) * (a.species + b.species)
+
+
+@pytest.mark.parametrize("source", [
+    McWeightSource(ROD_MIXTURE, McParams(20_000, seed=5)),
+    McWeightSource(ROD_MIXTURE, McParams(2 ** 12, seed=6, scheme="low-discrepancy")),
+    McWeightSource(CustomPairPotential(soft_1d, 1, 10.0, (1, 2)), McParams(300, seed=7)),
+], ids=["rods", "rods-sobol", "soft-1d"])
+def test_two_connected_mc_sums_equal_the_per_graph_oracle_through_degree_3(source):
+    # through degree 3 every class holds one labelled graph, which keeps its stream
+    t = Truncation(3, 2)
+    B = two_connected_gf(source, t).series
+    for n in admissible_indices(t, min_degree=2):
+        colours = canonical_colouring(n)
+        want = per_graph_two_connected_sum(source, n.degree, colours)
+        got = virial._sum_two_connected_weights(source, n.degree, colours)
+        assert got.hex() == want.hex(), n
+        assert B[n].hex() == (want / n.factorial()).hex(), n
+
+
+def test_two_connected_mc_gf_within_four_errors_of_tonks():
+    # hard rods in a box wider than any 4-rod cluster: B(rho) of the Tonks gas
+    # is (sum_j rho_j) log(1 - sum_j sigma_j rho_j); each class total carries
+    # count × the stderr of its one run
+    t = Truncation(4, 2)
+    rho1, rho2 = (MPSeries.variable(k, t) for k in (1, 2))
+    tonks = (rho1 + rho2) * log(MPSeries.one(t) - rho1 - rho2.scaled(2)).series
+    source = McWeightSource(ROD_MIXTURE, McParams(100_000, seed=1))
+    B = two_connected_gf(source, t).series
+    for n in admissible_indices(t, min_degree=2):
+        m, colours = n.degree, canonical_colouring(n)
+        var = 0.0
+        for (_, _, mask), count in virial._two_connected_classes(m, colours):
+            stream = source._stream(m, mask, colours)
+            _, err = weight_mc(ColouredGraph(Graph(m, mask), colours), ROD_MIXTURE,
+                               McParams(count * stream.sample_count, stream.seed))
+            var += (count * err) ** 2
+        se = math.sqrt(var) / n.factorial()
+        assert se > 0
+        assert abs(B[n] - float(tonks[n])) <= 4 * se, (n, B[n], tonks[n], se)

@@ -256,11 +256,11 @@ def test_weight_mc_low_discrepancy_scheme():
     ([(1, 2), (1, 3), (2, 3), (3, 4)], (2, 1, 1, 2), 2111561284),
 ], ids=["edge", "path", "triangle-pendant"])
 def test_mc_graph_seeds_are_pinned(edges, colours, seed):
-    # each graph's Monte Carlo stream is seeded from (base seed, n, edge mask,
+    # a graph's Monte Carlo stream is seeded from (base seed, n, edge mask,
     # colours); a change of graph representation must not move these streams
     source = McWeightSource(HardRods1D({1: 1, 2: 2}, 40), McParams(1000, 3))
     graph = Graph.from_edges(len(colours), edges)
-    assert source._params_for(graph, colours).seed == seed
+    assert source._stream(graph.n, graph.mask, colours).seed == seed
 
 
 RODS_WITH_POINTS = HardRods1D({1: 1, 2: 2, 3: 0}, 40)
