@@ -114,13 +114,38 @@ def _emit_csv(rows: list[dict], args) -> None:
 # -- weight sources from model configs ----------------------------------------
 
 
-def _weight_source(model, args):
+# Largest Monte Carlo run a command accepts, in Mayer factors: one per edge
+# (or pair) per sample, at about 9·10^7 per second on hard rods (K_100 with
+# 10^6 samples takes 55 s on a 2-core Xeon, Python 3.11, numpy 2.4), so the
+# cap runs for about a minute; K_1000 would run 499 500 factors per sample
+# in `weights estimate`.  It also keeps the exact hard-core totals of a
+# joint sum below 2^53: a sample's value is at most (m - 1)! = 120 at m = 6.
+MAX_MC_MAYER_FACTORS = 5 * 10 ** 9
+
+
+def _weight_source(model, args, truncation: Truncation, routes=("pressure",)):
     """A synthetic model is its own exact weight source; interaction models
-    are wrapped in a seeded Monte Carlo source."""
+    are wrapped in a seeded Monte Carlo source, once the largest run that the
+    routes ("pressure", "two-connected") make is known to stay under
+    MAX_MC_MAYER_FACTORS, so that no sampling starts on a refused plan."""
     if isinstance(model, SyntheticBlockModel):
         return model
-    params = McParams(args.samples, args.seed, args.scheme)
-    return McWeightSource(model, params)
+    samples, d = args.samples, truncation.degree
+    runs = []
+    if "pressure" in routes and d >= 2:
+        pairs = d * (d - 1) // 2
+        runs.append((samples * pairs, f"{samples} samples × {pairs} pairs of the joint "
+                                      f"sum on {d} vertices"))
+    if "two-connected" in routes:
+        m, count, edges = virial_mod.largest_two_connected_class(truncation)
+        runs.append((count * samples * edges,
+                     f"{count} graphs × {samples} samples × {edges} edges of a two-connected "
+                     f"class on {m} vertices"))
+    for factors, what in runs:
+        if factors > MAX_MC_MAYER_FACTORS:
+            raise ValueError(f"--samples: a Monte Carlo run is capped at {MAX_MC_MAYER_FACTORS} "
+                             f"Mayer factors, got {what}")
+    return McWeightSource(model, McParams(samples, args.seed, args.scheme))
 
 
 # -- graphs --------------------------------------------------------------------
@@ -206,8 +231,9 @@ def _virial_by_method(source, truncation: Truncation, method: str,
 
 def cmd_virial_invert(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
-    source = _weight_source(model, args)
     truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
+    routes = ("two-connected",) if args.method == "two-connected" else ("pressure",)
+    source = _weight_source(model, args, truncation, routes)
     series = _virial_by_method(source, truncation, args.method)
     rows = _coefficient_rows(series, args.method)
     if args.format == "csv":
@@ -221,8 +247,8 @@ def cmd_virial_invert(args) -> int:
 def cmd_virial_compare(args) -> int:
     config_number(args.tol, "--tol", "a tolerance >= 0", lambda x: x >= 0)
     model = weights_mod.model_from_json(_load_json(args.model))
-    source = _weight_source(model, args)
     truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
+    source = _weight_source(model, args, truncation, ("pressure", "two-connected"))
     methods = ["recursive", "lagrange-good"]
     if getattr(source, "block_factorizing", False):
         methods.append("two-connected")
@@ -255,8 +281,8 @@ def cmd_virial_compare(args) -> int:
 
 def cmd_virial_mu(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
-    source = _weight_source(model, args)
     truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
+    source = _weight_source(model, args, truncation, ("two-connected",))
     series = virial_mod.chemical_potential(source, truncation, args.species)
     rows = _coefficient_rows(series, "chemical-potential")
     if args.format == "csv":
@@ -282,11 +308,6 @@ def _species_cap(model, requested: int | None = None, path: str = "--species-cap
 # -- weights ----------------------------------------------------------------------
 
 
-# Largest edges × samples `weights estimate` accepts: one Mayer factor per
-# edge per sample, at about 9·10^7 per second on hard rods (K_100 with 10^6
-# samples takes 55 s on a 2-core Xeon, Python 3.11, numpy 2.4), so the cap
-# runs for about a minute; K_1000 would run 499 500 factors per sample.
-MAX_ESTIMATE_MAYER_FACTORS = 5 * 10 ** 9
 # Largest sample chunk `weights estimate` holds: min(samples, MC_CHUNK) rows of
 # float64 coordinates.  The per-vertex copies about double it: a 300-vertex rod
 # path (a 157 MB chunk) peaked at 338 MB; a 1000-vertex path needs 0.5 GB.
@@ -302,8 +323,8 @@ def cmd_weights_estimate(args) -> int:
         _species_cap(model, colour, f"colours[{k}]")
     params = McParams(args.samples, args.seed, args.scheme)
     edges = cg.graph.mask.bit_count()
-    if edges * params.sample_count > MAX_ESTIMATE_MAYER_FACTORS:
-        raise ValueError(f"weights estimate is capped at {MAX_ESTIMATE_MAYER_FACTORS} Mayer "
+    if edges * params.sample_count > MAX_MC_MAYER_FACTORS:
+        raise ValueError(f"weights estimate is capped at {MAX_MC_MAYER_FACTORS} Mayer "
                          f"factors (edges × samples), got {edges} edges × "
                          f"{params.sample_count} samples")
     dims = weights_mod.mc_sample_dims(cg.graph.n, model.dimension)
@@ -368,8 +389,8 @@ def cmd_bounds_compute(args) -> int:
                                     sorted(bounds_mod.density_domain(spec).radii.items())}}
     if args.model:
         model = weights_mod.model_from_json(_load_json(args.model))
-        source = _weight_source(model, args)
         truncation = Truncation(args.degree, _species_cap(model))
+        source = _weight_source(model, args, truncation)
         p = virial_mod.pressure_from_weights(source, truncation)
         report = bounds_mod.bound_report(
             spec, p, virial_mod.invert_recursive(p),
@@ -386,9 +407,11 @@ def cmd_bounds_compute(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-MC_SAMPLES_HELP = ("Monte Carlo samples: per (vertex count, colouring) for the pressure, "
-                   "per graph for weights estimate, per labelled graph for the two-connected "
-                   "route, where a class of c isomorphic graphs draws c × samples in one run")
+MC_SAMPLES_HELP = ("Monte Carlo samples, at least 2: per (vertex count, colouring) for the "
+                   "pressure, per graph for weights estimate, per labelled graph for the "
+                   "two-connected route, where a class of c isomorphic graphs draws "
+                   "c × samples in one run; a run above "
+                   f"{MAX_MC_MAYER_FACTORS} Mayer factors is refused")
 SEED_MAX = 2 ** 64 - 1
 
 
@@ -487,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed"):
+        if hasattr(args, "seed"):  # the sampling commands, which all take --samples too
             args.seed = config_int(args.seed, "--seed", 0, SEED_MAX, "a 64-bit seed")
+            args.samples = config_int(args.samples, "--samples", 2, None, "a sample count")
         return args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,6 +168,19 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     return tuple(((m, colours, c), count) for c, count in classes.items())
 
 
+def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
+    """(vertices, labelled graphs, edges) of the two-connected class with the
+    most labelled graphs × edges up to the truncation, (0, 0, 0) below degree
+    2: a Monte Carlo source's largest run on the two-connected route draws
+    count × samples samples of `edges` Mayer factors each.  Degrees above
+    MAX_WEIGHT_SUM_VERTICES raise ValueError."""
+    _check_weight_sum_size(truncation)
+    return max(((n.degree, count, key[2].bit_count())
+                for n in admissible_indices(truncation, min_degree=2)
+                for key, count in _two_connected_classes(n.degree, canonical_colouring(n))),
+               key=lambda run: run[1] * run[2], default=(0, 0, 0))
+
+
 def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
     """sum over ((canonical block keys), count) classes of count times the
     product of the keys' block weights.

@@ -23,6 +23,16 @@ potential may override it with a cheaper exact form (hard rods do: -1 on
 overlap, 0 otherwise), but the override must return the same floats bit for
 bit, the sign of zero included, so that estimates are byte-identical
 whichever path a potential takes.
+
+A hard-core potential, whose every Mayer factor is -1 or 0, may also provide
+`PairPotential.overlap_batch(k1, k2, dx, o1, o2)`: booleans that are True
+exactly where `zeta_batch` gives -1, read from the displacement dx = x2 - x1
+and symmetric in the pair.  Soft potentials leave it None.  With the hook, a
+sample's sum over the connected graphs depends only on which pairs overlap,
+so it is an exact integer: `mayer_sum_mc` counts the overlap patterns and
+reads each pattern's sum from one table per vertex count
+(`_connected_sum_table`), and its totals are exact integers that equal the
+float sums of the per-sample recursion bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -82,11 +93,19 @@ class PairPotential:
 
     Subclasses implement `energy`; `energy_batch` has a generic loop fallback
     that vectorized models should override.
+
+    A hard-core potential may set `overlap_batch(k1, k2, dx, o1, o2)` to a
+    method that returns booleans, True exactly where `zeta_batch` gives -1
+    and False where it gives 0, for species k1 and k2 at displacement
+    dx = x2 - x1 of shape (count, d) with orientations o1 and o2; it must be
+    symmetric in the pair, overlap(k1, k2, dx, o1, o2) ==
+    overlap(k2, k1, -dx, o2, o1).  Soft potentials leave it None.
     """
 
     dimension: int
     box_length: float
     species: tuple[int, ...]
+    overlap_batch: Callable[..., np.ndarray] | None = None
 
     def energy(self, m1: Molecule, m2: Molecule) -> float:
         raise NotImplementedError
@@ -160,10 +179,12 @@ class HardRods1D(PairPotential):
         d = minimum_image(x1[:, 0] - x2[:, 0], self.box_length)
         return np.where(d < self._core[k1, k2], np.inf, 0.0)
 
+    def overlap_batch(self, k1, k2, dx, o1, o2) -> np.ndarray:
+        return minimum_image(dx[:, 0], self.box_length) < self._core[k1, k2]
+
     def zeta_batch(self, k1, x1, o1, k2, x2, o2) -> np.ndarray:
-        d = minimum_image(x1[:, 0] - x2[:, 0], self.box_length)
         # 0 - False = +0.0 and 0 - True = -1.0: exp(-0) - 1 and exp(-inf) - 1
-        return np.subtract(0.0, d < self._core[k1, k2], out=d)
+        return np.subtract(0.0, self.overlap_batch(k1, k2, x2 - x1, o1, o2))
 
     def exact_abs_zeta_integral(self, k: int, l: int) -> Fraction:
         return self.sigma[k] + self.sigma[l]
@@ -260,7 +281,8 @@ def _orientations_from_unit(u: np.ndarray, d: int) -> np.ndarray | None:
 
 
 def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
-                 values: Callable[[int, list, list], np.ndarray]) -> tuple[float, float]:
+                 values: Callable[[int, list, list], np.ndarray],
+                 table: np.ndarray | None = None) -> tuple[float, float]:
     """(estimate, stderr) of the box integral of a sampled function of n
     molecules, molecule 1 pinned at the origin; every Monte Carlo integral
     here runs through it, so the volume check, the sampler and the mapping of
@@ -272,6 +294,12 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
     time, and the mean is scaled by the volume L^(d(n-1)) of the free
     positions; a volume that is not a positive finite float raises ValueError
     before any sampling.
+
+    With a `table` of integers, `values` returns one code per sample instead,
+    the sample's value being table[code] (a boolean array stands for codes 0
+    and 1).  The codes are counted per chunk and the sums of the values and
+    of their squares formed once, as exact integers, at the end; they equal
+    the float sums bit for bit while those stay below 2^53.
     """
     d = u.dimension
     L = float(u.box_length)
@@ -288,6 +316,7 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
 
     total = 0.0
     total_sq = 0.0
+    hist = None if table is None else np.zeros(len(table), dtype=np.int64)
     remaining = p.sample_count
     while remaining > 0:
         count = min(rows, remaining)
@@ -303,10 +332,18 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
                 cols = unit[:, pos_cols + v * odims: pos_cols + (v + 1) * odims]
                 orientations.append(_orientations_from_unit(cols, d))
         x = values(count, positions, orientations)
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
+        if hist is None:
+            total += float(x.sum())
+            total_sq += float((x * x).sum())
+        elif x.dtype == bool:
+            hits = np.count_nonzero(x)
+            hist[:2] += (count - hits, hits)
+        else:
+            hist += np.bincount(x, minlength=len(table))
         remaining -= count
 
+    if hist is not None:
+        total, total_sq = float(hist @ table), float(hist @ (table * table))
     count = p.sample_count
     mean = total / count
     var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
@@ -386,6 +423,26 @@ def _connected_sum(m: int, zeta: np.ndarray) -> np.ndarray:
     return c[-1]
 
 
+@lru_cache(maxsize=None)
+def _connected_sum_table(m: int) -> np.ndarray:
+    """`_connected_sum(m, .)` on every hard-core pattern, as read-only int64:
+    entry `code` is the sum over the connected graphs on {1..m} when
+    zeta_b = -1 for the bits b set in `code` (pair b of `_pairs(m)`) and 0
+    for the others.  Each entry is an integer of absolute value at most
+    (m - 1)!.  The 2^(m(m-1)/2) patterns are evaluated MC_CHUNK >> (m - 1) at a
+    time, so the subset rows stay the size of one Monte Carlo chunk's."""
+    size = 1 << (m * (m - 1) // 2)
+    bits = np.arange(m * (m - 1) // 2)[:, None]
+    table = np.empty(size, dtype=np.int64)
+    step = MC_CHUNK >> (m - 1)
+    for start in range(0, size, step):
+        codes = np.arange(start, min(start + step, size))
+        zeta = -((codes >> bits) & 1).astype(float)
+        table[start: start + len(codes)] = _connected_sum(m, zeta)
+    table.flags.writeable = False
+    return table
+
+
 def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
                  p: McParams) -> tuple[float, float]:
     """Monte Carlo estimate of the sum of the cluster integrals of all
@@ -398,6 +455,11 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
     rows of a chunk hold at most 4 MC_CHUNK floats at every m.  m = 1 gives
     exactly (1.0, 0.0); m is capped at MAX_WEIGHT_SUM_VERTICES, like every
     weight sum.
+
+    A potential with `overlap_batch` skips the recursion: each sample packs
+    its overlaps into a code (bit b for pair b of `_pairs(m)`), and the codes
+    are counted against `_connected_sum_table(m)`.  The estimate and its
+    stderr are those of the recursion bit for bit.
     """
     if m < 1 or len(colours) != m:
         raise ValueError(f"need a colour for each of m >= 1 vertices, got m = {m} "
@@ -408,6 +470,27 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
     if m == 1:
         return 1.0, 0.0
     pairs = _pairs(m)
+    overlap = u.overlap_batch
+    if overlap is not None:
+        def overlaps(positions, orientations):
+            for i, j in pairs:
+                # vertex 1 sits at the origin, where x - 0.0 is x exactly
+                dx = positions[j - 1] if i == 1 else positions[j - 1] - positions[i - 1]
+                yield overlap(colours[i - 1], colours[j - 1], dx,
+                              orientations[i - 1], orientations[j - 1])
+
+        def overlap_code(count, positions, orientations):
+            hits = overlaps(positions, orientations)
+            if m == 2:
+                return next(hits)  # one pair: its booleans are the codes
+            code = np.zeros(count, dtype=np.uint16)
+            bit = np.empty(count, dtype=np.uint16)
+            for b, hit in enumerate(hits):
+                code |= np.multiply(hit, np.uint16(1 << b), out=bit)
+            return code
+
+        return _mc_integral(m, u, p, MC_CHUNK >> (m - 1), overlap_code,
+                            _connected_sum_table(m))
 
     def connected_sum(count, positions, orientations):
         zeta = np.empty((len(pairs), count))

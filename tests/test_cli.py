@@ -5,9 +5,10 @@ import time
 
 import pytest
 
+from virialkit import virial as virial_mod
 from virialkit._config import S_MAX
-from virialkit.cli import compact_index, dumps, main
-from virialkit.series import MultiIndex
+from virialkit.cli import MAX_MC_MAYER_FACTORS, build_parser, compact_index, dumps, main
+from virialkit.series import MultiIndex, Truncation
 
 
 def write(path, doc):
@@ -644,3 +645,49 @@ def test_every_64_bit_seed_is_accepted(tmp_path, capsys, one_species_model, argv
                              "--seed", seed)
         assert code in (0, 1) and err == "", (seed, err)
         assert json.loads(out)["seed"] == int(seed)
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-100"])
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=SAMPLING_IDS)
+def test_samples_below_two_is_usage_error(tmp_path, capsys, one_species_model, argv, samples):
+    code, out, err = run(capsys, *sampling_argv(tmp_path, one_species_model, argv),
+                         "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples: expected a sample count in 2.., got {samples}\n"
+
+
+CAP = "--samples: a Monte Carlo run is capped at 5000000000 Mayer factors, got "
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("invert", "--degree", "2", "--samples", "100000000000"),
+     "100000000000 samples × 1 pairs of the joint sum on 2 vertices"),
+    (("invert", "--degree", "4", "--samples", "900000000"),
+     "900000000 samples × 6 pairs of the joint sum on 4 vertices"),
+    (("invert", "--method", "two-connected", "--degree", "4", "--samples", "200000000"),
+     "6 graphs × 200000000 samples × 5 edges of a two-connected class on 4 vertices"),
+    (("compare", "--degree", "3", "--samples", "2000000000"),
+     "2000000000 samples × 3 pairs of the joint sum on 3 vertices"),
+    (("compare", "--degree", "6", "--samples", "1000000"),
+     "720 graphs × 1000000 samples × 9 edges of a two-connected class on 6 vertices"),
+    (("mu", "--species", "1", "--degree", "5", "--samples", "20000000"),
+     "60 graphs × 20000000 samples × 7 edges of a two-connected class on 5 vertices"),
+], ids=["invert-d2", "invert-d4", "invert-two-connected", "compare-pressure",
+        "compare-two-connected", "mu"])
+def test_monte_carlo_run_above_the_mayer_cap_is_refused_before_sampling(tmp_path, capsys,
+                                                                         argv, named):
+    model = write(tmp_path / "two.json", TWO_RODS_DOC)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "virial", *argv, "--model", model)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {CAP}{named}\n")
+
+
+def test_default_samples_stay_under_the_mayer_cap():
+    # the largest runs at degree 6 over two species: the joint sum on six
+    # vertices and the two-connected class of 720 graphs with 9 edges
+    samples = build_parser().parse_args(["virial", "invert", "--model", "m", "--degree",
+                                         "6"]).samples
+    assert 15 * samples <= MAX_MC_MAYER_FACTORS
+    assert virial_mod.largest_two_connected_class(Truncation(6, 2)) == (6, 720, 9)
+    assert 720 * samples * 9 <= MAX_MC_MAYER_FACTORS

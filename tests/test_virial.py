@@ -687,3 +687,20 @@ def test_two_connected_mc_gf_within_four_errors_of_tonks():
         se = math.sqrt(var) / n.factorial()
         assert se > 0
         assert abs(B[n] - float(tonks[n])) <= 4 * se, (n, B[n], tonks[n], se)
+
+
+@pytest.mark.parametrize("degree,species", [(1, 2), (3, 3), (4, 2), (5, 1)])
+def test_largest_two_connected_class_matches_the_labelled_graphs(degree, species):
+    # the oracle groups the labelled two-connected graphs by canonical key
+    t = Truncation(degree, species)
+    runs = [(0, 0, 0)]
+    for n in admissible_indices(t, min_degree=2):
+        colours = canonical_colouring(n)
+        classes = Counter(canonical_coloured_key(n.degree, g.mask, colours)
+                          for g in two_connected_graph_list(n.degree))
+        runs += [(n.degree, count, key[2].bit_count()) for key, count in classes.items()]
+    want = max(count * edges for _, count, edges in runs)
+    m, count, edges = virial.largest_two_connected_class(t)
+    assert count * edges == want and (m, count, edges) in runs
+    with pytest.raises(ValueError, match="capped at degree 6"):
+        virial.largest_two_connected_class(Truncation(7, 1))

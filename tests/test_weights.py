@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from virialkit import weights
 from virialkit.graphs import ColouredGraph, Graph, connected_graph_list
 from virialkit.weights import (
     CustomPairPotential,
@@ -18,6 +19,7 @@ from virialkit.weights import (
     SyntheticBlockModel,
     _abs_zeta_integral_mc,
     _connected_sum,
+    _connected_sum_table,
     kp_check,
     mayer_sum_mc,
     minimum_image,
@@ -101,6 +103,23 @@ def test_hard_rods_zeta_batch_matches_the_exp_of_energy_oracle():
                 assert got.tobytes() == want.tobytes()
                 assert set(got.tolist()) <= {-1.0, 0.0}
                 assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_hard_rods_overlap_hook_is_where_zeta_is_minus_one():
+    # dx = x2 - x1, symmetric in the pair; soft potentials have no hook
+    rods = HardRods1D({1: 1, 2: Fraction(5, 2), 3: 0}, 40)
+    for x1, x2 in kernel_inputs(rods.box_length, 23):
+        x1, x2 = x1[:, None], x2[:, None]
+        for k1 in rods.species:
+            for k2 in rods.species:
+                with np.errstate(invalid="ignore"):
+                    hit = rods.overlap_batch(k1, k2, x2 - x1, None, None)
+                    zeta_kl = PairPotential.zeta_batch(rods, k1, x1, None, k2, x2, None)
+                    assert hit.dtype == bool
+                    assert np.array_equal(hit, zeta_kl == -1.0)
+                    assert np.array_equal(hit, rods.overlap_batch(k2, k1, x1 - x2, None, None))
+    assert PairPotential.overlap_batch is None
+    assert CustomPairPotential(soft_2d, 2, 10.0, (1, 2)).overlap_batch is None
 
 
 def test_molecule_validation():
@@ -362,6 +381,56 @@ def test_joint_sum_agrees_with_the_per_graph_oracle(colours, u, params):
     assert abs(est - want) <= 4 * math.hypot(err, want_err)
 
 
+@pytest.mark.parametrize("m", range(2, 6))
+def test_hard_core_table_equals_the_graph_sum_on_every_pattern(m):
+    pairs = m * (m - 1) // 2
+    codes = np.arange(1 << pairs)
+    zeta = -((codes >> np.arange(pairs)[:, None]) & 1).astype(float)
+    want, _ = brute_connected_sum(m, zeta)
+    table = _connected_sum_table(m)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, want)
+    assert abs(table).max() == math.factorial(m - 1)
+
+
+class RodsWithoutHook(HardRods1D):
+    """The same rods on the per-sample subset recursion, with the
+    exp-of-energy Mayer kernel."""
+
+    overlap_batch = None
+    zeta_batch = PairPotential.zeta_batch
+
+
+@pytest.mark.parametrize("params", [McParams(20_000, 31),
+                                    McParams(2 ** 13, 32, "low-discrepancy")],
+                         ids=["pseudo-random", "sobol"])
+@pytest.mark.parametrize("colours", [(1, 3), (2, 3, 1), (1, 1, 2, 3), (3, 1, 2, 2, 1),
+                                     (1, 2, 3, 1, 2, 3)])
+def test_hard_core_joint_sum_equals_the_recursion_bit_for_bit(colours, params):
+    # species 3 has no core, so some pairs never overlap; a box of 12 makes
+    # clusters of six rods common enough that every sum has an error
+    m = len(colours)
+    sigma, L = {1: 1, 2: 2, 3: 0}, 12
+    got = mayer_sum_mc(m, colours, HardRods1D(sigma, L), params)
+    want = mayer_sum_mc(m, colours, RodsWithoutHook(sigma, L), params)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got[1] > 0
+
+
+def test_hard_core_joint_sum_reads_the_table_not_the_recursion(monkeypatch):
+    # the tables are built on the first calls; after that no sample recurses
+    rods = HardRods1D({1: 1, 2: 2}, 8)
+    colourings = [((1, 2) * 3)[:m] for m in range(2, 7)]
+    want = [mayer_sum_mc(len(c), c, rods, McParams(500)) for c in colourings]
+
+    def recursion(m, zeta):
+        raise AssertionError("a hard-core sample took the subset recursion")
+
+    monkeypatch.setattr(weights, "_connected_sum", recursion)
+    assert [mayer_sum_mc(len(c), c, rods, McParams(500)) for c in colourings] == want
+    assert all(err > 0 for _, err in want)
+
+
 def test_joint_sum_of_one_vertex_bad_colourings_and_the_size_cap():
     assert mayer_sum_mc(1, (2,), RODS_12, McParams(100)) == (1.0, 0.0)
     for m, colours in ((0, ()), (2, (1,)), (3, (1, 1, 1, 1))):
@@ -398,6 +467,15 @@ def test_joint_sum_chunks_are_no_larger_than_weight_mcs():
     limit = peak_bytes(lambda: weight_mc(path, RODS_12, params))
     for colours in ((1, 2), (1, 1, 1, 2, 2, 2)):
         assert peak_bytes(lambda: mayer_sum_mc(len(colours), colours, RODS_12, params)) <= limit
+
+
+def test_joint_sum_chunks_stay_small_with_a_cold_table():
+    # the m = 6 table of 2^15 patterns is built in chunks, inside the same bound
+    params = McParams(200_000, 9)
+    path = ColouredGraph(Graph.from_edges(6, [(v, v + 1) for v in range(1, 6)]), (1,) * 6)
+    limit = peak_bytes(lambda: weight_mc(path, RODS_12, params))
+    _connected_sum_table.cache_clear()
+    assert peak_bytes(lambda: mayer_sum_mc(6, (1, 1, 1, 2, 2, 2), RODS_12, params)) <= limit
 
 
 @pytest.mark.parametrize("m,colours,seed", [
