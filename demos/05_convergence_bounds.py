@@ -34,7 +34,7 @@ print("activity bound at rho = 0.01:", z_of_rho_bound(spec, {1: 0.01}, 1))
 print()
 print("== hypothesis sampling and the audit on p = z - z^2 ==")
 p = PressureSeries(MPSeries({MultiIndex.single(1): 1, MultiIndex.single(1, 2): -1},
-                            Truncation(6, 1)), "demo")
+                            Truncation(6, 1)))
 tight = make_domain_spec([(1, 0.1, 0.25, 0.75)])
 report = hypothesis_check(p, tight, samples=200)
 print(f"max |log dp/dz| over samples: {report.log_checks[0].max_log_abs:.4f} "

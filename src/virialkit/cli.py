@@ -177,7 +177,8 @@ def cmd_graphs_dissymmetry(args) -> int:
     _check_graph_size(args.n, MAX_DISSYMMETRY_VERTICES, "dissymmetry")
     results = []
     all_pass = True
-    for g in graphs_mod.connected_graph_list(args.n):
+    for mask in graphs_mod.connected_graph_list(args.n).tolist():
+        g = graphs_mod.Graph(args.n, mask)
         lhs, rhs = graphs_mod.dissymmetry_check(g)
         ok = lhs == rhs
         all_pass &= ok
@@ -312,6 +313,11 @@ def _species_cap(model, requested: int | None = None, path: str = "--species-cap
 # float64 coordinates.  The per-vertex copies about double it: a 300-vertex rod
 # path (a 157 MB chunk) peaked at 338 MB; a 1000-vertex path needs 0.5 GB.
 MAX_ESTIMATE_CHUNK_BYTES = 1 << 28
+# On a 2-core Xeon, `weights stability --max-n 8` ran 1.5·10^6 hard-rod trials
+# in 49 s, and `bounds compute --model` peaked at 280-320 MB for 4·10^6 sampled
+# coordinates (hypothesis points × species; 1, 4 or 8 species).
+MAX_STABILITY_TRIALS = 1_500_000
+MAX_HYPOTHESIS_COORDINATES = 4 * 10 ** 6
 
 
 def cmd_weights_estimate(args) -> int:
@@ -362,6 +368,7 @@ def cmd_weights_kp_check(args) -> int:
 
 
 def cmd_weights_stability(args) -> int:
+    config_int(args.samples, "--samples", 2, MAX_STABILITY_TRIALS, "a sample count")
     model = weights_mod.model_from_json(_load_json(args.model))
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("stability needs an interaction model")
@@ -390,12 +397,15 @@ def cmd_bounds_compute(args) -> int:
     if args.model:
         model = weights_mod.model_from_json(_load_json(args.model))
         truncation = Truncation(args.degree, _species_cap(model))
+        hypothesis = config_int(args.samples_hypothesis, "--samples-hypothesis", 0,
+                                MAX_HYPOTHESIS_COORDINATES // truncation.species,
+                                f"a sample count for {truncation.species} species")
         source = _weight_source(model, args, truncation)
         p = virial_mod.pressure_from_weights(source, truncation)
         report = bounds_mod.bound_report(
             spec, p, virial_mod.invert_recursive(p),
             indices=admissible_indices(truncation, min_degree=1),
-            samples=args.samples_hypothesis, seed=args.seed)
+            samples=hypothesis, seed=args.seed)
         doc["seed"] = args.seed
     else:
         report = bounds_mod.bound_report(spec)

@@ -8,9 +8,11 @@ through one reachability search: connectivity, two-connectivity and
 articulation points by deleting vertices, and block decomposition by
 splitting the vertex set at its first cut vertex until no part has one;
 `enumerate_graphs` walks the masks 0 .. 2^(n(n-1)/2)-1 one at a time this
-way.  The memoised lists and block tables of the weight sums (n <= 6) test
+way.  The memoised lists and block table of the weight sums (n <= 6) test
 many masks at once instead, with numpy, vertex set by vertex set: the
 connected list tests every mask, and the block table every connected one.
+Both lists are read-only int64 arrays of edge masks; a Graph is built from
+a mask only where one graph leaves the package.
 """
 
 from __future__ import annotations
@@ -324,20 +326,21 @@ def _connected_sets(n: int, masks: np.ndarray) -> dict[tuple[int, ...], np.ndarr
 
 
 @lru_cache(maxsize=None)
-def connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Memoized list of all connected graphs on {1..n}, in mask order: the
-    masks 0 .. 2^(n(n-1)/2)-1 whose full vertex set is connected, all tested
-    at once (n <= 6)."""
+def connected_graph_list(n: int) -> np.ndarray:
+    """Memoised edge masks of all connected graphs on {1..n} as a read-only,
+    ascending int64 array: the masks 0 .. 2^(n(n-1)/2)-1 whose full vertex
+    set is connected, all tested at once (n <= 6).  Read it through
+    `.tolist()` where a mask becomes a Graph, a canonical key or a bit count."""
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     if n > MAX_WEIGHT_SUM_VERTICES:
         raise ValueError(f"connected graph lists are capped at n = {MAX_WEIGHT_SUM_VERTICES}, "
                          f"got {n}")
-    if n == 0:
-        return ()
-    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
-    full = _connected_sets(n, masks)[tuple(range(1, n + 1))]
-    return tuple(Graph(n, mask) for mask in masks[full].tolist())
+    masks = np.arange(1 << n * (n - 1) // 2 if n else 0, dtype=np.int64)  # none at n = 0
+    if n:
+        masks = masks[_connected_sets(n, masks)[tuple(range(1, n + 1))]]
+    masks.flags.writeable = False
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -353,9 +356,8 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
     the blocks of a graph sit in the order of their lowest edges."""
     if n > MAX_WEIGHT_SUM_VERTICES:
         raise ValueError(f"block tables are capped at n = {MAX_WEIGHT_SUM_VERTICES}, got {n}")
-    graphs = connected_graph_list(n)
+    masks = connected_graph_list(n)
     width = max(1, n - 1)
-    masks = np.array([g.mask for g in graphs], dtype=np.int64)
     sets, span, rests = _vertex_sets(n)
     connected = _connected_sets(n, masks)
     covered, found, lowest = {}, [], np.zeros_like(masks)  # lowest: the blocks' lowest edges
@@ -373,25 +375,18 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
     groups = [(vs, rows * width + ones[lowest[rows] & ((edges & -edges) - 1)],
                sum((edges >> b & 1) << k for k, b in enumerate(bits[vs])))
               for vs, rows, edges in found if len(rows)]
-    return (len(graphs), width), tuple(sorted(groups, key=lambda group: group[1][0]))
-
-
-def _two_connected_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, masks) of the block table's group on all n vertices: the
-    two-connected graphs, whose one block is the whole graph."""
-    (_, width), groups = connected_block_profiles(n)
-    empty = np.zeros(0, dtype=np.int64)
-    at, masks = next(((at, masks) for vs, at, masks in groups if len(vs) == n), (empty, empty))
-    return at // width, masks
+    return (len(masks), width), tuple(sorted(groups, key=lambda group: group[1][0]))
 
 
 @lru_cache(maxsize=None)
-def two_connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Memoized list of all two-connected graphs on {1..n}, in mask order,
-    read off the block table."""
-    rows = _two_connected_rows(n)[0].tolist()  # refuses n > 6 before any walk
-    graphs = connected_graph_list(n)
-    return tuple(graphs[row] for row in rows)
+def two_connected_graph_list(n: int) -> np.ndarray:
+    """Memoised edge masks of all two-connected graphs on {1..n} as a
+    read-only, ascending int64 array: the block table's group on all n
+    vertices, whose one block is the whole graph."""
+    _, groups = connected_block_profiles(n)  # refuses n > 6 before any walk
+    masks = next((masks for vs, _, masks in groups if len(vs) == n), np.zeros(0, dtype=np.int64))
+    masks.flags.writeable = False
+    return masks
 
 
 def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:

@@ -27,10 +27,10 @@ import numpy as np
 from .graphs import (
     MAX_WEIGHT_SUM_VERTICES,
     _canonical_table,
-    _two_connected_rows,
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
     connected_block_profiles,
+    two_connected_graph_list,
 )
 from .series import (
     RATIONAL,
@@ -62,7 +62,6 @@ class PressureSeries:
     b(e_k) = 1 for weight-model-built series."""
 
     series: MPSeries
-    provenance: str = ""
 
     def __post_init__(self):
         if self.series.constant_term != 0:
@@ -162,9 +161,9 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
 def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((canonical key, number of labelled graphs), ...) over the two-connected
     graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
-    lookup over their masks in the block table; model-independent like
-    `_connected_block_classes`."""
-    classes = Counter(_canonical_table(m, colours)[_two_connected_rows(m)[1]].tolist())
+    lookup over the masks of `two_connected_graph_list(m)`; model-independent
+    like `_connected_block_classes`."""
+    classes = Counter(_canonical_table(m, colours)[two_connected_graph_list(m)].tolist())
     return tuple(((m, colours, c), count) for c, count in classes.items())
 
 
@@ -259,7 +258,7 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     for k in range(1, truncation.species + 1):
         if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
             raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
-    return PressureSeries(series, provenance=getattr(model, "provenance", type(model).__name__))
+    return PressureSeries(series)
 
 
 def mc_pressure_series(potential: PairPotential, params: McParams,
@@ -277,7 +276,7 @@ def mc_pressure_series(potential: PairPotential, params: McParams,
 
     series = _weight_sum_series(sum_with_errors, McWeightSource(potential, params), truncation,
                                 min_degree=1)
-    return PressureSeries(series, provenance="monte-carlo"), errors
+    return PressureSeries(series), errors
 
 
 def densities(p: PressureSeries) -> DensityFamily:

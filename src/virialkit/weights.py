@@ -555,13 +555,16 @@ class SyntheticBlockModel:
                low: int = -5, high: int = 5) -> SyntheticBlockModel:
         """Model with a deterministic seeded fallback: every canonical block
         key gets a rational weight in [low, high] on first use."""
+        # Draws share one Fraction per value: thousands of keys take few
+        # values, and fewer long-lived objects keep full garbage collections rare.
+        fraction = lru_cache(maxsize=None)(Fraction)
 
         def draw(key: tuple) -> Fraction:
             digest = zlib.crc32(repr((seed, key)).encode())
             rng = np.random.default_rng(digest)
             den = int(rng.integers(1, 9))
             num = int(rng.integers(low * den, high * den + 1))
-            return Fraction(num, den)
+            return fraction(num, den)
 
         return cls(species_count, fallback=draw)
 

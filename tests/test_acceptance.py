@@ -249,7 +249,7 @@ def _admissible_spec_for(entry: CorpusEntry):
 def test_criterion_8_bound_audit_zero_violations():
     # the named instance: p = z - z^2 with spec (r = 1/4, R = 1, a = 0.75)
     p = PressureSeries(MPSeries({MultiIndex.single(1): 1,
-                                 MultiIndex.single(1, 2): -1}, Truncation(6, 1)), "hand")
+                                 MultiIndex.single(1, 2): -1}, Truncation(6, 1)))
     named_spec = make_domain_spec([(1, 0.25, 1.0, 0.75)])
     named = check_coefficient_bounds(p, named_spec, invert_recursive(p))
     ok = named.passed

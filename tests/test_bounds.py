@@ -142,7 +142,7 @@ def test_z_of_rho_bound():
 
 
 def pressure(terms, degree, species):
-    return PressureSeries(MPSeries(terms, Truncation(degree, species)), "hand")
+    return PressureSeries(MPSeries(terms, Truncation(degree, species)))
 
 
 def test_hypothesis_check_ideal_gas_passes():

@@ -7,7 +7,15 @@ import pytest
 
 from virialkit import virial as virial_mod
 from virialkit._config import S_MAX
-from virialkit.cli import MAX_MC_MAYER_FACTORS, build_parser, compact_index, dumps, main
+from virialkit.cli import (
+    MAX_HYPOTHESIS_COORDINATES,
+    MAX_MC_MAYER_FACTORS,
+    MAX_STABILITY_TRIALS,
+    build_parser,
+    compact_index,
+    dumps,
+    main,
+)
 from virialkit.series import MultiIndex, Truncation
 
 
@@ -72,6 +80,14 @@ def test_graphs_dissymmetry(capsys):
     doc = json.loads(out)
     assert doc["all_pass"] and doc["graphs"] == 38
     assert all(r["lhs"] == r["rhs"] for r in doc["results"])
+
+
+def test_graphs_dissymmetry_stdout_is_pinned(capsys):
+    # SHA-256 of the rows written when the connected list held Graph objects
+    code, out, err = run(capsys, "graphs", "dissymmetry", "--n", "5")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "774dedae74f1a5af844a475585d31520d9a8ac5ebb593ae67d414df563bf8915"
 
 
 @pytest.mark.parametrize("argv,cap", [
@@ -691,3 +707,38 @@ def test_default_samples_stay_under_the_mayer_cap():
     assert 15 * samples <= MAX_MC_MAYER_FACTORS
     assert virial_mod.largest_two_connected_class(Truncation(6, 2)) == (6, 720, 9)
     assert 720 * samples * 9 <= MAX_MC_MAYER_FACTORS
+
+
+def test_stability_trials_above_the_cap_are_refused_before_sampling(tmp_path, capsys):
+    model = write(tmp_path / "two.json", TWO_RODS_DOC)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights", "stability", "--b", "0", "--max-n", "8",
+                         "--samples", "100000000000", "--model", model)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: --samples: expected a sample count in 2..{MAX_STABILITY_TRIALS}, "
+                   f"got 100000000000\n")
+
+
+@pytest.mark.parametrize("species,samples", [(1, "1000000000000"), (2, "2000001"), (1, "-1")],
+                         ids=["one-species", "two-species", "negative"])
+def test_hypothesis_points_outside_the_cap_are_refused_before_any_work(tmp_path, capsys,
+                                                                      species, samples):
+    model = write(tmp_path / "m.json", {"type": "synthetic", "species": species,
+                                        "random_fallback": {"seed": 1}})
+    spec = write(tmp_path / "d.json", {"species": [{"i": i, "r": 0.02, "R": 0.08, "a": 0.3}
+                                                   for i in range(1, species + 1)]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "compute", "--spec", spec, "--model", model,
+                         "--samples-hypothesis", samples)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: --samples-hypothesis: expected a sample count for {species} species "
+                   f"in 0..{MAX_HYPOTHESIS_COORDINATES // species}, got {samples}\n")
+
+
+def test_default_trials_and_hypothesis_points_stay_under_their_caps():
+    stability = build_parser().parse_args(["weights", "stability", "--model", "m", "--b", "0"])
+    bounds = build_parser().parse_args(["bounds", "compute", "--spec", "d"])
+    assert stability.samples <= MAX_STABILITY_TRIALS
+    assert bounds.samples_hypothesis * 8 <= MAX_HYPOTHESIS_COORDINATES

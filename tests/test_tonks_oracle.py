@@ -68,7 +68,7 @@ def test_both_series_routes_equal_the_tonks_closed_form(degree, species):
     b = {n: Fraction((-sum(e * sigma[k] for k, e in n.items())) ** (n.degree - 1),
                      n.factorial())
          for n in indices}
-    p = virial.PressureSeries(series.MPSeries(b, t), "tonks")
+    p = virial.PressureSeries(series.MPSeries(b, t))
     recursive = virial.invert_recursive(p).series
     inverter = virial.LagrangeGoodInverter(p)
     for n in indices:

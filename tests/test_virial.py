@@ -59,7 +59,7 @@ def e(*exps):
 
 
 def hand_pressure(terms, degree, species):
-    return PressureSeries(MPSeries(terms, Truncation(degree, species)), "hand")
+    return PressureSeries(MPSeries(terms, Truncation(degree, species)))
 
 
 EDGE_M2 = SyntheticBlockModel.from_edge_weights(1, {(1, 1): -2})
@@ -87,7 +87,7 @@ def test_pressure_two_species_cross_edge():
 
 def test_pressure_rejects_nonzero_constant():
     with pytest.raises(ValueError):
-        PressureSeries(MPSeries.one(Truncation(2, 1)), "bad")
+        PressureSeries(MPSeries.one(Truncation(2, 1)))
 
 
 # -- class tables of the weight sums ---------------------------------------------------
@@ -105,14 +105,14 @@ TABLE_COLOURINGS += [(1,) * 6, (1, 1, 1, 2, 2, 2)]
 @lru_cache(maxsize=None)
 def brute_connected_sum(model, colours):
     """The oracle: block-decompose every labelled connected graph."""
-    return sum(synthetic_weight(ColouredGraph(g, colours), model)
-               for g in connected_graph_list(len(colours)))
+    return sum(synthetic_weight(ColouredGraph(Graph(len(colours), mask), colours), model)
+               for mask in connected_graph_list(len(colours)).tolist())
 
 
 @lru_cache(maxsize=None)
 def brute_two_connected_sum(model, colours):
-    return sum(synthetic_weight(ColouredGraph(g, colours), model)
-               for g in two_connected_graph_list(len(colours)))
+    return sum(synthetic_weight(ColouredGraph(Graph(len(colours), mask), colours), model)
+               for mask in two_connected_graph_list(len(colours)).tolist())
 
 
 def test_connected_class_table_matches_brute_force():
@@ -165,7 +165,8 @@ def split_block_profiles(m):
     {1..m}, split graph by graph; the single vertex has no blocks."""
     if m == 1:
         return ((),)
-    return tuple(_split_blocks(m, _adjacency(m, g.mask))[0] for g in connected_graph_list(m))
+    return tuple(_split_blocks(m, _adjacency(m, mask))[0]
+                 for mask in connected_graph_list(m).tolist())
 
 
 def walked_connected_classes(m, colours):
@@ -177,7 +178,8 @@ def walked_connected_classes(m, colours):
 
 
 def walked_two_connected_classes(m, colours):
-    return Counter(canonical_coloured_key(m, g.mask, colours) for g in two_connected_graph_list(m))
+    return Counter(canonical_coloured_key(m, mask, colours)
+                   for mask in two_connected_graph_list(m).tolist())
 
 
 def is_plain_key(key):
@@ -334,7 +336,7 @@ def test_lagrange_good_matches_recursive_on_random_pressures():
         for n in admissible_indices(t, min_degree=2):
             if rng.random() < 0.6:
                 terms[n] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        p = PressureSeries(MPSeries(terms, t), "random")
+        p = PressureSeries(MPSeries(terms, t))
         rec = invert_recursive(p)
         inv = LagrangeGoodInverter(p)
         for n in admissible_indices(t, min_degree=1):
@@ -365,7 +367,7 @@ def test_lagrange_good_eight_species():
     for n in admissible_indices(t, min_degree=2):
         if rng.random() < 0.6:
             terms[n] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    p = PressureSeries(MPSeries(terms, t), "random")
+    p = PressureSeries(MPSeries(terms, t))
     rec = invert_recursive(p)
     inv = LagrangeGoodInverter(p)
     for n in admissible_indices(t, min_degree=1):
@@ -383,7 +385,7 @@ def test_grown_lagrange_good_inverter_is_bit_exact(degree, species):
     indices = list(admissible_indices(t, min_degree=1))
     terms = {n: rng.uniform(-2.0, 2.0) for n in indices}
     terms.update({MultiIndex.single(k): rng.uniform(0.5, 2.0) for k in range(1, species + 1)})
-    p = PressureSeries(MPSeries(terms, t, FLOAT), "random")
+    p = PressureSeries(MPSeries(terms, t, FLOAT))
     fresh = {n: invert_lagrange_good(p, n).hex() for n in indices}
     species_1_first = sorted(indices, key=lambda n: n.species[-1])
     for order in (indices, species_1_first):
@@ -640,9 +642,9 @@ def test_two_connected_route_makes_one_mc_run_per_class(monkeypatch, degree, cla
 def per_graph_two_connected_sum(source, m, colours):
     """The oracle: one weight_mc run per labelled two-connected graph on
     {1..m}, each on the stream (m, its mask, colours)."""
-    return sum(weight_mc(ColouredGraph(g, colours), source.potential,
-                         source._stream(m, g.mask, colours))[0]
-               for g in two_connected_graph_list(m))
+    return sum(weight_mc(ColouredGraph(Graph(m, mask), colours), source.potential,
+                         source._stream(m, mask, colours))[0]
+               for mask in two_connected_graph_list(m).tolist())
 
 
 def soft_1d(a, b):
@@ -696,8 +698,8 @@ def test_largest_two_connected_class_matches_the_labelled_graphs(degree, species
     runs = [(0, 0, 0)]
     for n in admissible_indices(t, min_degree=2):
         colours = canonical_colouring(n)
-        classes = Counter(canonical_coloured_key(n.degree, g.mask, colours)
-                          for g in two_connected_graph_list(n.degree))
+        classes = Counter(canonical_coloured_key(n.degree, mask, colours)
+                          for mask in two_connected_graph_list(n.degree).tolist())
         runs += [(n.degree, count, key[2].bit_count()) for key, count in classes.items()]
     want = max(count * edges for _, count, edges in runs)
     m, count, edges = virial.largest_two_connected_class(t)

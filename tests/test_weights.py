@@ -323,10 +323,10 @@ def brute_connected_sum(m, zeta):
     row b), and the same sum of absolute values."""
     total = np.zeros(zeta.shape[1])
     scale = np.zeros(zeta.shape[1])
-    for g in connected_graph_list(m):
+    for mask in connected_graph_list(m).tolist():
         product = np.ones(zeta.shape[1])
         for b in range(len(zeta)):
-            if g.mask >> b & 1:
+            if mask >> b & 1:
                 product = product * zeta[b]
         total += product
         scale += np.abs(product)
@@ -359,8 +359,8 @@ def per_graph_sum(m, colours, u, params):
     """sum over the connected graphs of their weight_mc estimates, each on its
     own stream, with the errors added in quadrature."""
     total, var = 0.0, 0.0
-    for index, g in enumerate(connected_graph_list(m)):
-        est, err = weight_mc(ColouredGraph(g, colours), u,
+    for index, mask in enumerate(connected_graph_list(m).tolist()):
+        est, err = weight_mc(ColouredGraph(Graph(m, mask), colours), u,
                              McParams(params.sample_count, params.seed + index, params.scheme))
         total += est
         var += err * err
@@ -555,6 +555,14 @@ def test_synthetic_weight_relabelling_invariance():
                 perm[a - 1] = b
         g2 = Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
         assert synthetic_weight(ColouredGraph(g2, colours), m) == w
+
+
+def test_random_model_draws_share_one_fraction_per_value():
+    # denominators 1..8 and numerators in [-5·den, 5·den]: at most 8 · 81 pairs
+    m = SyntheticBlockModel.random(5, 2)
+    draws = [m.weight_for_canonical_key((6, (1, 1, 1, 2, 2, 2), mask)) for mask in range(2000)]
+    assert all(type(w) is Fraction and -5 <= w <= 5 for w in draws)
+    assert len({id(w) for w in draws}) <= 8 * 81 < len(draws)
 
 
 def test_synthetic_weight_equals_block_product():
