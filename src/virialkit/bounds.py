@@ -6,6 +6,11 @@ constant C is evaluated, per-coefficient bounds are formed, the density
 polydisk is described, and computed virial coefficients can be audited
 against the bound.  Hypothesis checks are sampling-based reports: they can
 falsify, never prove.
+
+The hypothesis check contracts the gradient of p against per-species ring
+powers.  No complex array in this module goes through BLAS (`@`, `dot`,
+`tensordot`, `einsum(optimize=True)`): after one complex matmul, numpy's
+complex log runs several times slower for the rest of the process.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._config import EXP_MAX, config_list, config_mapping, config_number, config_species
-from .series import RATIONAL, MPSeries, MultiIndex
+from .series import MPSeries, MultiIndex
 from .virial import PressureSeries, VirialSeries
 
 
@@ -117,8 +122,14 @@ def virial_bound(spec: DomainSpec, sup_p: float, n: MultiIndex) -> float:
     finite float."""
     if sup_p < 0:
         raise ValueError("sup_p must be >= 0")
+    return _scaled_bound(spec, det_bound_constant(spec) * sup_p, n)
+
+
+def _scaled_bound(spec: DomainSpec, scale: float, n: MultiIndex) -> float:
+    """scale * prod_i (e^{a_i}/r_i)^{n_i}, for scale = C * sup|p| computed once
+    per report."""
     spec.require(n.species)
-    out = det_bound_constant(spec) * sup_p
+    out = scale
     for i, e in n.items():
         d = spec.species[i]
         out = _times_factor(out, lambda: (math.exp(d.a) / d.r) ** e, i, f"(e^a/r)^{e}")
@@ -216,46 +227,116 @@ def coefficient_sum_bound(p: PressureSeries, spec: DomainSpec) -> float:
     return total
 
 
-def _sample_points(spec: DomainSpec, species: Sequence[int], samples: int,
-                   seed: int) -> np.ndarray:
-    """The audit's sample points as a (points, S) complex array, column k for
-    species[k]: a deterministic ring/axis grid (radii r_i and R_i at angles
-    0, pi/2, pi, 3pi/2; first species varies fastest) when 8^S <= 4096, then
-    `samples` random interior points of the activity polydisk, each drawing
+# The ring grid is used while it has at most this many points: 8^S <= 4096,
+# so S <= 4.
+_MAX_GRID_POINTS = 4096
+_RING_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+# Complex values one block of interior points may hold in its monomial table
+# (16 MiB), so the CLI's 4·10^6 sampled coordinates never need one table.
+_BLOCK_VALUES = 1 << 20
+
+
+def _audit_points(spec: DomainSpec, species: Sequence[int], samples: int,
+                  seed: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The audit's sample points in factored form: the grid as one ring of 8
+    values per species (radii r_i and R_i at angles 0, pi/2, pi, 3pi/2), no
+    rings when 8^S > 4096, and `samples` random interior points of the
+    activity polydisk as a (samples, S) complex array, each drawing
     (radius, angle) per species from numpy's generator seeded with `seed`.
-    The grid pins the real-axis extremes so worked single-species examples
-    are found without luck.  ValueError when samples < 0 or there would be
-    no point at all."""
+    ValueError when samples < 0 or there would be no point at all."""
     if samples < 0:
         raise ValueError(f"the hypothesis check needs samples >= 0, got {samples}")
     width = len(species)
-    grid = 8 ** width if 8 ** width <= 4096 else 0
-    if grid + samples == 0:
+    gridded = 8 ** width <= _MAX_GRID_POINTS
+    if not gridded and samples == 0:
         raise ValueError(f"the hypothesis check has no sample points: {width} species "
-                         f"get no grid (8^S > 4096), so samples must be >= 1")
-    points = np.empty((grid + samples, width), dtype=complex)
-    if grid:
-        angles = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
-        for pos, i in enumerate(species):
-            d = spec.species[i]
-            ring = np.array([radius * cmath.exp(1j * t) for radius in (d.r, d.R) for t in angles])
-            points[:grid, pos] = np.tile(np.repeat(ring, 8 ** pos), 8 ** (width - 1 - pos))
+                         f"get no grid (8^S > {_MAX_GRID_POINTS}), so samples must be >= 1")
+    rings = [np.array([radius * cmath.exp(1j * t) for radius in (d.r, d.R) for t in _RING_ANGLES])
+             for d in (spec.species[i] for i in species)] if gridded else []
     draws = np.random.default_rng(seed).random((samples, width, 2))
     outer = np.array([spec.species[i].R for i in species])
-    points[grid:] = outer * np.sqrt(draws[..., 0]) * np.exp(1j * (2 * math.pi * draws[..., 1]))
+    return rings, outer * np.sqrt(draws[..., 0]) * np.exp(1j * (2 * math.pi * draws[..., 1]))
+
+
+def _sample_points(spec: DomainSpec, species: Sequence[int], samples: int,
+                   seed: int) -> np.ndarray:
+    """The audit's sample points as one (points, S) complex array, column k for
+    species[k]: the ring grid, the tensor product of the rings with the first
+    species varying fastest, then the interior points.  The grid pins the
+    real-axis extremes so worked single-species examples are found without
+    luck."""
+    rings, interior = _audit_points(spec, species, samples, seed)
+    width, grid = len(species), 8 ** len(rings) if rings else 0
+    points = np.empty((grid + samples, width), dtype=complex)
+    for pos, ring in enumerate(rings):
+        points[:grid, pos] = np.tile(np.repeat(ring, 8 ** pos), 8 ** (width - 1 - pos))
+    points[grid:] = interior
     return points
 
 
-def _evaluate_at(series: MPSeries, points: np.ndarray) -> np.ndarray:
-    """The series at every row of `points` (column s-1 holds z_s), one numpy
-    pass per stored term with powers raised on the fly."""
-    total = np.zeros(len(points), dtype=complex)
+def _gradient(series: MPSeries) -> tuple[np.ndarray, np.ndarray]:
+    """All S partials dp/dz_i as one table over the K distinct monomials of
+    the gradient: a (K, S) array of exponents and an (S, K) float array of
+    coefficients.  Each coefficient is the correctly rounded n_i b(n), the
+    float that `MPSeries.diff` gives."""
+    width = series.truncation.species
+    rows: dict[tuple[int, ...], list[float]] = {}
     for n, c in series.terms.items():
-        v = np.full(len(points), complex(float(c) if series.field == RATIONAL else c))
+        num, den = c.as_integer_ratio()
+        dense = [0] * width
         for s, e in n.items():
-            v *= points[:, s - 1] ** e
-        total += v
-    return total
+            dense[s - 1] = e
+        for s, e in n.items():
+            dense[s - 1] -= 1
+            rows.setdefault(tuple(dense), [0.0] * width)[s - 1] = num * e / den
+            dense[s - 1] += 1
+    exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), width)
+    coefficients = np.array(list(rows.values())).reshape(len(rows), width).T
+    return exponents, coefficients
+
+
+def _gradient_on_grid(exponents: np.ndarray, coefficients: np.ndarray,
+                      rings: list[np.ndarray], depth: int) -> np.ndarray:
+    """The gradient at every ring-grid point as an (S, 8^S) complex array, in
+    `_sample_points`' order.  The coefficients fill a dense (S, D, ..., D)
+    tensor, species S first.  Each species axis is then contracted against
+    its 8 × D matrix of ring powers, species 1 first, so the species-1 ring
+    index ends up varying fastest."""
+    width = len(rings)
+    table = np.zeros((width,) + (depth,) * width)
+    table[(slice(None),) + tuple(exponents[:, ::-1].T)] = coefficients
+    done = 1
+    for ring in rings:
+        table = np.einsum("aeb,ke->akb", table.reshape(-1, depth, done),
+                          ring[:, None] ** np.arange(depth))
+        done *= 8
+    return table.reshape(width, done)
+
+
+def _gradient_at(exponents: np.ndarray, coefficients: np.ndarray, points: np.ndarray,
+                 depth: int) -> np.ndarray:
+    """The gradient at every row of `points` as an (S, points) complex array:
+    one per-species table of powers z^0..z^(D-1), shared by all monomials."""
+    powers = points[..., None] ** np.arange(depth)
+    monomials = powers[:, np.arange(points.shape[1]), exponents].prod(axis=2)
+    return np.einsum("ik,mk->im", coefficients, monomials)
+
+
+def _log_extremes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `values`: the largest |log v| over the values that are not
+    zeros, and whether any value is a zero (|v| < 1e-150).  |log v| is the
+    modulus of (log|v|, arg v), in real passes only; both parts stay below
+    800 for finite v, so their squares cannot overflow."""
+    logs = np.abs(values)
+    zeros = logs < 1e-150
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    angle = np.angle(values)
+    logs *= logs
+    angle *= angle
+    logs += angle
+    np.sqrt(logs, out=logs)  # in place: the grid's values are the largest array here
+    return logs.max(axis=1, where=~zeros, initial=0.0), zeros.any(axis=1)
 
 
 def hypothesis_check(p: PressureSeries, spec: DomainSpec, samples: int,
@@ -264,29 +345,50 @@ def hypothesis_check(p: PressureSeries, spec: DomainSpec, samples: int,
     coefficient sum, (ii) |log dp/dz_i| against a_i on sampled contour and
     interior points, (iii) the two summability partial sums.  Report-only.
 
-    Each dp/dz_i is evaluated over all sample points at once in numpy; a
-    value below 1e-150 in modulus counts as a zero of the derivative, which
-    fails the species.  ValueError when samples < 0, or when there is no
-    grid (S >= 5) and samples is 0, since an audit of no points shows nothing.
+    All S partials dp/dz_i are evaluated in one pass.  On the ring grid, a
+    tensor product of per-species rings, the gradient's coefficients are
+    contracted one species axis at a time against that species' 8 × D power
+    matrix: O(8^S·S·D) work, however many terms the series has.  The
+    interior points share one per-species power table across all monomials.
+    |log v| is hypot(log|v|, arg v), since numpy's complex log is slow near
+    |v| = 1.  Both sums are plain `np.einsum`: no complex array goes through
+    BLAS (see the module doc).  A value below 1e-150 in modulus counts as a
+    zero of the derivative, which fails the species.  ValueError when
+    samples < 0, or when there is no grid (S >= 5) and samples is 0, since
+    an audit of no points shows nothing.
     """
+    return _hypothesis_check(p, spec, samples, seed, coefficient_sum_bound(p, spec))
+
+
+def _hypothesis_check(p: PressureSeries, spec: DomainSpec, samples: int, seed: int,
+                      sup_p: float) -> HypothesisReport:
     species = list(range(1, p.series.truncation.species + 1))
     spec.require(species)
-    points = _sample_points(spec, species, samples, seed)
+    rings, interior = _audit_points(spec, species, samples, seed)
+    exponents, coefficients = _gradient(p.series)
+    depth = max(p.series.truncation.degree, 1)
+    extremes = []
+    if rings:
+        extremes.append(_log_extremes(_gradient_on_grid(exponents, coefficients, rings, depth)))
+    # interior points in blocks, so no monomial table outgrows _BLOCK_VALUES
+    block = max(1, _BLOCK_VALUES // max(exponents.size, depth * len(species)))
+    for k in range(0, samples, block):
+        values = _gradient_at(exponents, coefficients, interior[k:k + block], depth)
+        extremes.append(_log_extremes(values))
+    worst = np.max([w for w, _ in extremes], axis=0).tolist()
+    zeros = np.any([z for _, z in extremes], axis=0).tolist()
 
     checks = []
-    for i in species:
-        values = _evaluate_at(p.series.diff(i), points)
-        zeros = np.abs(values) < 1e-150
-        zero_found = bool(zeros.any())
-        worst = float(np.abs(np.log(values[~zeros])).max(initial=0.0))
+    for i, w, zero_found in zip(species, worst, zeros):
         budget = spec.species[i].a
-        checks.append(SpeciesLogCheck(i, worst, budget, zero_found,
-                                      (not zero_found) and worst < budget))
+        checks.append(SpeciesLogCheck(i, w, budget, zero_found,
+                                      (not zero_found) and w < budget))
 
     sqrt_sum = sum(math.sqrt(d.r / d.R) for d in spec.species.values())
     ra2 = sum(d.r * d.a * d.a / d.R for d in spec.species.values())
-    return HypothesisReport(coefficient_sum_bound(p, spec), checks, sqrt_sum, ra2,
-                            len(points), all(c.passed for c in checks))
+    grid = 8 ** len(species) if rings else 0
+    return HypothesisReport(sup_p, checks, sqrt_sum, ra2, grid + samples,
+                            all(c.passed for c in checks))
 
 
 @dataclass
@@ -325,9 +427,14 @@ def check_coefficient_bounds(p: PressureSeries, spec: DomainSpec,
     the report; the audit itself never raises.
     """
     sup_p = coefficient_sum_bound(p, spec)
+    return _coefficient_audit(spec, c, sup_p, det_bound_constant(spec) * sup_p)
+
+
+def _coefficient_audit(spec: DomainSpec, c: VirialSeries, sup_p: float,
+                       scale: float) -> BoundAuditReport:
     entries = []
     for n, value in c.series.sorted_terms():
-        bound = virial_bound(spec, sup_p, n)
+        bound = _scaled_bound(spec, scale, n)
         v = abs(float(value))
         entries.append(BoundAuditEntry(n, v, bound, bound - v, v <= bound))
     violations = [e for e in entries if not e.ok]
@@ -370,13 +477,17 @@ class BoundReport:
 def bound_report(spec: DomainSpec, p: PressureSeries | None = None,
                  c: VirialSeries | None = None, indices=(),
                  samples: int = 500, seed: int = 0) -> BoundReport:
+    """The constant C and sup|p| are computed once and shared by every
+    per-index bound, the hypothesis report and the audit."""
     constant = det_bound_constant(spec)
     if p is None:
-        return BoundReport(constant, [(n, virial_bound(spec, 1.0, n)) for n in indices])
+        return BoundReport(constant, [(n, _scaled_bound(spec, constant, n))
+                                      for n in indices])
     sup_p = coefficient_sum_bound(p, spec)
-    per_n = [(n, virial_bound(spec, sup_p, n)) for n in indices]
-    hypothesis = hypothesis_check(p, spec, samples, seed)
-    audit = check_coefficient_bounds(p, spec, c) if c is not None else None
+    scale = constant * sup_p
+    per_n = [(n, _scaled_bound(spec, scale, n)) for n in indices]
+    hypothesis = _hypothesis_check(p, spec, samples, seed, sup_p)
+    audit = _coefficient_audit(spec, c, sup_p, scale) if c is not None else None
     return BoundReport(constant, per_n, hypothesis, audit)
 
 

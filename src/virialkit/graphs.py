@@ -263,11 +263,10 @@ def block_cut_tree(d: BlockDecomposition) -> BlockCutTree:
 
 
 def dissymmetry_check(g: Graph) -> tuple[int, int]:
-    """(1 + sum of block sizes, n + block count); equal for every connected graph."""
-    d = block_decomposition(g)
-    lhs = 1 + sum(b.size for b in d.blocks)
-    rhs = g.n + len(d.blocks)
-    return lhs, rhs
+    """(1 + sum of block sizes, n + block count); equal for every connected
+    graph, the single vertex included: it has no block, and 1 + 0 = 1 + 0."""
+    blocks = block_decomposition(g).blocks if g.n != 1 else ()
+    return 1 + sum(b.size for b in blocks), g.n + len(blocks)
 
 
 GRAPH_CLASSES = ("all", "connected", "two_connected")

@@ -22,8 +22,16 @@ from virialkit.bounds import (
     virial_bound,
     z_of_rho_bound,
 )
-from virialkit.bounds import _sample_points
-from virialkit.series import MPSeries, MultiIndex, Truncation
+import virialkit.bounds as bounds_mod
+from virialkit.bounds import (
+    _audit_points,
+    _gradient,
+    _gradient_at,
+    _gradient_on_grid,
+    _sample_points,
+    bound_report,
+)
+from virialkit.series import MPSeries, MultiIndex, Truncation, admissible_indices
 from virialkit.virial import PressureSeries, invert_recursive, pressure_from_weights
 from virialkit.weights import SyntheticBlockModel
 
@@ -277,6 +285,130 @@ def test_hypothesis_check_matches_the_oracle_on_a_vanishing_derivative():
         assert check.max_log_abs == pytest.approx(worst, abs=1e-12)
         assert check.zero_found == zero_found
     assert not report.passed
+
+
+def random_pressure(width, degree, seed):
+    """z_1 + ... + z_S plus every admissible monomial of degree >= 2 with a
+    small random rational coefficient: a dense pressure whose gradient stays
+    near 1 on the audit domains below."""
+    rng = random.Random(seed)
+    t = Truncation(degree, width)
+    terms = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for n in admissible_indices(t, min_degree=2)}
+    terms.update({MultiIndex.single(i): 1 for i in range(1, width + 1)})
+    return pressure(terms, degree, width)
+
+
+def assert_matches_the_oracle(p, spec, samples, seed):
+    report = hypothesis_check(p, spec, samples=samples, seed=seed)
+    expected, count = per_point_log_checks(p, spec, samples, seed)
+    assert report.sample_count == count
+    for check, (worst, zero_found) in zip(report.log_checks, expected, strict=True):
+        assert check.max_log_abs == pytest.approx(worst, abs=1e-12)
+        assert check.zero_found == zero_found
+        assert check.passed == ((not zero_found) and worst < check.budget)
+    return report
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_hypothesis_check_matches_the_oracle_on_a_deep_four_species_grid(degree):
+    spec = make_domain_spec([(i, 0.01, 0.04, 0.5) for i in range(1, 5)])
+    assert_matches_the_oracle(random_pressure(4, degree, degree), spec, 20, seed=degree)
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+def test_hypothesis_check_matches_the_oracle_on_interior_points_only(width):
+    spec = make_domain_spec([(i, 0.01, 0.04, 0.5) for i in range(1, width + 1)])
+    report = assert_matches_the_oracle(random_pressure(width, 3, width), spec, 70, seed=width)
+    assert report.sample_count == 70
+
+
+def point_by_point_gradient(p, points):
+    """Every dp/dz_i at every row of `points`, through `MPSeries.diff` and
+    `MPSeries.evaluate`: an (S, points) array."""
+    width = p.series.truncation.species
+    partials = [p.series.diff(i) for i in range(1, width + 1)]
+    return np.array([[partial.evaluate({s + 1: z for s, z in enumerate(row)}) for row in points]
+                     for partial in partials])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_gradient_on_grid_and_interior_match_the_sample_point_rows(width):
+    species = list(range(1, width + 1))
+    spec = make_domain_spec([(i, 0.1 * i, 0.3 * i + 0.1, 1.0) for i in species])
+    degree = 7 - width
+    p = random_pressure(width, degree, 40 + width)
+    exponents, coefficients = _gradient(p.series)
+    rings, interior = _audit_points(spec, species, 25, seed=3)
+    points = _sample_points(spec, species, 25, seed=3)
+    expected = point_by_point_gradient(p, points)
+    grid = 8 ** width
+    on_grid = _gradient_on_grid(exponents, coefficients, rings, degree)
+    at_points = _gradient_at(exponents, coefficients, interior, degree)
+    assert on_grid.shape == (width, grid) and at_points.shape == (width, 25)
+    assert np.abs(on_grid - expected[:, :grid]).max() < 1e-12
+    assert np.abs(at_points - expected[:, grid:]).max() < 1e-12
+
+
+def test_gradient_vanishing_at_one_grid_point_is_found_there():
+    # dp/dz_1 = 2 - 2 z_1 - 4 z_2 vanishes on the grid only at (R_1, R_2) =
+    # (1/2, 1/4): ring index 4 (radius R, angle 0) for both species
+    p = pressure({e(1): 2, e(2): -1, e(1, 1): -4}, 3, 2)
+    spec = make_domain_spec([(1, 0.1, 0.5, 10.0), (2, 0.1, 0.25, 10.0)])
+    exponents, coefficients = _gradient(p.series)
+    rings, _ = _audit_points(spec, [1, 2], 0, seed=0)
+    values = _gradient_on_grid(exponents, coefficients, rings, 3)
+    assert np.flatnonzero(np.abs(values[0]) < 1e-150).tolist() == [4 + 8 * 4]
+    assert not (np.abs(values[1]) < 1e-150).any()
+    report = assert_matches_the_oracle(p, spec, 30, seed=2)
+    assert [c.zero_found for c in report.log_checks] == [True, False]
+    assert not report.passed
+
+
+def test_gradient_vanishing_everywhere_fails_its_species():
+    # p = z_1 + z_1^2 leaves dp/dz_2 = 0 at every point
+    p = pressure({e(1): 1, e(2): Fraction(1, 5)}, 3, 2)
+    spec = make_domain_spec([(1, 0.1, 0.25, 1.0), (2, 0.1, 0.25, 1.0)])
+    report = assert_matches_the_oracle(p, spec, 30, seed=5)
+    first, second = report.log_checks
+    assert first.passed and not first.zero_found
+    assert second.zero_found and second.max_log_abs == 0.0 and not second.passed
+    # the zero pressure: no gradient term at all
+    report = assert_matches_the_oracle(pressure({}, 3, 2), spec, 30, seed=5)
+    assert all(c.zero_found and c.max_log_abs == 0.0 for c in report.log_checks)
+
+
+def test_bound_report_computes_the_constant_and_sup_p_once(monkeypatch):
+    p = random_pressure(3, 4, 8)
+    c = invert_recursive(p)
+    spec = make_domain_spec([(i, 0.01, 0.04, 1.0) for i in range(1, 4)])
+    indices = list(admissible_indices(p.series.truncation, min_degree=1))
+    constant = det_bound_constant(spec)
+    sup_p = coefficient_sum_bound(p, spec)
+    per_n = [(n, virial_bound(spec, sup_p, n)) for n in indices]
+    hypothesis = hypothesis_check(p, spec, 40, seed=9)
+    audit = check_coefficient_bounds(p, spec, c)
+
+    calls = {"constant": 0, "sup_p": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(bounds_mod, "det_bound_constant", counted("constant", det_bound_constant))
+    monkeypatch.setattr(bounds_mod, "coefficient_sum_bound",
+                        counted("sup_p", coefficient_sum_bound))
+    report = bound_report(spec, p, c, indices=indices, samples=40, seed=9)
+    assert calls == {"constant": 1, "sup_p": 1}
+    # every float bit-identical to the per-call functions
+    assert report.constant == constant
+    assert report.per_n_bounds == per_n
+    assert report.hypothesis == hypothesis
+    assert report.audit == audit
+    bare = bound_report(spec, indices=indices)
+    assert bare.per_n_bounds == [(n, virial_bound(spec, 1.0, n)) for n in indices]
 
 
 def test_hypothesis_check_refuses_negative_samples():

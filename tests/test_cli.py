@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import virialkit
 from virialkit import virial as virial_mod
 from virialkit._config import S_MAX
 from virialkit.cli import (
@@ -88,6 +93,20 @@ def test_graphs_dissymmetry_stdout_is_pinned(capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "774dedae74f1a5af844a475585d31520d9a8ac5ebb593ae67d414df563bf8915"
+
+
+def test_graphs_dissymmetry_below_two_vertices(capsys):
+    # n = 0 has no connected graph; n = 1 has one, the single vertex, with
+    # no block: 1 + 0 = 1 + 0
+    code, out, err = run(capsys, "graphs", "dissymmetry", "--n", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "graphs dissymmetry", "n": 0, "graphs": 0,
+                               "all_pass": True, "results": []}
+    code, out, err = run(capsys, "graphs", "dissymmetry", "--n", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "graphs dissymmetry", "n": 1, "graphs": 1,
+                               "all_pass": True,
+                               "results": [{"edges": [], "lhs": 1, "rhs": 1, "pass": True}]}
 
 
 @pytest.mark.parametrize("argv,cap", [
@@ -258,6 +277,36 @@ def test_virial_stdout_is_pinned_at_degree_6(tmp_path, capsys, monkeypatch, meth
                          "--method", method)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_DEGREE_6[method]
+
+
+def fresh_main(argv, cwd):
+    """`main(argv)` in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(virialkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys; from virialkit.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_shared_parser_serves_back_to_back_subcommands_as_fresh_calls(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", RANDOM_TWO_SPECIES)
+    write(tmp_path / "d.json", {"species": [{"i": 1, "r": 0.01, "R": 0.04, "a": 0.5},
+                                            {"i": 2, "r": 0.01, "R": 0.04, "a": 0.5}]})
+    commands = [("virial", "invert", "--model", "model.json", "--degree", "4",
+                 "--method", "lagrange-good"),
+                ("bounds", "compute", "--spec", "d.json", "--model", "model.json",
+                 "--degree", "3", "--seed", "4"),
+                ("graphs", "count", "--n", "4", "--class", "two_connected"),
+                ("virial", "invert", "--model", "model.json", "--degree", "4")]
+    assert build_parser() is build_parser()
+    in_process = [run(capsys, *argv) for argv in commands]
+    for argv, got in zip(commands, in_process, strict=True):
+        assert got[0] == 0
+        assert got == fresh_main(argv, tmp_path)
 
 
 # -- weights ----------------------------------------------------------------------

@@ -320,6 +320,14 @@ def test_block_cut_tree_examples():
     assert t.block_count == 2 and t.cut_vertices == (3,) and len(t.edges) == 2
 
 
+def test_dissymmetry_of_the_single_vertex():
+    # one vertex, no block: 1 + 0 = 1 + 0; the block split itself still
+    # needs two vertices
+    assert dissymmetry_check(Graph(1, 0)) == (1, 1)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        block_decomposition(Graph(1, 0))
+
+
 def test_dissymmetry_examples():
     assert dissymmetry_check(TRIANGLE) == (4, 4)
     assert dissymmetry_check(PATH3) == (5, 5)
