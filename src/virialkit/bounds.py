@@ -103,17 +103,21 @@ def det_bound_exponent_exact(spec: DomainSpec) -> Fraction:
     return lead * quad_root
 
 
+def _refuse(i: int, what: str):
+    """A bound that is not a finite float is refused rather than overflowing."""
+    raise ValueError(f"species i = {i}: the bound factor {what} takes the bound "
+                     f"past the largest float {sys.float_info.max:.6g}")
+
+
 def _times_factor(out: float, factor: Callable[[], float], i: int, what: str) -> float:
     """out * factor(); ValueError naming species i when that is not a finite
-    float, so a bound beyond the float range is refused rather than
-    overflowing."""
+    float."""
     try:
         out *= factor()
     except (OverflowError, ZeroDivisionError):
         out = math.inf
     if not math.isfinite(out):
-        raise ValueError(f"species i = {i}: the bound factor {what} takes the bound "
-                         f"past the largest float {sys.float_info.max:.6g}")
+        _refuse(i, what)
     return out
 
 
@@ -122,17 +126,29 @@ def virial_bound(spec: DomainSpec, sup_p: float, n: MultiIndex) -> float:
     finite float."""
     if sup_p < 0:
         raise ValueError("sup_p must be >= 0")
-    return _scaled_bound(spec, det_bound_constant(spec) * sup_p, n)
+    return _scaled_bound(spec, det_bound_constant(spec) * sup_p, n, {})
 
 
-def _scaled_bound(spec: DomainSpec, scale: float, n: MultiIndex) -> float:
+def _scaled_bound(spec: DomainSpec, scale: float, n: MultiIndex,
+                  factors: dict[tuple[int, int], float]) -> float:
     """scale * prod_i (e^{a_i}/r_i)^{n_i}, for scale = C * sup|p| computed once
-    per report."""
+    per report; `factors` memoises each (i, n_i) factor across the report's
+    bounds, inf where it overflows, so every bound is the same float product
+    and a non-finite one is refused for the same species."""
     spec.require(n.species)
     out = scale
     for i, e in n.items():
-        d = spec.species[i]
-        out = _times_factor(out, lambda: (math.exp(d.a) / d.r) ** e, i, f"(e^a/r)^{e}")
+        f = factors.get((i, e))
+        if f is None:
+            d = spec.species[i]
+            try:
+                f = (math.exp(d.a) / d.r) ** e
+            except (OverflowError, ZeroDivisionError):
+                f = math.inf
+            factors[i, e] = f
+        out *= f
+        if not math.isfinite(out):
+            _refuse(i, f"(e^a/r)^{e}")
     return out
 
 
@@ -427,14 +443,14 @@ def check_coefficient_bounds(p: PressureSeries, spec: DomainSpec,
     the report; the audit itself never raises.
     """
     sup_p = coefficient_sum_bound(p, spec)
-    return _coefficient_audit(spec, c, sup_p, det_bound_constant(spec) * sup_p)
+    return _coefficient_audit(spec, c, sup_p, det_bound_constant(spec) * sup_p, {})
 
 
 def _coefficient_audit(spec: DomainSpec, c: VirialSeries, sup_p: float,
-                       scale: float) -> BoundAuditReport:
+                       scale: float, factors: dict) -> BoundAuditReport:
     entries = []
     for n, value in c.series.sorted_terms():
-        bound = _scaled_bound(spec, scale, n)
+        bound = _scaled_bound(spec, scale, n, factors)
         v = abs(float(value))
         entries.append(BoundAuditEntry(n, v, bound, bound - v, v <= bound))
     violations = [e for e in entries if not e.ok]
@@ -480,14 +496,15 @@ def bound_report(spec: DomainSpec, p: PressureSeries | None = None,
     """The constant C and sup|p| are computed once and shared by every
     per-index bound, the hypothesis report and the audit."""
     constant = det_bound_constant(spec)
+    factors: dict[tuple[int, int], float] = {}  # shared by every bound below
     if p is None:
-        return BoundReport(constant, [(n, _scaled_bound(spec, constant, n))
+        return BoundReport(constant, [(n, _scaled_bound(spec, constant, n, factors))
                                       for n in indices])
     sup_p = coefficient_sum_bound(p, spec)
     scale = constant * sup_p
-    per_n = [(n, _scaled_bound(spec, scale, n)) for n in indices]
+    per_n = [(n, _scaled_bound(spec, scale, n, factors)) for n in indices]
     hypothesis = _hypothesis_check(p, spec, samples, seed, sup_p)
-    audit = _coefficient_audit(spec, c, sup_p, scale) if c is not None else None
+    audit = _coefficient_audit(spec, c, sup_p, scale, factors) if c is not None else None
     return BoundReport(constant, per_n, hypothesis, audit)
 
 

@@ -388,8 +388,10 @@ def two_connected_graph_list(n: int) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=1 << 12)
 def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
-    """Colour vector with n_1 ones, then n_2 twos, ... (ascending species)."""
+    """Colour vector with n_1 ones, then n_2 twos, ... (ascending species);
+    memoised, as every weight sum asks for it once per index."""
     if n.degree < 1:
         raise ValueError("canonical colouring needs a multi-index of degree >= 1")
     colours: list[int] = []

@@ -15,6 +15,17 @@ coefficient operation.  `MultiIndex` and `Fraction` are the types at the
 boundary: the constructor's input, `MPSeries.terms`, coefficient lookup,
 sorted output and JSON.
 
+The boundary is paid once per truncation value, not once per request: its
+index data enters no model, so one table per (degree, species), shared by
+equal `Truncation` objects, memoises the admissible indices of each degree,
+the maps between indices and keys, and the unit series of each field.
+`admissible_indices`, `pack`, `unpack` and the constructor's admissibility
+check read it.  The memo is bounded and lazy: an LRU keeps the tables of the
+last _INDEX_TABLES truncations, and a degree's indices are stored only when
+its walk completes and the table stays within _TABLE_ENTRIES indices, so a
+walk stopped early or over millions of indices leaves nothing behind;
+outside the table `pack` and `unpack` compute.
+
 All values are immutable after construction and all operations are pure, so
 series can be shared freely between threads.
 """
@@ -24,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,7 +61,7 @@ class MultiIndex:
     Zero exponents are never stored, so the empty index is the monomial 1.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_degree")
 
     def __init__(self, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
@@ -66,6 +78,7 @@ class MultiIndex:
             if a[0] == b[0]:
                 raise ValueError(f"duplicate species {a[0]} in multi-index")
         self._pairs = tuple(pairs)
+        self._degree = sum(e for _, e in pairs)
 
     @classmethod
     def single(cls, species: int, exponent: int = 1) -> MultiIndex:
@@ -78,7 +91,8 @@ class MultiIndex:
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self._pairs)
+        """Total degree |n|, fixed when the index is built."""
+        return self._degree
 
     @property
     def species(self) -> tuple[int, ...]:
@@ -127,6 +141,12 @@ class MultiIndex:
         return "MultiIndex({%s})" % ", ".join(f"{s}: {e}" for s, e in self._pairs)
 
 
+# How many truncations keep an index table, and how many indices one table
+# holds at most: every (D, S) with D <= 8 and S <= 6 fits, in about 2 MB.
+_INDEX_TABLES = 16
+_TABLE_ENTRIES = 1 << 12
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Joint truncation: total degree <= degree AND species index <= species.
@@ -138,6 +158,10 @@ class Truncation:
     Admissible exponents are at most D, so adding two keys adds their
     monomials without a carry, and the sum is admissible exactly when it is
     below (D + 1) R^S (`_limit`).  The degree of a key is key // R^S.
+
+    Equal truncations share one memoised `_IndexTable`: `pack` and `unpack`
+    read its maps for every index a completed walk has stored and compute
+    the others.
     """
 
     degree: int
@@ -155,6 +179,7 @@ class Truncation:
         object.__setattr__(self, "_places", places)
         object.__setattr__(self, "_steps", tuple(places[0] + p for p in places[1:]))
         object.__setattr__(self, "_limit", (self.degree + 1) * places[0])
+        object.__setattr__(self, "_table", _index_table(self))
 
     def admits(self, n: MultiIndex) -> bool:
         if n.degree > self.degree:
@@ -164,33 +189,87 @@ class Truncation:
 
     def pack(self, n: MultiIndex) -> int:
         """The key of an admissible multi-index n."""
-        return sum(e * self._steps[s - 1] for s, e in n.items())
+        key = self._table.keys.get(n)
+        if key is None:
+            key = sum(e * self._steps[s - 1] for s, e in n.items())
+        return key
 
     def unpack(self, key: int) -> MultiIndex:
         """The multi-index with this key; the inverse of `pack`."""
-        radix = 2 * self.degree + 1
-        return MultiIndex.from_exponents(key // place % radix for place in self._places[1:])
+        n = self._table.indices.get(key)
+        if n is None:
+            radix = 2 * self.degree + 1
+            n = MultiIndex.from_exponents(key // place % radix for place in self._places[1:])
+        return n
+
+    def _key(self, n: MultiIndex) -> int | None:
+        """The key of n, None when n is not admissible."""
+        key = self._table.keys.get(n)
+        if key is None and self.admits(n):
+            key = self.pack(n)
+        return key
+
+
+class _IndexTable:
+    """The model-independent index data of one truncation value: `blocks`
+    maps a degree to its admissible indices in graded-lexicographic order,
+    `keys` and `indices` map the stored indices to their keys and back, and
+    `ones` holds the unit series of each field (`MPSeries.one`)."""
+
+    def __init__(self):
+        empty = MultiIndex()
+        self.blocks, self.keys, self.indices, self.ones = {}, {empty: 0}, {0: empty}, {}
+
+
+@lru_cache(maxsize=_INDEX_TABLES)
+def _index_table(truncation: Truncation) -> _IndexTable:
+    return _IndexTable()
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The exponent vectors of `parts` species summing to `total`, ascending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def admissible_indices(truncation: Truncation, min_degree: int = 0) -> Iterator[MultiIndex]:
-    """All admissible multi-indices in graded-lexicographic order."""
-    s = truncation.species
+    """All admissible multi-indices of degree >= min_degree in
+    graded-lexicographic order (ascending keys).
 
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for d in range(min_degree, truncation.degree + 1):
-        for dense in compositions(d, s):
-            yield MultiIndex.from_exponents(dense)
+    Each degree is read from the truncation's memoised table.  A degree not
+    stored yet is walked lazily and stored once its walk completes, if the
+    table stays within _TABLE_ENTRIES indices, so stopping early costs only
+    the indices taken.
+    """
+    table, s = truncation._table, truncation.species
+    for d in range(max(min_degree, 0), truncation.degree + 1):
+        block = table.blocks.get(d)
+        if block is not None:
+            yield from block
+            continue
+        keep = len(table.keys) + math.comb(d + s - 1, s - 1) <= _TABLE_ENTRIES
+        built = []
+        for dense in _compositions(d, s):
+            n = MultiIndex.from_exponents(dense)
+            if keep:
+                built.append(n)
+            yield n
+        if keep:
+            for n in built:
+                key = truncation.pack(n)
+                table.keys[n] = key
+                table.indices[key] = n
+            table.blocks[d] = tuple(built)
 
 
 def _coerce(value, field: str):
     if field == RATIONAL:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise ValueError("float coefficient in a rational-field series; "
                              "convert the series explicitly with to_float()")
@@ -213,6 +292,16 @@ def _one(field: str):
 def _value(field: str, numerator, denominator: int):
     """The coefficient a numerator over a denominator stands for."""
     return Fraction(numerator, denominator) if field == RATIONAL else numerator
+
+
+def _numerators(values: Mapping[int, object], field: str) -> tuple[dict[int, object], int]:
+    """Keyed coefficients of the field (Fractions or ints, or floats) as
+    (numerators, denominator): integers over their least common denominator
+    for the rational field, the floats themselves over 1 otherwise."""
+    if field != RATIONAL:
+        return dict(values), 1
+    den = math.lcm(*(c.denominator for c in values.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
 
 
 def _add_into(acc: dict, den: int, terms: Mapping[int, object], tden: int, sign: int = 1) -> int:
@@ -251,19 +340,15 @@ class MPSeries:
                  field: str = RATIONAL):
         if field not in _FIELDS:
             raise ValueError(f"unknown coefficient field {field!r}")
-        canonical = {}
+        values = {}
         for n, c in terms.items():
-            if not truncation.admits(n):
+            key = truncation._key(n)
+            if key is None:
                 raise ValueError(f"term {n!r} not admissible under {truncation}")
             c = _coerce(c, field)
             if c != 0:
-                canonical[truncation.pack(n)] = c
-        den = 1
-        if field == RATIONAL:
-            den = math.lcm(*(c.denominator for c in canonical.values()))
-            canonical = {k: c.numerator * (den // c.denominator) for k, c in canonical.items()}
-        self._terms = canonical
-        self._den = den
+                values[key] = c
+        self._terms, self._den = _numerators(values, field)
         self.truncation = truncation
         self.field = field
         self._view = None
@@ -280,7 +365,12 @@ class MPSeries:
 
     @classmethod
     def one(cls, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        return cls.constant(1, truncation, field)
+        """The unit series: one shared object per truncation value and field."""
+        ones = truncation._table.ones
+        one = ones.get(field)
+        if one is None:
+            one = ones[field] = cls.constant(1, truncation, field)
+        return one
 
     @classmethod
     def variable(cls, species: int, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
@@ -299,9 +389,10 @@ class MPSeries:
 
     def __getitem__(self, n: MultiIndex):
         """Coefficient of z^n; n must be admissible (inadmissible is undefined, not 0)."""
-        if not self.truncation.admits(n):
+        key = self.truncation._key(n)
+        if key is None:
             raise ValueError(f"coefficient of {n!r} is undefined at truncation {self.truncation}")
-        return self._coefficient(self.truncation.pack(n))
+        return self._coefficient(key)
 
     def _coefficient(self, key: int):
         return _value(self.field, self._terms.get(key, _zero(self.field)), self._den)
@@ -351,7 +442,9 @@ class MPSeries:
     def _keyed(self, terms: dict[int, object], den: int = 1) -> MPSeries:
         """A series of this truncation and field from keyed numerators over
         `den` that are admissible and in the field already: the zeros are
-        dropped and a rational result is reduced by one gcd pass."""
+        dropped and a rational result is reduced by one gcd pass.  This is
+        the internal constructor; a caller with keyed coefficients passes
+        them through `_numerators` first."""
         terms = {k: c for k, c in terms.items() if c}
         if den != 1:
             g = math.gcd(den, *terms.values())

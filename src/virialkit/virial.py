@@ -39,6 +39,7 @@ from .series import (
     SeriesMatrix,
     Truncation,
     _add_into,
+    _numerators,
     _powers,
     _value,
     _zero,
@@ -91,7 +92,8 @@ class TwoConnectedGF:
     series: MPSeries
 
     def __post_init__(self):
-        if any(n.degree < 2 for n in self.series.terms):
+        low = 2 * self.series.truncation._places[0]  # keys of degree >= 2 are not below it
+        if any(k < low for k in self.series._terms):
             raise ValueError("a two-connected generating function must not carry "
                              "terms of degree < 2")
 
@@ -229,13 +231,12 @@ def _weight_sum_series(sum_weights, model, truncation: Truncation,
     model's field."""
     _check_weight_sum_size(truncation)
     field = model.field
-    terms = {}
+    values = {}
     for n in admissible_indices(truncation, min_degree=min_degree):
         s = sum_weights(model, n.degree, canonical_colouring(n))
-        b = Fraction(s) / n.factorial() if field == RATIONAL else float(s) / n.factorial()
-        if b != 0:
-            terms[n] = b
-    return MPSeries(terms, truncation, field)
+        values[truncation.pack(n)] = (Fraction(s) / n.factorial() if field == RATIONAL
+                                      else float(s) / n.factorial())
+    return MPSeries.one(truncation, field)._keyed(*_numerators(values, field))
 
 
 def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
@@ -318,14 +319,16 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
     fam = densities(p).by_species
 
     rho_power = _powers(fam, t, field)
-    # rho^n = rho^(n without its top species s) * rho_s^(n_s), memoised by prefix
-    monomials = {MultiIndex(): MPSeries.one(t, field)}
+    one = MPSeries.one(t, field)
+    # rho^n = rho^(n without its top species s) * rho_s^(n_s), memoised by the
+    # key of n, the prefix's key being that of n less n_s z_s
+    monomials = {0: one}
 
-    def rho_monomial(n: MultiIndex) -> MPSeries:
-        if n not in monomials:
-            *rest, (s, e) = n.items()
-            monomials[n] = rho_monomial(MultiIndex(rest)) * rho_power(s, e)
-        return monomials[n]
+    def rho_monomial(key: int) -> MPSeries:
+        if key not in monomials:
+            *_, (s, e) = t.unpack(key).items()
+            monomials[key] = rho_monomial(key - e * t._steps[s - 1]) * rho_power(s, e)
+        return monomials[key]
 
     active_set = set(active)
     # sum of processed c(n) rho^n: keyed numerators over `den`, added in place
@@ -337,12 +340,14 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
         diagonal = Fraction(1) if field == RATIONAL else 1.0
         for s, e in n.items():
             diagonal *= b1[s] ** e
-        c = (series[n] - _value(field, running.get(t.pack(n), _zero(field)), den)) / diagonal
+        key = t.pack(n)
+        done = _value(field, running.get(key, _zero(field)), den)
+        c = (series._coefficient(key) - done) / diagonal
         if c != 0:
-            coeffs[n] = c
-            term = rho_monomial(n).scaled(c)
+            coeffs[key] = c
+            term = rho_monomial(key).scaled(c)
             den = _add_into(running, den, term._terms, term._den)
-    return VirialSeries(MPSeries(coeffs, t, field), RECURSIVE)
+    return VirialSeries(one._keyed(*_numerators(coeffs, field)), RECURSIVE)
 
 
 # -- route 2: Lagrange-Good extraction ------------------------------------------
@@ -406,10 +411,13 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
     Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     B = two_connected_gf(model, truncation).series
-    terms = {MultiIndex.single(k): 1 for k in range(1, truncation.species + 1)
-             if truncation.degree >= 1}
-    terms.update((n, -(n.degree - 1) * b) for n, b in B.terms.items())
-    return VirialSeries(MPSeries(terms, truncation, B.field), TWO_CONNECTED)
+    # keyed numerators over B's denominator: 1 at each e_k (key _steps[k - 1]),
+    # then -(|n| - 1) b(n), |n| being a key's degree digit
+    unit = B._den if B.field == RATIONAL else 1.0
+    terms = {step: unit for step in truncation._steps if truncation.degree >= 1}
+    top = truncation._places[0]
+    terms.update((k, -(k // top - 1) * c) for k, c in B._terms.items())
+    return VirialSeries(B._keyed(terms, B._den), TWO_CONNECTED)
 
 
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:

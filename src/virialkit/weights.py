@@ -27,12 +27,13 @@ whichever path a potential takes.
 A hard-core potential, whose every Mayer factor is -1 or 0, may also provide
 `PairPotential.overlap_batch(k1, k2, dx, o1, o2)`: booleans that are True
 exactly where `zeta_batch` gives -1, read from the displacement dx = x2 - x1
-and symmetric in the pair.  Soft potentials leave it None.  With the hook, a
-sample's sum over the connected graphs depends only on which pairs overlap,
-so it is an exact integer: `mayer_sum_mc` counts the overlap patterns and
-reads each pattern's sum from one table per vertex count
-(`_connected_sum_table`), and its totals are exact integers that equal the
-float sums of the per-sample recursion bit for bit.
+(a scratch array the hook may overwrite) and symmetric in the pair.  Soft
+potentials leave it None.  With the hook, a sample's sum over the connected
+graphs depends only on which pairs overlap, so it is an exact integer:
+`mayer_sum_mc` counts the overlap patterns and reads each pattern's sum from
+one table per vertex count (`_connected_sum_table`), and its totals are
+exact integers that equal the float sums of the per-sample recursion bit for
+bit.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class PairPotential:
     and False where it gives 0, for species k1 and k2 at displacement
     dx = x2 - x1 of shape (count, d) with orientations o1 and o2; it must be
     symmetric in the pair, overlap(k1, k2, dx, o1, o2) ==
-    overlap(k2, k1, -dx, o2, o1).  Soft potentials leave it None.
+    overlap(k2, k1, -dx, o2, o1).  dx is the caller's scratch array, which
+    the hook may overwrite.  Soft potentials leave it None.
     """
 
     dimension: int
@@ -138,13 +140,14 @@ def zeta(u: PairPotential, m1: Molecule, m2: Molecule) -> float:
     return math.exp(-e) - 1.0
 
 
-def minimum_image(dx: np.ndarray, box_length: float) -> np.ndarray:
-    """Componentwise minimum-image displacement on the torus [0, L)^d.
+def minimum_image(dx: np.ndarray, box_length: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Componentwise minimum-image displacement on the torus [0, L)^d,
+    written into `out` when given (which may be dx itself).
 
     Differences of in-box positions have |dx| < L, where the remainder is the
     identity, so it is taken only when some |dx| is not below L; the test is
     written so that a NaN also takes it."""
-    d = np.abs(dx)
+    d = np.abs(dx, out=out)
     if d.size and not d.max() < box_length:
         d %= box_length
     return np.minimum(d, box_length - d, out=d)
@@ -180,7 +183,8 @@ class HardRods1D(PairPotential):
         return np.where(d < self._core[k1, k2], np.inf, 0.0)
 
     def overlap_batch(self, k1, k2, dx, o1, o2) -> np.ndarray:
-        return minimum_image(dx[:, 0], self.box_length) < self._core[k1, k2]
+        d = dx[:, 0]
+        return minimum_image(d, self.box_length, out=d) < self._core[k1, k2]
 
     def zeta_batch(self, k1, x1, o1, k2, x2, o2) -> np.ndarray:
         # 0 - False = +0.0 and 0 - True = -1.0: exp(-0) - 1 and exp(-inf) - 1
@@ -247,12 +251,16 @@ class _UnitSampler:
             from scipy.stats import qmc
             self._sobol = qmc.Sobol(d=max(dims, 1), scramble=True, seed=params.seed)
 
-    def draw(self, count: int) -> np.ndarray:
+    def draw(self, out: np.ndarray) -> np.ndarray:
+        """The next len(out) samples, written into the C-contiguous
+        (len(out), dims) array `out`: the stream a fresh (len(out), dims)
+        draw would give, bit for bit."""
         if self._sobol is None:
-            return self._rng.random((count, self.dims))
+            return self._rng.random(out=out)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # Sobol balance note
-            return self._sobol.random(count)[:, : self.dims]
+            out[...] = self._sobol.random(len(out))[:, : self.dims]
+        return out
 
 
 MC_CHUNK = 1 << 16  # samples drawn and evaluated at once
@@ -290,10 +298,14 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
 
     `values(count, positions, orientations)` returns one float per sample from
     per-vertex arrays: positions[v] of shape (count, d), orientations[v] of
-    shape (count, d) or None in one dimension.  Samples are drawn `rows` at a
+    shape (count, d) or None in one dimension.  `values` may overwrite
+    positions[1:], which the next chunk refills.  Samples are drawn `rows` at a
     time, and the mean is scaled by the volume L^(d(n-1)) of the free
     positions; a volume that is not a positive finite float raises ValueError
-    before any sampling.
+    before any sampling.  The unit samples and each vertex's positions live
+    in buffers allocated once per call and refilled by every chunk (the last
+    chunk fills their leading rows), so a long run maps no fresh pages per
+    chunk and every position array stays contiguous.
 
     With a `table` of integers, `values` returns one code per sample instead,
     the sample's value being table[code] (a boolean array stands for codes 0
@@ -313,6 +325,11 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
     odims = _orientation_dims(d)
     pos_cols = (n - 1) * d
     sampler = _UnitSampler(p, mc_sample_dims(n, d))
+    rows = min(rows, p.sample_count)
+    unit_rows = np.empty((rows, sampler.dims))
+    # molecule 1 at the origin, a read-only zero view that maps no memory,
+    # then one contiguous (rows, d) array per vertex
+    position_rows = [np.broadcast_to(0.0, (rows, d))] + [np.empty((rows, d)) for _ in range(1, n)]
 
     total = 0.0
     total_sq = 0.0
@@ -320,10 +337,10 @@ def _mc_integral(n: int, u: PairPotential, p: McParams, rows: int,
     remaining = p.sample_count
     while remaining > 0:
         count = min(rows, remaining)
-        unit = sampler.draw(count)
-        positions = [np.zeros((count, d))]  # molecule 1 at the origin
+        unit = sampler.draw(unit_rows[:count])
+        positions = [x[:count] for x in position_rows]
         for v in range(1, n):
-            positions.append(L * unit[:, (v - 1) * d: v * d])
+            np.multiply(L, unit[:, (v - 1) * d: v * d], out=positions[v])
         orientations: list[np.ndarray | None] = []
         for v in range(n):
             if odims == 0:
@@ -471,26 +488,38 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
         return 1.0, 0.0
     pairs = _pairs(m)
     overlap = u.overlap_batch
+    rows = MC_CHUNK >> (m - 1)
     if overlap is not None:
-        def overlaps(positions, orientations):
-            for i, j in pairs:
-                # vertex 1 sits at the origin, where x - 0.0 is x exactly
-                dx = positions[j - 1] if i == 1 else positions[j - 1] - positions[i - 1]
-                yield overlap(colours[i - 1], colours[j - 1], dx,
-                              orientations[i - 1], orientations[j - 1])
+        # per-call buffers, refilled by every chunk: the displacements handed
+        # to the hook, which may overwrite them, and the codes; m = 2 has only
+        # the pair of vertex 1, which needs neither
+        size = min(rows, p.sample_count) if m > 2 else 0
+        dx_rows = np.empty((size, u.dimension))
+        code_rows, bit_rows = np.empty(size, dtype=np.uint16), np.empty(size, dtype=np.uint16)
+        # the pairs of vertex 1 go last: vertex 1 sits at the origin, so their
+        # displacement is x_j itself (x - 0.0 is x exactly), handed over as
+        # the chunk's own position array once no other pair reads it
+        order = sorted(range(len(pairs)), key=lambda b: pairs[b][0] == 1)
+
+        def overlaps(count, positions, orientations):
+            for b in order:
+                i, j = pairs[b]
+                dx = (positions[j - 1] if i == 1 else
+                      np.subtract(positions[j - 1], positions[i - 1], out=dx_rows[:count]))
+                yield b, overlap(colours[i - 1], colours[j - 1], dx,
+                                 orientations[i - 1], orientations[j - 1])
 
         def overlap_code(count, positions, orientations):
-            hits = overlaps(positions, orientations)
+            hits = overlaps(count, positions, orientations)
             if m == 2:
-                return next(hits)  # one pair: its booleans are the codes
-            code = np.zeros(count, dtype=np.uint16)
-            bit = np.empty(count, dtype=np.uint16)
-            for b, hit in enumerate(hits):
+                return next(hits)[1]  # one pair: its booleans are the codes
+            code, bit = code_rows[:count], bit_rows[:count]
+            code.fill(0)
+            for b, hit in hits:
                 code |= np.multiply(hit, np.uint16(1 << b), out=bit)
             return code
 
-        return _mc_integral(m, u, p, MC_CHUNK >> (m - 1), overlap_code,
-                            _connected_sum_table(m))
+        return _mc_integral(m, u, p, rows, overlap_code, _connected_sum_table(m))
 
     def connected_sum(count, positions, orientations):
         zeta = np.empty((len(pairs), count))
@@ -499,7 +528,7 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
                                    colours[j - 1], positions[j - 1], orientations[j - 1])
         return _connected_sum(m, zeta)
 
-    return _mc_integral(m, u, p, MC_CHUNK >> (m - 1), connected_sum)
+    return _mc_integral(m, u, p, rows, connected_sum)
 
 
 # -- synthetic block-factorizing models --------------------------------------

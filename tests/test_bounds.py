@@ -411,6 +411,32 @@ def test_bound_report_computes_the_constant_and_sup_p_once(monkeypatch):
     assert bare.per_n_bounds == [(n, virial_bound(spec, 1.0, n)) for n in indices]
 
 
+def test_report_bounds_are_the_species_ordered_float_products():
+    # a report computes each (i, n_i) factor once; every bound is still
+    # scale * prod_i (e^{a_i}/r_i)^{n_i}, multiplied in species order
+    p = random_pressure(3, 4, 8)
+    c = invert_recursive(p)
+    spec = make_domain_spec([(i, 0.003 * i, 0.04, 0.25 + i / 3) for i in range(1, 4)])
+    indices = list(admissible_indices(p.series.truncation, min_degree=1))
+    report = bound_report(spec, p, c, indices=indices, samples=10, seed=3)
+    scale = det_bound_constant(spec) * coefficient_sum_bound(p, spec)
+
+    def oracle(n, out=scale):
+        for i, k in n.items():
+            out *= (math.exp(spec.species[i].a) / spec.species[i].r) ** k
+        return out
+
+    assert report.per_n_bounds == [(n, oracle(n)) for n in indices]
+    assert [a.bound for a in report.audit.entries] == [oracle(n) for n, _ in
+                                                       c.series.sorted_terms()]
+    # a factor past the float range is refused for its species, seen again or not
+    wide = make_domain_spec([(1, 0.25, 1.0, 1.0), (2, 1e-200, 1.0, 1.0)])
+    assert bound_report(wide, indices=[e(3), e(0, 1)]).per_n_bounds[1][1] > 1e200
+    for indices in ([e(1), e(0, 2)], [e(0, 1), e(1, 2), e(0, 2)]):
+        with pytest.raises(ValueError, match=r"species i = 2: the bound factor \(e\^a/r\)\^2"):
+            bound_report(wide, indices=indices)
+
+
 def test_hypothesis_check_refuses_negative_samples():
     p = pressure({e(1): 1}, 2, 1)
     with pytest.raises(ValueError, match="samples >= 0"):

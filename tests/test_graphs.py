@@ -371,6 +371,7 @@ def test_enumerate_cap_and_class():
 
 def test_canonical_colouring_examples():
     assert canonical_colouring(MultiIndex({1: 2})) == (1, 1)
+    assert canonical_colouring(MultiIndex({1: 2})) is canonical_colouring(MultiIndex({1: 2}))
     assert canonical_colouring(MultiIndex({1: 1, 2: 2})) == (1, 2, 2)
     assert canonical_colouring(MultiIndex({3: 3})) == (3, 3, 3)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from typing import Mapping
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virialkit import series as series_mod
 from virialkit.series import (
     FLOAT,
     RATIONAL,
@@ -543,6 +546,83 @@ def test_pack_unpack_round_trip_in_grlex_order(t):
     keys = [t.pack(n) for n in indices]
     assert [t.unpack(k) for k in keys] == indices
     assert keys == sorted(set(keys))  # distinct, and ascending in grlex order
+
+
+# -- the memoised index table ------------------------------------------------------
+
+
+def grlex_oracle(t: Truncation) -> list[MultiIndex]:
+    """Every admissible index by stars and bars (S - 1 bars among d + S - 1
+    slots for each degree d), sorted by (degree, n_1, ..., n_S)."""
+    dense = []
+    for d in range(t.degree + 1):
+        for bars in itertools.combinations(range(d + t.species - 1), t.species - 1):
+            edges = (-1, *bars, d + t.species - 1)
+            dense.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return [MultiIndex.from_exponents(v) for v in sorted(dense, key=lambda v: (sum(v), v))]
+
+
+TABLE_TRUNCATIONS = [Truncation(d, s) for d in range(9) for s in range(1, 7)]
+
+
+@pytest.mark.parametrize("t", TABLE_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
+def test_index_table_matches_a_fresh_walk(t):
+    t = Truncation(t.degree, t.species)  # a new object of an equal value
+    oracle = grlex_oracle(t)
+    radix = 2 * t.degree + 1
+    for min_degree in range(t.degree + 2):
+        want = [n for n in oracle if n.degree >= min_degree]
+        walked = list(admissible_indices(t, min_degree))  # walks, or reads the table
+        memo = list(admissible_indices(Truncation(t.degree, t.species), min_degree))
+        assert walked == want and memo == want
+        assert all(a is b for a, b in zip(walked, memo))  # the stored objects
+    for n in oracle:
+        key = n.degree * radix ** t.species + sum(e * radix ** (t.species - s)
+                                                  for s, e in n.items())
+        assert t.pack(n) == key
+        assert t.unpack(key) == n and t.unpack(t.pack(n)) == n
+
+
+def test_series_constructor_refuses_inadmissible_terms_after_a_walk():
+    t = Truncation(3, 2)
+    list(admissible_indices(t))
+    for n in (MultiIndex({1: 4}), MultiIndex({1: 2, 2: 2}), MultiIndex({3: 1})):
+        with pytest.raises(ValueError, match=r"not admissible under Truncation\(degree=3"):
+            MPSeries({n: 1}, t)
+        with pytest.raises(ValueError, match="undefined at truncation"):
+            one(t)[n]
+
+
+def test_index_walk_stays_lazy_and_the_table_memo_bounded():
+    start = time.perf_counter()
+    assert next(admissible_indices(Truncation(60, 12))) == MultiIndex()
+    walk = admissible_indices(Truncation(60, 12), min_degree=30)
+    assert next(walk).degree == 30
+    assert time.perf_counter() - start < 0.1
+    for d in range(20):
+        for s in range(1, 11):
+            list(itertools.islice(admissible_indices(Truncation(d, s)), 40))
+    assert series_mod._index_table.cache_info().currsize <= series_mod._INDEX_TABLES
+
+
+def test_multiindex_degree_is_read_only():
+    n = MultiIndex({1: 2, 4: 1})
+    with pytest.raises(AttributeError):
+        n.degree = 7
+    assert n.degree == 3
+
+
+def test_unit_series_is_shared_per_truncation_value_and_field():
+    a, b = MPSeries.one(Truncation(3, 2)), MPSeries.one(Truncation(3, 2))
+    assert a is b and a == MPSeries.constant(1, Truncation(3, 2))
+    f = MPSeries.one(Truncation(3, 2), FLOAT)
+    assert f is MPSeries.one(Truncation(3, 2), FLOAT) and f.field == FLOAT and f is not a
+    assert MPSeries.one(Truncation(2, 3)) != a
+
+
+def test_fraction_coefficients_are_stored_unchanged():
+    q = Fraction(3, 7)
+    assert series_mod._coerce(q, RATIONAL) is q
 
 
 def test_terms_view_is_read_only():

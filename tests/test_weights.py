@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from virialkit import weights
 from virialkit.graphs import ColouredGraph, Graph, connected_graph_list
@@ -17,6 +18,7 @@ from virialkit.weights import (
     Molecule,
     PairPotential,
     SyntheticBlockModel,
+    _UnitSampler,
     _abs_zeta_integral_mc,
     _connected_sum,
     _connected_sum_table,
@@ -88,7 +90,24 @@ def test_minimum_image_matches_the_remainder_oracle():
                 want = np.minimum(np.abs(dx) % L, L - np.abs(dx) % L)
                 got = minimum_image(dx, L)
             assert got.tobytes() == want.tobytes()
+            with np.errstate(invalid="ignore"):
+                assert minimum_image(dx, L, out=dx).tobytes() == want.tobytes()  # in place
     assert minimum_image(np.empty(0), L).shape == (0,)
+
+
+@pytest.mark.parametrize("scheme", ["pseudo-random", "low-discrepancy"])
+def test_unit_sampler_refills_one_buffer_with_the_fresh_stream(scheme):
+    # chunks drawn into the leading rows of one buffer continue the stream of
+    # one fresh draw of all the samples, bit for bit
+    params = McParams(2 ** 10, 5, scheme)
+    if scheme == "pseudo-random":
+        whole = np.random.default_rng(5).random((2 ** 10, 3))
+    else:
+        whole = qmc.Sobol(d=3, scramble=True, seed=5).random(2 ** 10)
+    sampler, buffer = _UnitSampler(params, 3), np.full((512, 3), np.nan)
+    chunks = [sampler.draw(buffer[:count]).copy() for count in (512, 256, 256)]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    assert (buffer[256:] == chunks[0][256:]).all()  # the last chunk refilled the leading rows
 
 
 def test_hard_rods_zeta_batch_matches_the_exp_of_energy_oracle():
