@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from . import graphs as graphs_mod
 from . import virial as virial_mod
 from . import weights as weights_mod
 from ._config import EXP_MAX, config_int, config_mapping, config_number, config_species
-from .series import MPSeries, MultiIndex, Truncation, admissible_indices
+from .series import MAX_DETERMINANT_DIM, MPSeries, MultiIndex, Truncation, admissible_indices
 from .weights import McParams, McWeightSource, SyntheticBlockModel
 
 SCHEMA = "virialkit/1"
@@ -124,20 +125,41 @@ def _emit_csv(rows: list[dict], args) -> None:
 MAX_MC_MAYER_FACTORS = 5 * 10 ** 9
 
 
-def _weight_source(model, args, truncation: Truncation, routes=("pressure",)):
-    """A synthetic model is its own exact weight source; interaction models
-    are wrapped in a seeded Monte Carlo source, once the largest run that the
-    routes ("pressure", "two-connected") make is known to stay under
-    MAX_MC_MAYER_FACTORS, so that no sampling starts on a refused plan."""
+# Largest series plan, S species up to --degree D: on random synthetic models
+# (2-core Xeon, Python 3.11) the graph sums take 0.8-2 µs per labelled graph
+# (pressure at (S, D) = (8, 6): 89 s) and the routes grow like the square of
+# the indices (Lagrange-Good at (12, 5): over 90 s); `virial compare` at
+# (10, 5) and (7, 6), the largest admitted plans, takes 41 s and 47 s.
+MAX_SERIES_INDICES = 4000
+MAX_SERIES_GRAPHS = 3 * 10 ** 7
+
+
+def _series_plan(args, methods) -> tuple[object, Truncation]:
+    """(weight source, truncation) of a command running the routes `methods`
+    on --model to --degree over --species-cap (else the model's) species,
+    refused before any work above a series cap or, on a Monte Carlo source
+    (a synthetic model is its own), MAX_MC_MAYER_FACTORS in one run."""
+    model = weights_mod.model_from_json(_load_json(args.model))
+    flags = "--degree and --species-cap" if hasattr(args, "species_cap") else "--degree"
+    truncation = Truncation(args.degree, _species_cap(model, getattr(args, "species_cap", None)))
+    virial_mod._check_weight_sum_size(truncation)
+    s, d = truncation.species, truncation.degree
+    graphs = sum(math.comb(m + s - 1, m) * len(graphs_mod.connected_graph_list(m))
+                 for m in range(1, d + 1))
+    for size, cap, what in ((math.comb(d + s, s) - 1, MAX_SERIES_INDICES, "admissible indices"),
+                            (graphs, MAX_SERIES_GRAPHS, "labelled connected graphs summed")):
+        if size > cap:
+            raise ValueError(f"{flags}: a series plan is capped at {cap} {what}, got {size} "
+                             f"at degree {d} over {s} species")
+    if "lagrange-good" in methods and s > MAX_DETERMINANT_DIM:
+        raise ValueError(f"{flags}: the Lagrange-Good route is capped at {MAX_DETERMINANT_DIM} "
+                         f"species (its determinant's dimension), got {s}")
     if isinstance(model, SyntheticBlockModel):
-        return model
-    samples, d = args.samples, truncation.degree
-    runs = []
-    if "pressure" in routes and d >= 2:
-        pairs = d * (d - 1) // 2
-        runs.append((samples * pairs, f"{samples} samples × {pairs} pairs of the joint "
-                                      f"sum on {d} vertices"))
-    if "two-connected" in routes:
+        return model, truncation
+    samples, pairs = args.samples, d * (d - 1) // 2 if set(methods) - {"two-connected"} else 0
+    runs = [(samples * pairs, f"{samples} samples × {pairs} pairs of the joint sum on {d} "
+                              f"vertices")]
+    if "two-connected" in methods:
         m, count, edges = virial_mod.largest_two_connected_class(truncation)
         runs.append((count * samples * edges,
                      f"{count} graphs × {samples} samples × {edges} edges of a two-connected "
@@ -146,7 +168,7 @@ def _weight_source(model, args, truncation: Truncation, routes=("pressure",)):
         if factors > MAX_MC_MAYER_FACTORS:
             raise ValueError(f"--samples: a Monte Carlo run is capped at {MAX_MC_MAYER_FACTORS} "
                              f"Mayer factors, got {what}")
-    return McWeightSource(model, McParams(samples, args.seed, args.scheme))
+    return McWeightSource(model, McParams(samples, args.seed, args.scheme)), truncation
 
 
 # -- graphs --------------------------------------------------------------------
@@ -232,10 +254,7 @@ def _virial_by_method(source, truncation: Truncation, method: str,
 
 
 def cmd_virial_invert(args) -> int:
-    model = weights_mod.model_from_json(_load_json(args.model))
-    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
-    routes = ("two-connected",) if args.method == "two-connected" else ("pressure",)
-    source = _weight_source(model, args, truncation, routes)
+    source, truncation = _series_plan(args, (args.method,))
     series = _virial_by_method(source, truncation, args.method)
     rows = _coefficient_rows(series, args.method)
     if args.format == "csv":
@@ -248,22 +267,14 @@ def cmd_virial_invert(args) -> int:
 
 def cmd_virial_compare(args) -> int:
     config_number(args.tol, "--tol", "a tolerance >= 0", lambda x: x >= 0)
-    model = weights_mod.model_from_json(_load_json(args.model))
-    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
-    source = _weight_source(model, args, truncation, ("pressure", "two-connected"))
-    methods = ["recursive", "lagrange-good"]
-    if getattr(source, "block_factorizing", False):
-        methods.append("two-connected")
+    source, truncation = _series_plan(args, METHOD_FLAGS)
     # Both inversion routes read the same pressure: build it once, since for
     # a Monte Carlo source every build samples each (vertex count, colouring)
     # again.
     p = virial_mod.pressure_from_weights(source, truncation)
-    results = {m: _virial_by_method(source, truncation, m, p) for m in methods}
-    base = results["recursive"]
+    base, *others = (_virial_by_method(source, truncation, m, p) for m in METHOD_FLAGS)
     diffs = []
-    for m, series in results.items():
-        if m == "recursive":
-            continue
+    for m, series in zip(METHOD_FLAGS[1:], others):
         keys = set(base.terms) | set(series.terms)
         for n in sorted(keys, key=truncation.pack):
             a, b = base[n], series[n]
@@ -274,7 +285,7 @@ def cmd_virial_compare(args) -> int:
                               "recursive": _coeff_out(a), "other": _coeff_out(b)})
     identical = not diffs
     _emit({"command": "virial compare", "model": args.model, "degree": args.degree,
-           "methods": methods, "seed": args.seed, "tolerance": args.tol,
+           "methods": METHOD_FLAGS, "seed": args.seed, "tolerance": args.tol,
            "verdict": "identical" if identical else "mismatch",
            "differences": diffs,
            "coefficients": _coefficient_rows(base, "recursive")}, args)
@@ -282,9 +293,7 @@ def cmd_virial_compare(args) -> int:
 
 
 def cmd_virial_mu(args) -> int:
-    model = weights_mod.model_from_json(_load_json(args.model))
-    truncation = Truncation(args.degree, _species_cap(model, args.species_cap))
-    source = _weight_source(model, args, truncation, ("two-connected",))
+    source, truncation = _series_plan(args, ("two-connected",))
     series = virial_mod.chemical_potential(source, truncation, args.species)
     rows = _coefficient_rows(series, "chemical-potential")
     if args.format == "csv":
@@ -396,12 +405,10 @@ def cmd_bounds_compute(args) -> int:
            "density_domain_radii": {str(i): r for i, r in
                                     sorted(bounds_mod.density_domain(spec).radii.items())}}
     if args.model:
-        model = weights_mod.model_from_json(_load_json(args.model))
-        truncation = Truncation(args.degree, _species_cap(model))
+        source, truncation = _series_plan(args, ("recursive",))
         hypothesis = config_int(args.samples_hypothesis, "--samples-hypothesis", 0,
                                 MAX_HYPOTHESIS_COORDINATES // truncation.species,
                                 f"a sample count for {truncation.species} species")
-        source = _weight_source(model, args, truncation)
         p = virial_mod.pressure_from_weights(source, truncation)
         report = bounds_mod.bound_report(
             spec, p, virial_mod.invert_recursive(p),

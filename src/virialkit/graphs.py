@@ -12,12 +12,15 @@ way.  The memoised lists and block table of the weight sums (n <= 6) test
 many masks at once instead, with numpy, vertex set by vertex set: the
 connected list tests every mask, and the block table every connected one.
 Both lists are read-only int64 arrays of edge masks; a Graph is built from
-a mask only where one graph leaves the package.
+a mask only where one graph leaves the package.  Every model-independent
+table of the weight sums is built here from them: the class tables of the
+exact sums and the hard-core pattern table of Monte Carlo.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -388,6 +391,22 @@ def two_connected_graph_list(n: int) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _connected_sum_table(m: int) -> np.ndarray:
+    """Entry P is the sum of (-1)^|E(G)| over the connected graphs G on
+    {1..m} inside the edge pattern P: a hard-core sample's connected sum when
+    exactly the pairs of P overlap.  The subset-sum (zeta) transform over the
+    edge bits of the signs at `connected_graph_list(m)`; read-only int64."""
+    masks = connected_graph_list(m)  # refuses m > 6 before any allocation
+    table = np.zeros(1 << m * (m - 1) // 2, dtype=np.int64)
+    table[masks] = 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)  # uint8 would wrap
+    for b in range(m * (m - 1) // 2):
+        half = table.reshape(-1, 2, 1 << b)
+        half[:, 1] += half[:, 0]
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=1 << 12)
 def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
     """Colour vector with n_1 ones, then n_2 twos, ... (ascending species);
@@ -475,6 +494,48 @@ def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tu
         return (size, sorted_colours, int(_canonical_table(size, sorted_colours)[mask]))
     best = min(_relabel_mask(size, mask, perm) for perm in _perms_fixing_colours(sorted_colours))
     return (size, sorted_colours, best)
+
+
+@lru_cache(maxsize=None)
+def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """((sorted canonical block keys, number of labelled graphs), ...) over the
+    connected graphs on {1..m} coloured by the sorted `colours`.
+
+    A block-factorizing weight depends only on the multiset of canonical
+    (block, restricted colouring) keys, which no model enters, so the table is
+    built once per (m, colours) and shared by every model.  A block on
+    ascending vertices restricts sorted colours to sorted colours, so its key
+    is `_canonical_table` of that pattern at its relabelled mask: one lookup
+    per vertex set, coded as (pattern number, canonical mask) in one integer.
+    Sorting the codes of each row and counting equal rows gives the table.
+    """
+    shape, groups = connected_block_profiles(m)
+    shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
+    patterns: dict[tuple, int] = {}
+    codes = np.full(shape, -1, dtype=np.int64)  # -1 pads graphs with fewer blocks
+    for verts, at, masks in groups:
+        pattern = (len(verts), tuple(colours[v - 1] for v in verts))
+        codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
+                          | _canonical_table(*pattern)[masks])
+    codes.sort(axis=1)
+    codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
+    starts = [0, *(np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1).tolist()]
+    rows, ends = codes[starts].tolist(), starts[1:] + [len(codes)]
+    pattern_of = list(patterns)
+    keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))
+            for row in rows for c in row if c >= 0}
+    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), end - start)
+                 for row, start, end in zip(rows, starts, ends))
+
+
+@lru_cache(maxsize=None)
+def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """((canonical key, number of labelled graphs), ...) over the two-connected
+    graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
+    lookup over the masks of `two_connected_graph_list(m)`; model-independent
+    like `_connected_block_classes`."""
+    classes = Counter(_canonical_table(m, colours)[two_connected_graph_list(m)].tolist())
+    return tuple(((m, colours, c), count) for c, count in classes.items())
 
 
 # -- JSON interchange --------------------------------------------------------

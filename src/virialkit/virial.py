@@ -19,18 +19,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
-
-import numpy as np
 
 from .graphs import (
     MAX_WEIGHT_SUM_VERTICES,
-    _canonical_table,
+    _connected_block_classes,
+    _two_connected_classes,
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
-    connected_block_profiles,
-    two_connected_graph_list,
 )
 from .series import (
     RATIONAL,
@@ -127,58 +123,17 @@ def _check_weight_sum_size(truncation: Truncation) -> None:
                          f"got degree {truncation.degree}")
 
 
-@lru_cache(maxsize=None)
-def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """((sorted canonical block keys, number of labelled graphs), ...) over the
-    connected graphs on {1..m} coloured by the sorted `colours`.
-
-    A block-factorizing weight depends only on the multiset of canonical
-    (block, restricted colouring) keys, which no model enters, so the table is
-    built once per (m, colours) and shared by every model.  A block on
-    ascending vertices restricts sorted colours to sorted colours, so its key
-    is `_canonical_table` of that pattern at its relabelled mask: one lookup
-    per vertex set, coded as (pattern number, canonical mask) in one integer.
-    Sorting the codes of each row and counting equal rows gives the table.
-    """
-    shape, groups = connected_block_profiles(m)
-    shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
-    patterns: dict[tuple, int] = {}
-    codes = np.full(shape, -1, dtype=np.int64)  # -1 pads graphs with fewer blocks
-    for verts, at, masks in groups:
-        pattern = (len(verts), tuple(colours[v - 1] for v in verts))
-        codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
-                          | _canonical_table(*pattern)[masks])
-    codes.sort(axis=1)
-    codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
-    starts = [0, *(np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1).tolist()]
-    rows, ends = codes[starts].tolist(), starts[1:] + [len(codes)]
-    pattern_of = list(patterns)
-    keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))
-            for row in rows for c in row if c >= 0}
-    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), end - start)
-                 for row, start, end in zip(rows, starts, ends))
-
-
-@lru_cache(maxsize=None)
-def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """((canonical key, number of labelled graphs), ...) over the two-connected
-    graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
-    lookup over the masks of `two_connected_graph_list(m)`; model-independent
-    like `_connected_block_classes`."""
-    classes = Counter(_canonical_table(m, colours)[two_connected_graph_list(m)].tolist())
-    return tuple(((m, colours, c), count) for c, count in classes.items())
-
-
 def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
     """(vertices, labelled graphs, edges) of the two-connected class with the
     most labelled graphs × edges up to the truncation, (0, 0, 0) below degree
     2: a Monte Carlo source's largest run on the two-connected route draws
     count × samples samples of `edges` Mayer factors each.  Degrees above
-    MAX_WEIGHT_SUM_VERTICES raise ValueError."""
+    MAX_WEIGHT_SUM_VERTICES raise ValueError.  Only one-colour tables are read:
+    no class outgrows its graph's orbit under all m! relabellings."""
     _check_weight_sum_size(truncation)
-    return max(((n.degree, count, key[2].bit_count())
-                for n in admissible_indices(truncation, min_degree=2)
-                for key, count in _two_connected_classes(n.degree, canonical_colouring(n))),
+    return max(((m, count, key[2].bit_count())
+                for m in range(2, truncation.degree + 1)
+                for key, count in _two_connected_classes(m, (1,) * m)),
                key=lambda run: run[1] * run[2], default=(0, 0, 0))
 
 
@@ -243,15 +198,11 @@ def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     """b(n) = (1/n!) sum over connected graphs on |n| vertices with the
     canonical colouring of n.
 
-    For a synthetic block model the sum runs over the class table of
-    (|n|, colouring): one entry per multiset of canonical block keys, with the
-    number of labelled graphs that share it.  The table is model-independent
-    and memoised.  It is built without a per-graph key walk: the blocks of
-    every connected graph sit in a per-degree slot matrix, each vertex set's
-    masks index its canonical table once, and equal rows of key codes are
-    counted.  Every model multiplies its block weights over the table's
-    entries (75 to 3 074 at degree 6 over three species, against 26 704
-    graphs).  A Monte Carlo source estimates each (|n|, colouring) sum at
+    For a synthetic block model the sum runs over the model-independent class
+    table of (|n|, colouring) that graphs.py builds: one entry per multiset
+    of canonical block keys, with the number of labelled graphs that share
+    it, 75 to 3 074 entries at degree 6 over three species against 26 704
+    graphs.  A Monte Carlo source estimates each (|n|, colouring) sum at
     once, from one sample stream (`weights.mayer_sum_mc`).  Degrees above
     MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
@@ -423,12 +374,11 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
     """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum).
 
-    The sum runs over the memoised, model-independent class table of
-    (|n|, colouring): one entry per canonical coloured key with its number of
-    labelled graphs, read as one canonical-table lookup over the masks of the
-    two-connected graphs.  A Monte Carlo source makes one run per class (27 at
-    degree 4 over two species, against 57 labelled graphs).  Degrees above
-    MAX_WEIGHT_SUM_VERTICES raise ValueError.
+    The sum runs over graphs.py's class table of (|n|, colouring): one entry
+    per canonical coloured key with its number of labelled graphs.  A Monte
+    Carlo source makes one run per class (27 at degree 4 over two species,
+    against 57 labelled graphs).  Degrees above MAX_WEIGHT_SUM_VERTICES raise
+    ValueError.
     """
     _require_block_factorizing(model)
     return TwoConnectedGF(_weight_sum_series(_sum_two_connected_weights, model, truncation,

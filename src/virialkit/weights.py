@@ -12,8 +12,8 @@ factorization.
 Every Monte Carlo box integral runs on one sampler (`_mc_integral`): the
 weight of a single graph (`weight_mc`), the sum of the weights of all
 connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
-evaluates each pair's Mayer factor once per sample and sums the graphs by
-subset recursion, and the pair integral of |zeta| of the convergence check.
+evaluates each pair's Mayer factor once per sample and sums the graphs, and
+the pair integral of |zeta| of the convergence check.
 The pressure needs only the sums; `weights estimate` estimates one graph and
 the two-connected route one canonical graph per class of isomorphic graphs.
 
@@ -31,7 +31,7 @@ exactly where `zeta_batch` gives -1, read from the displacement dx = x2 - x1
 potentials leave it None.  With the hook, a sample's sum over the connected
 graphs depends only on which pairs overlap, so it is an exact integer:
 `mayer_sum_mc` counts the overlap patterns and reads each pattern's sum from
-one table per vertex count (`_connected_sum_table`), and its totals are
+one table per vertex count (`graphs._connected_sum_table`), and its totals are
 exact integers that equal the float sums of the per-sample recursion bit for
 bit.
 """
@@ -55,6 +55,7 @@ from .graphs import (
     Block,
     ColouredGraph,
     Graph,
+    _connected_sum_table,
     _pair_index,
     _pairs,
     block_decomposition,
@@ -403,7 +404,7 @@ def _times(x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray | None:
 
 def _connected_sum(m: int, zeta: np.ndarray) -> np.ndarray:
     """Per sample, the sum over the connected graphs on {1..m} of the product
-    of Mayer factors over their edges.
+    of Mayer factors over their edges: the joint sum of a soft potential.
 
     `zeta` has one row per vertex pair in `_pairs(m)` order (the edge-bit
     order of `Graph` masks) and one column per sample.  With vertex sets as
@@ -440,43 +441,23 @@ def _connected_sum(m: int, zeta: np.ndarray) -> np.ndarray:
     return c[-1]
 
 
-@lru_cache(maxsize=None)
-def _connected_sum_table(m: int) -> np.ndarray:
-    """`_connected_sum(m, .)` on every hard-core pattern, as read-only int64:
-    entry `code` is the sum over the connected graphs on {1..m} when
-    zeta_b = -1 for the bits b set in `code` (pair b of `_pairs(m)`) and 0
-    for the others.  Each entry is an integer of absolute value at most
-    (m - 1)!.  The 2^(m(m-1)/2) patterns are evaluated MC_CHUNK >> (m - 1) at a
-    time, so the subset rows stay the size of one Monte Carlo chunk's."""
-    size = 1 << (m * (m - 1) // 2)
-    bits = np.arange(m * (m - 1) // 2)[:, None]
-    table = np.empty(size, dtype=np.int64)
-    step = MC_CHUNK >> (m - 1)
-    for start in range(0, size, step):
-        codes = np.arange(start, min(start + step, size))
-        zeta = -((codes >> bits) & 1).astype(float)
-        table[start: start + len(codes)] = _connected_sum(m, zeta)
-    table.flags.writeable = False
-    return table
-
-
 def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
                  p: McParams) -> tuple[float, float]:
     """Monte Carlo estimate of the sum of the cluster integrals of all
     connected graphs on {1..m} coloured by `colours`, with its stderr.
 
     The integral is linear, so the sum is one integral of the summed Mayer
-    products: each sample evaluates every pair's Mayer factor once and sums
-    the connected graphs by subset recursion (`_connected_sum`).  Samples are
-    drawn MC_CHUNK >> (m - 1) at a time, so that the at most 2^(m+1) subset
+    products: each sample evaluates every pair's Mayer factor once and a soft
+    potential sums the graphs by subset recursion (`_connected_sum`).  Samples
+    are drawn MC_CHUNK >> (m - 1) at a time, so that the at most 2^(m+1) subset
     rows of a chunk hold at most 4 MC_CHUNK floats at every m.  m = 1 gives
     exactly (1.0, 0.0); m is capped at MAX_WEIGHT_SUM_VERTICES, like every
     weight sum.
 
     A potential with `overlap_batch` skips the recursion: each sample packs
     its overlaps into a code (bit b for pair b of `_pairs(m)`), and the codes
-    are counted against `_connected_sum_table(m)`.  The estimate and its
-    stderr are those of the recursion bit for bit.
+    are counted against the pattern table `_connected_sum_table(m)`.  The
+    estimate and its stderr are those of the recursion bit for bit.
     """
     if m < 1 or len(colours) != m:
         raise ValueError(f"need a colour for each of m >= 1 vertices, got m = {m} "
@@ -648,7 +629,7 @@ class McWeightSource:
 
     def _stream(self, *key) -> McParams:
         """The base parameters with the seed crc32(repr((base seed, *key))):
-        key (n, edge mask, colours) for one graph, the canonical graph of a
+        key (size, mask, colours) for the canonical graph of a two-connected
         class, and (m, colours) for the sum over the connected graphs on m vertices."""
         digest = zlib.crc32(repr((self.params.seed, *key)).encode())
         return McParams(self.params.sample_count, int(digest), self.params.scheme)

@@ -15,7 +15,10 @@ from virialkit._config import S_MAX
 from virialkit.cli import (
     MAX_HYPOTHESIS_COORDINATES,
     MAX_MC_MAYER_FACTORS,
+    MAX_SERIES_GRAPHS,
+    MAX_SERIES_INDICES,
     MAX_STABILITY_TRIALS,
+    _series_plan,
     build_parser,
     compact_index,
     dumps,
@@ -746,6 +749,69 @@ def test_monte_carlo_run_above_the_mayer_cap_is_refused_before_sampling(tmp_path
     code, out, err = run(capsys, "virial", *argv, "--model", model)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (2, "", f"error: {CAP}{named}\n")
+
+
+def random_model(tmp_path, species):
+    return write(tmp_path / f"random-{species}.json",
+                 {"type": "synthetic", "species": species, "random_fallback": {"seed": 1}})
+
+
+INDEX_CAP = f"a series plan is capped at {MAX_SERIES_INDICES} admissible indices, got "
+GRAPH_CAP = f"a series plan is capped at {MAX_SERIES_GRAPHS} labelled connected graphs summed, got "
+DETERMINANT_CAP = "the Lagrange-Good route is capped at 12 species (its determinant's dimension), got "
+
+
+@pytest.mark.parametrize("species,degree,argv,named", [
+    (64, 3, ("virial", "invert"), f"--degree and --species-cap: {INDEX_CAP}47904 at degree 3 "
+                                  f"over 64 species"),
+    (12, 5, ("virial", "invert"), f"--degree and --species-cap: {INDEX_CAP}6187 at degree 5 "
+                                  f"over 12 species"),
+    (8, 6, ("virial", "invert"), f"--degree and --species-cap: {GRAPH_CAP}46413704 at degree 6 "
+                                 f"over 8 species"),
+    (8, 6, ("virial", "mu", "--species", "1"),
+     f"--degree and --species-cap: {GRAPH_CAP}46413704 at degree 6 over 8 species"),
+    (24, 3, ("virial", "invert", "--method", "lagrange-good"),
+     f"--degree and --species-cap: {DETERMINANT_CAP}24"),
+    (24, 3, ("virial", "compare"), f"--degree and --species-cap: {DETERMINANT_CAP}24"),
+    (64, 3, ("bounds", "compute", "--spec", None),
+     f"--degree: {INDEX_CAP}47904 at degree 3 over 64 species"),
+], ids=["invert-64-3", "invert-12-5", "invert-8-6", "mu-8-6", "lagrange-good-24-3",
+        "compare-24-3", "bounds-64-3"])
+def test_series_plan_above_a_cap_is_refused_before_any_work(tmp_path, capsys, species, degree,
+                                                            argv, named):
+    # at the parent of these caps the first three ran 26 s, over 30 s and
+    # over 60 s, and the Lagrange-Good refusals came after the pressure
+    if None in argv:
+        spec = write(tmp_path / "d.json", {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}]})
+        argv = tuple(spec if a is None else a for a in argv)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--model", random_model(tmp_path, species),
+                         "--degree", str(degree))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {named}\n")
+
+
+@pytest.mark.parametrize("species,degree,above", [
+    (64, 2, (64, 3)), (26, 3, (27, 3)), (15, 4, (16, 4)), (10, 5, (11, 5)), (7, 6, (8, 6)),
+])
+def test_series_plans_under_the_caps_are_admitted(tmp_path, species, degree, above):
+    # the largest plan under both caps at each degree, and the next one up;
+    # Lagrange-Good, which compare runs, needs S <= 12 too
+    def plan(species, degree, command, methods):
+        args = build_parser().parse_args(["virial", command, "--model",
+                                          random_model(tmp_path, species), "--degree",
+                                          str(degree)])
+        return _series_plan(args, methods)
+
+    assert plan(species, degree, "invert", ("recursive",))[1] == Truncation(degree, species)
+    every = ("recursive", "lagrange-good", "two-connected")
+    if species > 12:
+        with pytest.raises(ValueError, match="capped at 12 species"):
+            plan(species, degree, "compare", every)
+    else:
+        assert plan(species, degree, "compare", every)[1] == Truncation(degree, species)
+    with pytest.raises(ValueError, match="series plan is capped"):
+        plan(*above, "invert", ("recursive",))
 
 
 def test_default_samples_stay_under_the_mayer_cap():

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from virialkit import graphs as graphs_mod
 from virialkit import virial, weights
 from virialkit.graphs import (
     ColouredGraph,
@@ -153,8 +154,8 @@ def test_class_table_sums_on_a_second_model_match_brute_force():
 ])
 def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, classes):
     m = len(colours)
-    tables = (virial._connected_block_classes(m, colours),
-              virial._two_connected_classes(m, colours))
+    tables = (graphs_mod._connected_block_classes(m, colours),
+              graphs_mod._two_connected_classes(m, colours))
     assert tuple(sum(count for _, count in t) for t in tables) == graphs
     assert tuple(len(t) for t in tables) == classes
 
@@ -194,8 +195,8 @@ def test_class_tables_equal_the_key_walk():
     # (1, 2, 3, 4, 5, 6) has 12 981 distinct block keys and 26 704 classes
     for colours in TABLE_COLOURINGS + [(1, 2, 3, 4, 5, 6)]:
         m = len(colours)
-        connected = virial._connected_block_classes(m, colours)
-        two_connected = virial._two_connected_classes(m, colours)
+        connected = graphs_mod._connected_block_classes(m, colours)
+        two_connected = graphs_mod._two_connected_classes(m, colours)
         assert len(connected) == len(set(keys for keys, _ in connected))
         assert Counter(dict(connected)) == walked_connected_classes(m, colours), colours
         assert len(two_connected) == len(set(key for key, _ in two_connected))
@@ -203,24 +204,24 @@ def test_class_tables_equal_the_key_walk():
         assert all(type(keys) is tuple and all(map(is_plain_key, keys)) and type(count) is int
                    for keys, count in connected)
         assert all(is_plain_key(key) and type(count) is int for key, count in two_connected)
-    assert len(virial._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 26704
+    assert len(graphs_mod._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 26704
 
 
 def test_class_tables_are_model_independent():
-    virial._connected_block_classes.cache_clear()
-    virial._two_connected_classes.cache_clear()
+    graphs_mod._connected_block_classes.cache_clear()
+    graphs_mod._two_connected_classes.cache_clear()
     for colours in ((1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2)):
         m = len(colours)
         virial._sum_connected_weights(MODEL_A, m, colours)
         virial._sum_two_connected_weights(MODEL_A, m, colours)
-        filled = (virial._connected_block_classes.cache_info().currsize,
-                  virial._two_connected_classes.cache_info().currsize)
+        filled = (graphs_mod._connected_block_classes.cache_info().currsize,
+                  graphs_mod._two_connected_classes.cache_info().currsize)
         assert virial._sum_connected_weights(MODEL_B, m, colours) == \
             brute_connected_sum(MODEL_B, colours)
         assert virial._sum_two_connected_weights(MODEL_B, m, colours) == \
             brute_two_connected_sum(MODEL_B, colours)
-        assert (virial._connected_block_classes.cache_info().currsize,
-                virial._two_connected_classes.cache_info().currsize) == filled
+        assert (graphs_mod._connected_block_classes.cache_info().currsize,
+                graphs_mod._two_connected_classes.cache_info().currsize) == filled
 
 
 def test_weight_sums_refuse_degrees_above_the_cap():
@@ -681,7 +682,7 @@ def test_two_connected_mc_gf_within_four_errors_of_tonks():
     for n in admissible_indices(t, min_degree=2):
         m, colours = n.degree, canonical_colouring(n)
         var = 0.0
-        for (_, _, mask), count in virial._two_connected_classes(m, colours):
+        for (_, _, mask), count in graphs_mod._two_connected_classes(m, colours):
             stream = source._stream(m, mask, colours)
             _, err = weight_mc(ColouredGraph(Graph(m, mask), colours), ROD_MIXTURE,
                                McParams(count * stream.sample_count, stream.seed))
@@ -706,3 +707,17 @@ def test_largest_two_connected_class_matches_the_labelled_graphs(degree, species
     assert count * edges == want and (m, count, edges) in runs
     with pytest.raises(ValueError, match="capped at degree 6"):
         virial.largest_two_connected_class(Truncation(7, 1))
+
+
+def test_largest_two_connected_class_equals_the_walk_over_every_colouring():
+    # the oracle walks every admissible index and the class table of its
+    # colouring; the function reads the one-colour tables only
+    for degree in range(1, 7):
+        for species in range(1, 5):
+            t = Truncation(degree, species)
+            want = max(((n.degree, count, key[2].bit_count())
+                        for n in admissible_indices(t, min_degree=2)
+                        for key, count in graphs_mod._two_connected_classes(
+                            n.degree, canonical_colouring(n))),
+                       key=lambda run: run[1] * run[2], default=(0, 0, 0))
+            assert virial.largest_two_connected_class(t) == want, t

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import qmc
 
 from virialkit import weights
-from virialkit.graphs import ColouredGraph, Graph, connected_graph_list
+from virialkit.graphs import ColouredGraph, Graph, _connected_sum_table, connected_graph_list
 from virialkit.weights import (
     CustomPairPotential,
     HardRods1D,
@@ -21,7 +21,6 @@ from virialkit.weights import (
     _UnitSampler,
     _abs_zeta_integral_mc,
     _connected_sum,
-    _connected_sum_table,
     kp_check,
     mayer_sum_mc,
     minimum_image,
@@ -412,6 +411,30 @@ def test_hard_core_table_equals_the_graph_sum_on_every_pattern(m):
     assert abs(table).max() == math.factorial(m - 1)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_hard_core_table_equals_the_recursion_on_every_pattern(m):
+    # the transform of the connected list against the per-sample recursion,
+    # independent code, at m = 6 too, where the brute-force sum is not run
+    pairs = m * (m - 1) // 2
+    codes = np.arange(1 << pairs)
+    zeta = -((codes >> np.arange(pairs)[:, None]) & 1).astype(float)
+    assert np.array_equal(_connected_sum_table(m), _connected_sum(m, zeta))
+
+
+def test_a_cold_hard_core_table_calls_no_recursion(monkeypatch):
+    want = [_connected_sum_table(m).copy() for m in range(1, 7)]
+
+    def recursion(m, zeta):
+        raise AssertionError("the pattern table was built by the subset recursion")
+
+    monkeypatch.setattr(weights, "_connected_sum", recursion)
+    _connected_sum_table.cache_clear()
+    for m, table in enumerate(want, start=1):
+        assert np.array_equal(_connected_sum_table(m), table)
+    with pytest.raises(ValueError, match="capped at n = 6"):
+        _connected_sum_table(7)
+
+
 class RodsWithoutHook(HardRods1D):
     """The same rods on the per-sample subset recursion, with the
     exp-of-energy Mayer kernel."""
@@ -489,7 +512,7 @@ def test_joint_sum_chunks_are_no_larger_than_weight_mcs():
 
 
 def test_joint_sum_chunks_stay_small_with_a_cold_table():
-    # the m = 6 table of 2^15 patterns is built in chunks, inside the same bound
+    # the m = 6 table of 2^15 patterns is built inside the same bound
     params = McParams(200_000, 9)
     path = ColouredGraph(Graph.from_edges(6, [(v, v + 1) for v in range(1, 6)]), (1,) * 6)
     limit = peak_bytes(lambda: weight_mc(path, RODS_12, params))
