@@ -266,7 +266,7 @@ def cmd_virial_invert(args) -> int:
 
 
 def cmd_virial_compare(args) -> int:
-    config_number(args.tol, "--tol", "a tolerance >= 0", lambda x: x >= 0)
+    tol = config_number(args.tol, "--tol", "a tolerance >= 0", lambda x: x >= 0)
     source, truncation = _series_plan(args, METHOD_FLAGS)
     # Both inversion routes read the same pressure: build it once, since for
     # a Monte Carlo source every build samples each (vertex count, colouring)
@@ -278,9 +278,12 @@ def cmd_virial_compare(args) -> int:
         keys = set(base.terms) | set(series.terms)
         for n in sorted(keys, key=truncation.pack):
             a, b = base[n], series[n]
-            # exact comparison for rationals; --tol is for Monte-Carlo-backed
-            # models whose routes agree only up to sampling error
-            if a != b and abs(float(a) - float(b)) > args.tol:
+            if any(isinstance(x, float) and not math.isfinite(x) for x in (a, b)):
+                raise ValueError(f"non-finite float in c({n!r}): {a} by recursive, {b} by {m}")
+            # exact: finite floats are dyadic rationals, so no difference rounds
+            # away; --tol is for Monte-Carlo-backed models whose routes agree
+            # only up to sampling error
+            if abs(Fraction(a) - Fraction(b)) > tol:
                 diffs.append({"n": {str(s): e for s, e in n.items()}, "method": m,
                               "recursive": _coeff_out(a), "other": _coeff_out(b)})
     identical = not diffs

@@ -114,15 +114,6 @@ class MultiIndex:
             out *= math.factorial(e)
         return out
 
-    def leq(self, other: MultiIndex) -> bool:
-        """Componentwise n_i <= k_i for all i."""
-        return all(e <= other.get(s) for s, e in self._pairs)
-
-    def incremented(self, species: int, by: int = 1) -> MultiIndex:
-        d = dict(self._pairs)
-        d[species] = d.get(species, 0) + by
-        return MultiIndex(d)
-
     def dense(self, species_cap: int) -> tuple[int, ...]:
         return tuple(self.get(s) for s in range(1, species_cap + 1))
 

@@ -11,19 +11,22 @@ p as a series in the densities are computed by
 
 Exact agreement of the three routes on block-factorizing models is the
 central cross-check of the whole package.
+
+Both graph sums come from the weight source, per (vertex count, colouring):
+`connected_sum` for the pressure and `two_connected_sum` for the
+two-connected route, each as (sum, stderr).  One builder, `_weight_sums`,
+turns either into a series and the standard error of each coefficient, so
+this module never asks what kind of source it reads.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .graphs import (
     MAX_WEIGHT_SUM_VERTICES,
-    _connected_block_classes,
     _two_connected_classes,
     canonical_colouring,
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
@@ -46,7 +49,7 @@ from .series import (
     reciprocal,
     substitute,
 )
-from .weights import McParams, McWeightSource, PairPotential, SyntheticBlockModel
+from .weights import McParams, McWeightSource, PairPotential
 
 RECURSIVE = "recursive"
 LAGRANGE_GOOD = "lagrange_good"
@@ -137,98 +140,46 @@ def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
                key=lambda run: run[1] * run[2], default=(0, 0, 0))
 
 
-def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
-    """sum over ((canonical block keys), count) classes of count times the
-    product of the keys' block weights.
-
-    Each key's weight is read once as (numerator, denominator); a class
-    multiplies integers, the class products are summed per denominator, and
-    those sums over their least common denominator make the one Fraction
-    built.
-    """
-    weights: dict[tuple, tuple[int, int]] = {}
-    by_den: dict[int, int] = {}
-    for keys, count in classes:
-        num, den = count, 1
-        for key in keys:
-            w = weights.get(key)
-            if w is None:
-                q = model.weight_for_canonical_key(key)
-                w = weights[key] = (q.numerator, q.denominator)
-            num *= w[0]
-            den *= w[1]
-        if num:
-            by_den[den] = by_den.get(den, 0) + num
-    den = math.lcm(*by_den)
-    return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
-
-
-def _sum_connected_weights(model, m: int, colours: tuple[int, ...]):
-    """sum over all connected graphs on {1..m} of w(g, colours): over the class
-    table for a synthetic model, one joint Monte Carlo estimate otherwise."""
-    if isinstance(model, SyntheticBlockModel):
-        return _sum_class_weights(model, _connected_block_classes(m, colours))
-    return model.connected_sum_with_error(m, colours)[0]
-
-
-def _sum_two_connected_weights(model, m: int, colours: tuple[int, ...]):
-    """sum over all two-connected graphs on {1..m} of w(g, colours), by class."""
-    classes = _two_connected_classes(m, colours)
-    if isinstance(model, SyntheticBlockModel):
-        return _sum_class_weights(model, (((key,), count) for key, count in classes))
-    return sum(count * model.class_weight_with_error(key, count)[0] for key, count in classes)
-
-
-def _weight_sum_series(sum_weights, model, truncation: Truncation,
-                       min_degree: int) -> MPSeries:
-    """sum_n x^n S(n)/n! over the admissible n of degree >= min_degree, with
-    S(n) = sum_weights(model, |n|, canonical colouring of n) divided in the
-    model's field."""
+def _weight_sums(source_method, field: str, truncation: Truncation,
+                 min_degree: int) -> tuple[MPSeries, dict[MultiIndex, float]]:
+    """(sum_n x^n S(n)/n!, {n: stderr of S(n)/n!}) over the admissible n of
+    degree >= min_degree, with (S(n), stderr) = source_method(|n|, canonical
+    colouring of n) and S(n) divided in `field`.  Degrees above
+    MAX_WEIGHT_SUM_VERTICES raise ValueError."""
     _check_weight_sum_size(truncation)
-    field = model.field
-    values = {}
+    values, errors = {}, {}
     for n in admissible_indices(truncation, min_degree=min_degree):
-        s = sum_weights(model, n.degree, canonical_colouring(n))
+        s, err = source_method(n.degree, canonical_colouring(n))
         values[truncation.pack(n)] = (Fraction(s) / n.factorial() if field == RATIONAL
                                       else float(s) / n.factorial())
-    return MPSeries.one(truncation, field)._keyed(*_numerators(values, field))
+        errors[n] = err / n.factorial()
+    return MPSeries.one(truncation, field)._keyed(*_numerators(values, field)), errors
+
+
+def _pressure(source, truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
+    series, errors = _weight_sums(source.connected_sum, source.field, truncation, min_degree=1)
+    for k in range(1, truncation.species + 1):
+        if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
+            raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
+    return PressureSeries(series), errors
 
 
 def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     """b(n) = (1/n!) sum over connected graphs on |n| vertices with the
-    canonical colouring of n.
-
-    For a synthetic block model the sum runs over the model-independent class
-    table of (|n|, colouring) that graphs.py builds: one entry per multiset
-    of canonical block keys, with the number of labelled graphs that share
-    it, 75 to 3 074 entries at degree 6 over three species against 26 704
-    graphs.  A Monte Carlo source estimates each (|n|, colouring) sum at
-    once, from one sample stream (`weights.mayer_sum_mc`).  Degrees above
+    canonical colouring of n, one `model.connected_sum` per (|n|, colouring):
+    exact from a synthetic model's class table, one joint estimate from one
+    sample stream for a Monte Carlo source.  Degrees above
     MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
-    series = _weight_sum_series(_sum_connected_weights, model, truncation, min_degree=1)
-    for k in range(1, truncation.species + 1):
-        if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
-            raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
-    return PressureSeries(series)
+    return _pressure(model, truncation)[0]
 
 
 def mc_pressure_series(potential: PairPotential, params: McParams,
                        truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
-    """Monte Carlo pressure series plus the standard error of each b(n), read
-    off the same joint estimate per (|n|, colouring) that
-    `pressure_from_weights` makes, so the b(n) of both are bit-equal."""
-    errors: dict[MultiIndex, float] = {}
-
-    def sum_with_errors(source: McWeightSource, m: int, colours: tuple[int, ...]) -> float:
-        total, err = source.connected_sum_with_error(m, colours)
-        n = MultiIndex(Counter(colours))
-        errors[n] = err / n.factorial()
-        return total
-
-    series = _weight_sum_series(sum_with_errors, McWeightSource(potential, params), truncation,
-                                min_degree=1)
-    return PressureSeries(series), errors
+    """Monte Carlo pressure series plus the standard error of each b(n): the
+    pressure `pressure_from_weights` builds from McWeightSource(potential,
+    params), bit for bit, with the errors its `connected_sum` reports."""
+    return _pressure(McWeightSource(potential, params), truncation)
 
 
 def densities(p: PressureSeries) -> DensityFamily:
@@ -372,17 +323,15 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
 
 
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
-    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum).
-
-    The sum runs over graphs.py's class table of (|n|, colouring): one entry
-    per canonical coloured key with its number of labelled graphs.  A Monte
-    Carlo source makes one run per class (27 at degree 4 over two species,
-    against 57 labelled graphs).  Degrees above MAX_WEIGHT_SUM_VERTICES raise
-    ValueError.
+    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum), one
+    `model.two_connected_sum` per (|n|, colouring).  Both kinds of source sum
+    over graphs.py's class table: exactly, or with one Monte Carlo run per
+    class (27 at degree 4 over two species, against 57 labelled graphs).
+    Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     _require_block_factorizing(model)
-    return TwoConnectedGF(_weight_sum_series(_sum_two_connected_weights, model, truncation,
-                                             min_degree=2))
+    series, _ = _weight_sums(model.two_connected_sum, model.field, truncation, min_degree=2)
+    return TwoConnectedGF(series)
 
 
 def chemical_potential(model, truncation: Truncation, k: int) -> MPSeries:

@@ -99,7 +99,8 @@ def test_virial_bound_examples():
 def test_virial_bound_increment_factor():
     C = det_bound_constant(WORKED)
     for n in (MultiIndex(), e(1), e(2)):
-        ratio = virial_bound(WORKED, 2.0, n.incremented(1)) / virial_bound(WORKED, 2.0, n)
+        up = MultiIndex({**dict(n.items()), 1: n.get(1) + 1})
+        ratio = virial_bound(WORKED, 2.0, up) / virial_bound(WORKED, 2.0, n)
         assert ratio == pytest.approx(math.exp(1.0) / 0.25, rel=1e-12)
     # doubling r halves the per-unit factor once the constant is divided out
     spec2 = make_domain_spec([(1, 0.5, 1.0, 1.0)])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from virialkit.cli import (
     dumps,
     main,
 )
-from virialkit.series import MultiIndex, Truncation
+from virialkit.series import MPSeries, MultiIndex, Truncation
 
 
 def write(path, doc):
@@ -221,6 +222,46 @@ def test_virial_compare_mc_model_with_tolerance(capsys, hard_rods_model):
     doc = json.loads(out)
     assert doc["verdict"] == "identical"
     assert doc["tolerance"] == 0.08
+
+
+def test_virial_compare_flags_an_exact_difference_below_one_ulp(tmp_path, capsys, monkeypatch):
+    # c(2·e1) = 1 on this model; a skew of 10^-30 vanishes in floats but not
+    # in the exact comparison
+    model = write(tmp_path / "m.json",
+                  {"type": "synthetic", "species": 2, "default_w": "0",
+                   "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 1], "w": "-2"},
+                              {"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 2], "w": "1"}]})
+    build = virial_mod.virial_from_two_connected
+    skew = Fraction(1, 10 ** 30)
+
+    def skewed(source, truncation):
+        v = build(source, truncation)
+        return virial_mod.VirialSeries(
+            v.series + MPSeries({MultiIndex({1: 2}): skew}, truncation), v.method)
+
+    monkeypatch.setattr(virial_mod, "virial_from_two_connected", skewed)
+    code, out, _ = run(capsys, "virial", "compare", "--model", model, "--degree", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "mismatch"
+    assert doc["differences"] == [{"n": {"1": 2}, "method": "two-connected",
+                                   "recursive": "1", "other": str(1 + skew)}]
+
+
+def test_virial_compare_refuses_a_non_finite_coefficient(capsys, monkeypatch, hard_rods_model):
+    build = virial_mod.virial_from_two_connected
+
+    def broken(source, truncation):
+        v = build(source, truncation)
+        return virial_mod.VirialSeries(
+            v.series + MPSeries({MultiIndex({1: 2}): math.nan}, truncation, v.series.field),
+            v.method)
+
+    monkeypatch.setattr(virial_mod, "virial_from_two_connected", broken)
+    code, out, err = run(capsys, "virial", "compare", "--model", hard_rods_model,
+                         "--degree", "2", "--samples", "100", "--tol", "1")
+    assert (code, out) == (2, "")
+    assert "non-finite float" in err
 
 
 def test_virial_mu(capsys, synthetic_model):

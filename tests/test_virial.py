@@ -118,7 +118,7 @@ def brute_two_connected_sum(model, colours):
 
 def test_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
-        total = virial._sum_connected_weights(MODEL_B, len(colours), colours)
+        total = MODEL_B.connected_sum(len(colours), colours)[0]
         assert type(total) is Fraction
         assert total == brute_connected_sum(MODEL_B, colours), colours
 
@@ -127,7 +127,7 @@ def test_two_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
         if len(colours) < 2:
             continue
-        total = virial._sum_two_connected_weights(MODEL_B, len(colours), colours)
+        total = MODEL_B.two_connected_sum(len(colours), colours)[0]
         assert type(total) is Fraction
         assert total == brute_two_connected_sum(MODEL_B, colours), colours
 
@@ -139,10 +139,10 @@ def test_class_table_sums_on_a_second_model_match_brute_force():
         if len(colours) > 5:
             continue
         m = len(colours)
-        assert virial._sum_connected_weights(MODEL_A, m, colours) == \
+        assert MODEL_A.connected_sum(m, colours)[0] == \
             brute_connected_sum(MODEL_A, colours), colours
         if m >= 2:
-            assert virial._sum_two_connected_weights(MODEL_A, m, colours) == \
+            assert MODEL_A.two_connected_sum(m, colours)[0] == \
                 brute_two_connected_sum(MODEL_A, colours), colours
 
 
@@ -212,13 +212,13 @@ def test_class_tables_are_model_independent():
     graphs_mod._two_connected_classes.cache_clear()
     for colours in ((1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2)):
         m = len(colours)
-        virial._sum_connected_weights(MODEL_A, m, colours)
-        virial._sum_two_connected_weights(MODEL_A, m, colours)
+        MODEL_A.connected_sum(m, colours)[0]
+        MODEL_A.two_connected_sum(m, colours)[0]
         filled = (graphs_mod._connected_block_classes.cache_info().currsize,
                   graphs_mod._two_connected_classes.cache_info().currsize)
-        assert virial._sum_connected_weights(MODEL_B, m, colours) == \
+        assert MODEL_B.connected_sum(m, colours)[0] == \
             brute_connected_sum(MODEL_B, colours)
-        assert virial._sum_two_connected_weights(MODEL_B, m, colours) == \
+        assert MODEL_B.two_connected_sum(m, colours)[0] == \
             brute_two_connected_sum(MODEL_B, colours)
         assert (graphs_mod._connected_block_classes.cache_info().currsize,
                 graphs_mod._two_connected_classes.cache_info().currsize) == filled
@@ -653,10 +653,13 @@ def soft_1d(a, b):
     return 0.5 * math.exp(-min(d, 10.0 - d) ** 2) * (a.species + b.species)
 
 
+SOFT_1D = CustomPairPotential(soft_1d, 1, 10.0, (1, 2))
+
+
 @pytest.mark.parametrize("source", [
     McWeightSource(ROD_MIXTURE, McParams(20_000, seed=5)),
     McWeightSource(ROD_MIXTURE, McParams(2 ** 12, seed=6, scheme="low-discrepancy")),
-    McWeightSource(CustomPairPotential(soft_1d, 1, 10.0, (1, 2)), McParams(300, seed=7)),
+    McWeightSource(SOFT_1D, McParams(300, seed=7)),
 ], ids=["rods", "rods-sobol", "soft-1d"])
 def test_two_connected_mc_sums_equal_the_per_graph_oracle_through_degree_3(source):
     # through degree 3 every class holds one labelled graph, which keeps its stream
@@ -665,29 +668,66 @@ def test_two_connected_mc_sums_equal_the_per_graph_oracle_through_degree_3(sourc
     for n in admissible_indices(t, min_degree=2):
         colours = canonical_colouring(n)
         want = per_graph_two_connected_sum(source, n.degree, colours)
-        got = virial._sum_two_connected_weights(source, n.degree, colours)
+        got = source.two_connected_sum(n.degree, colours)[0]
         assert got.hex() == want.hex(), n
         assert B[n].hex() == (want / n.factorial()).hex(), n
 
 
+def per_class_stderr(source, m, colours):
+    """The oracle: one weight_mc run of count × samples per two-connected
+    class on {1..m}, on the stream of its canonical graph; each class total
+    carries count × the stderr of its run, and the classes add in quadrature."""
+    var = 0.0
+    for (_, _, mask), count in graphs_mod._two_connected_classes(m, colours):
+        stream = source._stream(m, mask, colours)
+        _, err = weight_mc(ColouredGraph(Graph(m, mask), colours), source.potential,
+                           McParams(count * stream.sample_count, stream.seed))
+        var += (count * err) ** 2
+    return math.sqrt(var)
+
+
+@pytest.mark.parametrize("source", [MODEL_A, MODEL_B,
+                                    McWeightSource(ROD_MIXTURE, McParams(500, seed=3)),
+                                    McWeightSource(SOFT_1D, McParams(50, seed=4))],
+                         ids=["model-a", "model-b", "rods", "soft-1d"])
+def test_every_source_answers_both_sums_as_a_sum_and_stderr(source):
+    exact = isinstance(source, SyntheticBlockModel)
+    for colours in ((1,), (2,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 2, 2)):
+        sums = [source.connected_sum(len(colours), colours)]
+        if len(colours) >= 2:
+            sums.append(source.two_connected_sum(len(colours), colours))
+        for pair in sums:
+            assert type(pair) is tuple and len(pair) == 2, colours
+            total, err = pair
+            if exact:
+                assert type(total) is Fraction and err == 0, colours
+            else:
+                assert type(total) is float and type(err) is float and err >= 0, colours
+
+
+@pytest.mark.parametrize("source", [McWeightSource(ROD_MIXTURE, McParams(2000, seed=8)),
+                                    McWeightSource(SOFT_1D, McParams(100, seed=9))],
+                         ids=["rods", "soft-1d"])
+def test_mc_two_connected_stderr_equals_the_per_class_oracle(source):
+    # at degree 4 some classes hold several labelled graphs
+    for n in admissible_indices(Truncation(4, 2), min_degree=2):
+        colours = canonical_colouring(n)
+        _, err = source.two_connected_sum(n.degree, colours)
+        assert err.hex() == per_class_stderr(source, n.degree, colours).hex(), n
+
+
 def test_two_connected_mc_gf_within_four_errors_of_tonks():
     # hard rods in a box wider than any 4-rod cluster: B(rho) of the Tonks gas
-    # is (sum_j rho_j) log(1 - sum_j sigma_j rho_j); each class total carries
-    # count × the stderr of its one run
+    # is (sum_j rho_j) log(1 - sum_j sigma_j rho_j)
     t = Truncation(4, 2)
     rho1, rho2 = (MPSeries.variable(k, t) for k in (1, 2))
     tonks = (rho1 + rho2) * log(MPSeries.one(t) - rho1 - rho2.scaled(2)).series
     source = McWeightSource(ROD_MIXTURE, McParams(100_000, seed=1))
     B = two_connected_gf(source, t).series
     for n in admissible_indices(t, min_degree=2):
-        m, colours = n.degree, canonical_colouring(n)
-        var = 0.0
-        for (_, _, mask), count in graphs_mod._two_connected_classes(m, colours):
-            stream = source._stream(m, mask, colours)
-            _, err = weight_mc(ColouredGraph(Graph(m, mask), colours), ROD_MIXTURE,
-                               McParams(count * stream.sample_count, stream.seed))
-            var += (count * err) ** 2
-        se = math.sqrt(var) / n.factorial()
+        total, err = source.two_connected_sum(n.degree, canonical_colouring(n))
+        se = err / n.factorial()
+        assert B[n].hex() == (total / n.factorial()).hex(), n
         assert se > 0
         assert abs(B[n] - float(tonks[n])) <= 4 * se, (n, B[n], tonks[n], se)
 
