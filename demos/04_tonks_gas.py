@@ -37,7 +37,9 @@ print()
 print("== virial coefficients from sampled weights ==")
 p, errors = mc_pressure_series(rods, McParams(sample_count=300_000, seed=3),
                                Truncation(degree=3, species=1))
-print("pressure series:", p.series)
+for k in (1, 2, 3):  # the series holds each estimate at its exact binary value
+    n = MultiIndex.single(1, k)
+    print(f"b({k}) = {float(p.series[n]):.4f} +- {errors[n]:.4f}")
 c = invert_recursive(p).series
 for k in (2, 3):
     n = MultiIndex.single(1, k)

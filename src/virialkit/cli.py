@@ -75,8 +75,16 @@ def compact_index(n: MultiIndex) -> str:
     return "+".join(f"{e}·e{s}" for s, e in n.items())
 
 
-def _coeff_out(value):
-    return str(value) if isinstance(value, Fraction) else float(value)
+def _coeff_out(n: MultiIndex, value: Fraction, source):
+    """c(n) for output: "p/q" from an exact source, the nearest float from a
+    Monte Carlo source, rounded once, here."""
+    if not isinstance(source, McWeightSource):
+        return str(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"c({compact_index(n)}) lies outside the float range, past "
+                         f"{sys.float_info.max:.6g} in magnitude") from None
 
 
 def _load_json(path: str) -> dict:
@@ -100,9 +108,9 @@ def _emit(doc, args) -> None:
     _write(dumps(doc) + "\n", args)
 
 
-def _coefficient_rows(series: MPSeries, method: str) -> list[dict]:
-    return [{"n": {str(s): e for s, e in n.items()}, "c": _coeff_out(c), "method": method}
-            for n, c in series.sorted_terms()]
+def _coefficient_rows(series: MPSeries, method: str, source) -> list[dict]:
+    return [{"n": {str(s): e for s, e in n.items()}, "c": _coeff_out(n, c, source),
+             "method": method} for n, c in series.sorted_terms()]
 
 
 def _emit_csv(rows: list[dict], args) -> None:
@@ -138,7 +146,8 @@ def _series_plan(args, methods) -> tuple[object, Truncation]:
     """(weight source, truncation) of a command running the routes `methods`
     on --model to --degree over --species-cap (else the model's) species,
     refused before any work above a series cap or, on a Monte Carlo source
-    (a synthetic model is its own), MAX_MC_MAYER_FACTORS in one run."""
+    (a synthetic model is its own), MAX_MC_MAYER_FACTORS in one run or a
+    hard-core joint sum that can leave the float range."""
     model = weights_mod.model_from_json(_load_json(args.model))
     flags = "--degree and --species-cap" if hasattr(args, "species_cap") else "--degree"
     truncation = Truncation(args.degree, _species_cap(model, getattr(args, "species_cap", None)))
@@ -168,6 +177,15 @@ def _series_plan(args, methods) -> tuple[object, Truncation]:
         if factors > MAX_MC_MAYER_FACTORS:
             raise ValueError(f"--samples: a Monte Carlo run is capped at {MAX_MC_MAYER_FACTORS} "
                              f"Mayer factors, got {what}")
+    if pairs and model.overlap_batch is not None:
+        # a hard-core joint sum on d vertices is the volume L^(dim (d - 1)) of
+        # the free positions times a mean of per-sample sums of magnitude at
+        # most (d - 1)!; the largest is on the most vertices when L >= 1
+        power = model.dimension * (d - 1)
+        if Fraction(model.box_length) ** power * math.factorial(d - 1) > sys.float_info.max:
+            raise ValueError(f"L = {model.box_length:g}: a joint sum on {d} vertices can reach "
+                             f"L^{power}·{d - 1}!, past the largest float "
+                             f"{sys.float_info.max:.6g}; lower --degree or the model's L")
     return McWeightSource(model, McParams(samples, args.seed, args.scheme)), truncation
 
 
@@ -250,13 +268,13 @@ def _virial_by_method(source, truncation: Truncation, method: str,
         c = inverter.coefficient(n)
         if c != 0:
             terms[n] = c
-    return MPSeries(terms, truncation, p.series.field)
+    return MPSeries(terms, truncation)
 
 
 def cmd_virial_invert(args) -> int:
     source, truncation = _series_plan(args, (args.method,))
     series = _virial_by_method(source, truncation, args.method)
-    rows = _coefficient_rows(series, args.method)
+    rows = _coefficient_rows(series, args.method, source)
     if args.format == "csv":
         _emit_csv(rows, args)
     else:
@@ -278,27 +296,25 @@ def cmd_virial_compare(args) -> int:
         keys = set(base.terms) | set(series.terms)
         for n in sorted(keys, key=truncation.pack):
             a, b = base[n], series[n]
-            if any(isinstance(x, float) and not math.isfinite(x) for x in (a, b)):
-                raise ValueError(f"non-finite float in c({n!r}): {a} by recursive, {b} by {m}")
-            # exact: finite floats are dyadic rationals, so no difference rounds
-            # away; --tol is for Monte-Carlo-backed models whose routes agree
-            # only up to sampling error
-            if abs(Fraction(a) - Fraction(b)) > tol:
+            # every route is exact, so only sampling separates them: on a
+            # Monte Carlo source route 3 draws its own streams
+            if abs(a - b) > tol:
                 diffs.append({"n": {str(s): e for s, e in n.items()}, "method": m,
-                              "recursive": _coeff_out(a), "other": _coeff_out(b)})
+                              "recursive": _coeff_out(n, a, source),
+                              "other": _coeff_out(n, b, source)})
     identical = not diffs
     _emit({"command": "virial compare", "model": args.model, "degree": args.degree,
            "methods": METHOD_FLAGS, "seed": args.seed, "tolerance": args.tol,
            "verdict": "identical" if identical else "mismatch",
            "differences": diffs,
-           "coefficients": _coefficient_rows(base, "recursive")}, args)
+           "coefficients": _coefficient_rows(base, "recursive", source)}, args)
     return 0 if identical else 1
 
 
 def cmd_virial_mu(args) -> int:
     source, truncation = _series_plan(args, ("two-connected",))
     series = virial_mod.chemical_potential(source, truncation, args.species)
-    rows = _coefficient_rows(series, "chemical-potential")
+    rows = _coefficient_rows(series, "chemical-potential", source)
     if args.format == "csv":
         _emit_csv(rows, args)
     else:
@@ -385,6 +401,9 @@ def cmd_weights_stability(args) -> int:
     model = weights_mod.model_from_json(_load_json(args.model))
     if isinstance(model, SyntheticBlockModel):
         raise ValueError("stability needs an interaction model")
+    if args.scheme != weights_mod.SCHEME_PSEUDO:
+        raise ValueError(f"--scheme: stability draws pseudo-random configurations only, "
+                         f"got {args.scheme}")
     # a configuration of max_n molecules is weighed by e^(b·sum of species
     # indices): keep that finite for the largest species
     max_n = config_int(args.max_n, "--max-n", 2, weights_mod.MAX_STABILITY_MOLECULES)
@@ -486,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_cmp.add_argument("--degree", type=int, required=True)
     v_cmp.add_argument("--species-cap", type=int, default=None)
     v_cmp.add_argument("--tol", type=float, default=0.0,
-                       help="absolute tolerance for float-field comparisons "
-                            "(exact models should keep 0)")
+                       help="absolute tolerance on each c(n) difference from the recursive "
+                            "route; every route is exact, so on Monte Carlo models they "
+                            "differ only by sampling (exact models should keep 0)")
     add_common(v_cmp)
     v_cmp.set_defaults(handler=cmd_virial_compare)
     v_mu = vsub.add_parser("mu")

@@ -2,23 +2,24 @@
 
 A series is a sparse map from multi-indices (exponent vectors over species
 1..S with finitely many nonzero entries) to coefficients, truncated by total
-degree D and species cap S.  Coefficients live in one of two fields, exact
-rationals (`fractions.Fraction`) or IEEE doubles, chosen per series and never
-mixed; conversion is explicit and one-way (rational -> float).
+degree D and species cap S.  Coefficients are exact rationals
+(`fractions.Fraction`), the one field every route computes in.  A float
+coefficient is taken at its exact binary value, a dyadic rational, so a
+Monte Carlo estimate enters the series without rounding and rounds, if at
+all, only where a caller prints it; a non-finite float is refused.
 
 Inside a series every monomial is one integer, its key under the truncation
-(see `Truncation`), and the coefficients are numerators over one shared
-denominator: integers over a positive integer for the rational field, the
-floats themselves over 1 for the float field.  Products and sums therefore
-run on plain integers, with one gcd pass per result instead of one per
-coefficient operation.  `MultiIndex` and `Fraction` are the types at the
-boundary: the constructor's input, `MPSeries.terms`, coefficient lookup,
-sorted output and JSON.
+(see `Truncation`), and the coefficients are integer numerators over one
+shared positive denominator.  Products and sums therefore run on plain
+integers, with one gcd pass per result instead of one per coefficient
+operation.  `MultiIndex` and `Fraction` are the types at the boundary: the
+constructor's input, `MPSeries.terms`, coefficient lookup, sorted output and
+JSON.
 
 The boundary is paid once per truncation value, not once per request: its
 index data enters no model, so one table per (degree, species), shared by
 equal `Truncation` objects, memoises the admissible indices of each degree,
-the maps between indices and keys, and the unit series of each field.
+the maps between indices and keys, and the unit series.
 `admissible_indices`, `pack`, `unpack` and the constructor's admissibility
 check read it.  The memo is bounded and lazy: an LRU keeps the tables of the
 last _INDEX_TABLES truncations, and a degree's indices are stored only when
@@ -41,10 +42,13 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._config import config_int, config_list, config_mapping, config_number, config_species
 
+# The name of the coefficient field, as reprs and JSON documents write it.
 RATIONAL = "rational"
-FLOAT = "float"
-
-_FIELDS = (RATIONAL, FLOAT)
+# perfbench/workloads.py still names a field: `MPSeries(terms, t, FLOAT)` and
+# `MPSeries(lg_terms, t, p.series.field)`.  These three names (FLOAT, the
+# constructor's third argument and `MPSeries.field`) only admit the one field;
+# ROADMAP item 11, which rewrites perfbench's hooks, removes them.
+FLOAT = RATIONAL
 
 # Memoised minors cost at most k 2^(k-1) series products for a k x k
 # determinant, 24 576 at k = 12, where a cofactor expansion needs about
@@ -205,11 +209,11 @@ class _IndexTable:
     """The model-independent index data of one truncation value: `blocks`
     maps a degree to its admissible indices in graded-lexicographic order,
     `keys` and `indices` map the stored indices to their keys and back, and
-    `ones` holds the unit series of each field (`MPSeries.one`)."""
+    `one` holds the unit series once built (`MPSeries.one`)."""
 
     def __init__(self):
         empty = MultiIndex()
-        self.blocks, self.keys, self.indices, self.ones = {}, {empty: 0}, {0: empty}, {}
+        self.blocks, self.keys, self.indices, self.one = {}, {empty: 0}, {0: empty}, None
 
 
 @lru_cache(maxsize=_INDEX_TABLES)
@@ -257,40 +261,18 @@ def admissible_indices(truncation: Truncation, min_degree: int = 0) -> Iterator[
             table.blocks[d] = tuple(built)
 
 
-def _coerce(value, field: str):
-    if field == RATIONAL:
-        if type(value) is Fraction:
-            return value
-        if isinstance(value, float):
-            raise ValueError("float coefficient in a rational-field series; "
-                             "convert the series explicitly with to_float()")
-        return Fraction(value)
-    if field == FLOAT:
-        return float(value)
-    raise ValueError(f"unknown coefficient field {field!r}")
+def _coerce(value) -> Fraction:
+    """A coefficient as an exact rational, a finite float at its exact binary value."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite float {value} as a series coefficient")
+    return Fraction(value)
 
 
-def _zero(field: str):
-    """The zero numerator of a field."""
-    return 0 if field == RATIONAL else 0.0
-
-
-def _one(field: str):
-    """The unit numerator of a field."""
-    return 1 if field == RATIONAL else 1.0
-
-
-def _value(field: str, numerator, denominator: int):
-    """The coefficient a numerator over a denominator stands for."""
-    return Fraction(numerator, denominator) if field == RATIONAL else numerator
-
-
-def _numerators(values: Mapping[int, object], field: str) -> tuple[dict[int, object], int]:
-    """Keyed coefficients of the field (Fractions or ints, or floats) as
-    (numerators, denominator): integers over their least common denominator
-    for the rational field, the floats themselves over 1 otherwise."""
-    if field != RATIONAL:
-        return dict(values), 1
+def _numerators(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Keyed coefficients (Fractions or ints) as (numerators, denominator):
+    integers over their least common denominator."""
     den = math.lcm(*(c.denominator for c in values.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
 
@@ -315,66 +297,64 @@ class MPSeries:
 
     Stored terms are canonical: every monomial is admissible under the
     truncation and no stored coefficient is zero.  They are kept in one dict
-    from the truncation's integer keys (see `Truncation`) to numerators, over
-    one denominator `_den`.  A rational series keeps integer numerators over
-    a positive integer denominator with gcd(den, *numerators) == 1, which is
-    the least common denominator of its coefficients; a float series keeps
-    its coefficients as numerators over 1.  Both forms are unique, so
-    equality is a compare of dicts and denominators.  `terms` is a read-only
-    view keyed by `MultiIndex` with `Fraction` (or float) values, built on
-    first use.
+    from the truncation's integer keys (see `Truncation`) to integer
+    numerators, over one positive integer denominator `_den` with
+    gcd(den, *numerators) == 1, which is the least common denominator of the
+    coefficients.  The form is unique, so equality is a compare of dicts and
+    denominators.  `terms` is a read-only view keyed by `MultiIndex` with
+    `Fraction` values, built on first use.
     """
 
-    __slots__ = ("_terms", "_den", "truncation", "field", "_view")
+    __slots__ = ("_terms", "_den", "truncation", "_view")
+
+    field = RATIONAL  # see FLOAT
 
     def __init__(self, terms: Mapping[MultiIndex, object], truncation: Truncation,
                  field: str = RATIONAL):
-        if field not in _FIELDS:
+        if field != RATIONAL:  # see FLOAT
             raise ValueError(f"unknown coefficient field {field!r}")
         values = {}
         for n, c in terms.items():
             key = truncation._key(n)
             if key is None:
                 raise ValueError(f"term {n!r} not admissible under {truncation}")
-            c = _coerce(c, field)
+            c = _coerce(c)
             if c != 0:
                 values[key] = c
-        self._terms, self._den = _numerators(values, field)
+        self._terms, self._den = _numerators(values)
         self.truncation = truncation
-        self.field = field
         self._view = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        return cls({}, truncation, field)
+    def zero(cls, truncation: Truncation) -> MPSeries:
+        return cls({}, truncation)
 
     @classmethod
-    def constant(cls, value, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        return cls({MultiIndex(): value}, truncation, field)
+    def constant(cls, value, truncation: Truncation) -> MPSeries:
+        return cls({MultiIndex(): value}, truncation)
 
     @classmethod
-    def one(cls, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        """The unit series: one shared object per truncation value and field."""
-        ones = truncation._table.ones
-        one = ones.get(field)
-        if one is None:
-            one = ones[field] = cls.constant(1, truncation, field)
-        return one
+    def one(cls, truncation: Truncation) -> MPSeries:
+        """The unit series: one shared object per truncation value."""
+        table = truncation._table
+        if table.one is None:
+            table.one = cls.constant(1, truncation)
+        return table.one
 
     @classmethod
-    def variable(cls, species: int, truncation: Truncation, field: str = RATIONAL) -> MPSeries:
-        return cls({MultiIndex.single(species): 1}, truncation, field)
+    def variable(cls, species: int, truncation: Truncation) -> MPSeries:
+        return cls({MultiIndex.single(species): 1}, truncation)
 
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[MultiIndex, object]:
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
         """Read-only view of the terms keyed by `MultiIndex`."""
         if self._view is None:
-            unpack, field, den = self.truncation.unpack, self.field, self._den
-            self._view = MappingProxyType({unpack(k): _value(field, c, den)
+            unpack, den = self.truncation.unpack, self._den
+            self._view = MappingProxyType({unpack(k): Fraction(c, den)
                                            for k, c in self._terms.items()})
         return self._view
 
@@ -385,8 +365,8 @@ class MPSeries:
             raise ValueError(f"coefficient of {n!r} is undefined at truncation {self.truncation}")
         return self._coefficient(key)
 
-    def _coefficient(self, key: int):
-        return _value(self.field, self._terms.get(key, _zero(self.field)), self._den)
+    def _coefficient(self, key: int) -> Fraction:
+        return Fraction(self._terms.get(key, 0), self._den)
 
     @property
     def constant_term(self):
@@ -395,15 +375,14 @@ class MPSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
+    def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in graded-lexicographic order (deterministic output)."""
-        unpack, field, den = self.truncation.unpack, self.field, self._den
-        return [(unpack(k), _value(field, c, den)) for k, c in sorted(self._terms.items())]
+        unpack, den = self.truncation.unpack, self._den
+        return [(unpack(k), Fraction(c, den)) for k, c in sorted(self._terms.items())]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MPSeries) and self.field == other.field
-                and self.truncation == other.truncation and self._den == other._den
-                and self._terms == other._terms)
+        return (isinstance(other, MPSeries) and self.truncation == other.truncation
+                and self._den == other._den and self._terms == other._terms)
 
     __hash__ = None
 
@@ -418,24 +397,20 @@ class MPSeries:
             body = " + ".join(parts)
             if len(self._terms) > 6:
                 body += f" + ... ({len(self._terms)} terms)"
-        return f"<MPSeries {body} | D={self.truncation.degree} S={self.truncation.species} {self.field}>"
+        return f"<MPSeries {body} | D={self.truncation.degree} S={self.truncation.species} {RATIONAL}>"
 
     def _check_compatible(self, other: MPSeries, op: str):
         if not isinstance(other, MPSeries):
             raise TypeError(f"cannot {op} MPSeries with {type(other).__name__}")
-        if self.field != other.field:
-            raise ValueError(f"cannot {op} series over different fields "
-                             f"({self.field} vs {other.field})")
         if self.truncation != other.truncation:
             raise ValueError(f"cannot {op} series with different truncations "
                              f"({self.truncation} vs {other.truncation})")
 
-    def _keyed(self, terms: dict[int, object], den: int = 1) -> MPSeries:
-        """A series of this truncation and field from keyed numerators over
-        `den` that are admissible and in the field already: the zeros are
-        dropped and a rational result is reduced by one gcd pass.  This is
-        the internal constructor; a caller with keyed coefficients passes
-        them through `_numerators` first."""
+    def _keyed(self, terms: dict[int, int], den: int = 1) -> MPSeries:
+        """A series of this truncation from admissible keyed integer
+        numerators over `den`: the zeros are dropped and the result is
+        reduced by one gcd pass.  This is the internal constructor; a caller
+        with keyed coefficients passes them through `_numerators` first."""
         terms = {k: c for k, c in terms.items() if c}
         if den != 1:
             g = math.gcd(den, *terms.values())
@@ -446,7 +421,6 @@ class MPSeries:
         out._terms = terms
         out._den = den
         out.truncation = self.truncation
-        out.field = self.field
         out._view = None
         return out
 
@@ -470,7 +444,7 @@ class MPSeries:
             return self.scaled(other)
         self._check_compatible(other, "multiply")
         limit = self.truncation._limit
-        out: dict[int, object] = {}
+        out: dict[int, int] = {}
         for k1, c1 in self._terms.items():
             room = limit - k1
             for k2, c2 in other._terms.items():
@@ -483,11 +457,11 @@ class MPSeries:
         return self.scaled(other)
 
     def scaled(self, scalar) -> MPSeries:
-        c = _coerce(scalar, self.field)
-        num, den = (c.numerator, c.denominator) if self.field == RATIONAL else (c, 1)
-        return self._keyed({k: num * v for k, v in self._terms.items()}, self._den * den)
+        c = _coerce(scalar)
+        return self._keyed({k: c.numerator * v for k, v in self._terms.items()},
+                           self._den * c.denominator)
 
-    def _exponents(self, species: int) -> tuple[int, Iterator[tuple[int, int, object]]]:
+    def _exponents(self, species: int) -> tuple[int, Iterator[tuple[int, int, int]]]:
         """(key of z_species, (key, exponent of z_species, numerator) per term)."""
         t = self.truncation
         if not 1 <= species <= t.species:
@@ -519,12 +493,6 @@ class MPSeries:
 
     # -- conversions -------------------------------------------------------
 
-    def to_float(self) -> MPSeries:
-        """Explicit one-way conversion rational -> float."""
-        if self.field == FLOAT:
-            return self
-        return MPSeries(self.terms, self.truncation, FLOAT)
-
     def with_truncation(self, truncation: Truncation) -> MPSeries:
         """Explicit re-truncation; terms outside the new truncation are dropped.
 
@@ -533,13 +501,13 @@ class MPSeries:
         known (e.g. the series is a polynomial).
         """
         kept = {n: c for n, c in self.terms.items() if truncation.admits(n)}
-        return MPSeries(kept, truncation, self.field)
+        return MPSeries(kept, truncation)
 
     def evaluate(self, point: Mapping[int, complex]) -> complex:
         """Numeric evaluation at a point (coefficients coerced through float)."""
         total = 0j
         for n, c in self.terms.items():
-            v = complex(float(c) if self.field == RATIONAL else c)
+            v = complex(float(c))
             for s, e in n.items():
                 v *= point[s] ** e
             total += v
@@ -552,7 +520,7 @@ class MPSeries:
 def _power_sum(u: MPSeries, coefficient: Callable[[int], object]) -> MPSeries:
     """sum_m coefficient(m) u^m for m = 0..D, for u with zero constant term:
     the sum stops at the first power of u that vanishes."""
-    one = MPSeries.one(u.truncation, u.field)
+    one = MPSeries.one(u.truncation)
     result = one.scaled(coefficient(0))
     power = one
     for m in range(1, u.truncation.degree + 1):
@@ -577,18 +545,14 @@ class LogSeries(NamedTuple):
     rational field closed: no irrational log(c0) enters exact arithmetic.
     """
 
-    leading: object
+    leading: Fraction
     series: MPSeries
 
     def as_series(self) -> MPSeries:
-        """Fold log(leading) into the constant term (float field only,
-        unless the leading constant is exactly 1)."""
-        if self.leading == 1:
-            return self.series
-        if self.series.field != FLOAT:
+        """The logarithm as one series, which needs the leading constant 1."""
+        if self.leading != 1:
             raise ValueError("cannot fold log of a constant != 1 into a rational series")
-        const = MPSeries.constant(math.log(self.leading), self.series.truncation, FLOAT)
-        return self.series + const
+        return self.series
 
 
 def log(a: MPSeries) -> LogSeries:
@@ -602,8 +566,8 @@ def log(a: MPSeries) -> LogSeries:
         raise ValueError("log requires a nonzero constant term")
     if c0 < 0:
         raise ValueError("log requires a positive constant term over a real field")
-    inv_c0 = 1 / c0 if a.field == FLOAT else Fraction(1) / c0
-    u = a.scaled(inv_c0) - MPSeries.one(a.truncation, a.field)
+    inv_c0 = 1 / c0
+    u = a.scaled(inv_c0) - MPSeries.one(a.truncation)
     return LogSeries(c0, _power_sum(u, lambda m: Fraction((-1) ** (m + 1), m) if m else 0))
 
 
@@ -612,20 +576,20 @@ def reciprocal(a: MPSeries) -> MPSeries:
     c0 = a.constant_term
     if c0 == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
-    inv_c0 = 1 / c0 if a.field == FLOAT else Fraction(1) / c0
-    u = a.scaled(inv_c0) - MPSeries.one(a.truncation, a.field)
+    inv_c0 = 1 / c0
+    u = a.scaled(inv_c0) - MPSeries.one(a.truncation)
     return _power_sum(u, lambda m: (-1) ** m).scaled(inv_c0)
 
 
-def _powers(family: Mapping[int, MPSeries], truncation: Truncation,
-            field: str) -> Callable[[int, int], MPSeries]:
+def _powers(family: Mapping[int, MPSeries],
+            truncation: Truncation) -> Callable[[int, int], MPSeries]:
     """Memoised power(i, e) = family[i]^e, each built as power(i, e - 1) * family[i]."""
     cache: dict[tuple[int, int], MPSeries] = {}
 
     def power(species: int, e: int) -> MPSeries:
         key = (species, e)
         if key not in cache:
-            cache[key] = (MPSeries.one(truncation, field) if e == 0
+            cache[key] = (MPSeries.one(truncation) if e == 0
                           else power(species, e - 1) * family[species])
         return cache[key]
 
@@ -640,22 +604,19 @@ def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
     """
     if not family:
         raise ValueError("substitute needs a nonempty family")
-    probe = next(iter(family.values()))
-    truncation, field = probe.truncation, probe.field
+    truncation = next(iter(family.values())).truncation
     for s in family.values():
-        if s.truncation != truncation or s.field != field:
-            raise ValueError("family series must share one truncation and field")
+        if s.truncation != truncation:
+            raise ValueError("family series must share one truncation")
         if s.constant_term != 0:
             raise ValueError("substitution family must have zero constant terms")
-    if field != outer.field:
-        raise ValueError(f"cannot substitute {field} family into {outer.field} series")
 
-    fam_power = _powers(family, truncation, field)
-    result = MPSeries.zero(truncation, field)
+    fam_power = _powers(family, truncation)
+    result = MPSeries.zero(truncation)
     for n, c in outer.terms.items():
         if n.degree > truncation.degree:
             continue  # each family factor has degree >= 1
-        term = MPSeries.constant(c, truncation, field)
+        term = MPSeries.constant(c, truncation)
         for species, e in n.items():
             if species not in family:
                 raise ValueError(f"family has no series for species {species}")
@@ -667,24 +628,22 @@ def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
 
 
 class SeriesMatrix:
-    """Square matrix of series sharing one truncation and field."""
+    """Square matrix of series sharing one truncation."""
 
-    __slots__ = ("entries", "dimension", "truncation", "field")
+    __slots__ = ("entries", "dimension", "truncation")
 
-    def __init__(self, entries: Iterable[Iterable[MPSeries]], truncation: Truncation,
-                 field: str = RATIONAL):
+    def __init__(self, entries: Iterable[Iterable[MPSeries]], truncation: Truncation):
         rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for entry in row:
-                if entry.truncation != truncation or entry.field != field:
-                    raise ValueError("all entries must share the matrix truncation and field")
+                if entry.truncation != truncation:
+                    raise ValueError("all entries must share the matrix truncation")
         self.entries = rows
         self.dimension = n
         self.truncation = truncation
-        self.field = field
 
 
 def determinant(m: SeriesMatrix) -> MPSeries:
@@ -708,7 +667,7 @@ def determinant(m: SeriesMatrix) -> MPSeries:
     if m.dimension > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant limited to dimension {MAX_DETERMINANT_DIM}, "
                          f"got {m.dimension}")
-    one = MPSeries.one(m.truncation, m.field)
+    one = MPSeries.one(m.truncation)
     limit = m.truncation._limit
     # column bitmask -> (minor on the last rows, lowest key among its terms)
     minors = {0: (one, 0)}
@@ -731,10 +690,10 @@ def determinant(m: SeriesMatrix) -> MPSeries:
             if not minor.is_zero():
                 minors[cols] = (minor, min(minor._terms))
     full = minors.get((1 << m.dimension) - 1)
-    return MPSeries.zero(m.truncation, m.field) if full is None else full[0]
+    return MPSeries.zero(m.truncation) if full is None else full[0]
 
 
-def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
+def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex) -> Fraction:
     """[z^n] of the product of `factors`; the empty product is the exact 1.
 
     Only exponents m <= n componentwise can reach z^n, so the product is
@@ -759,27 +718,26 @@ def coefficient_of_product(factors: Sequence[MPSeries], n: MultiIndex):
         box = [b + k * t._steps[s - 1] for k in range(e + 1) for b in box]
     target = box[-1]
     inside = set(box)
-    zero = _zero(head.field)
-    acc = {0: _one(head.field)}
+    acc = {0: 1}
     den = 1
     for f in factors[:-1]:
         terms = f._terms
         den *= f._den
         part = [(m, terms[m]) for m in box if m in terms]
-        nxt: dict[int, object] = {}
+        nxt: dict[int, int] = {}
         for a, ca in acc.items():
             for b, cb in part:
                 m = a + b
                 if m in inside:
-                    nxt[m] = nxt.get(m, zero) + ca * cb
+                    nxt[m] = nxt.get(m, 0) + ca * cb
         acc = nxt
     terms = factors[-1]._terms
-    total = zero
+    total = 0
     for a, ca in acc.items():
         cb = terms.get(target - a)
         if cb is not None:
             total += ca * cb
-    return _value(head.field, total, den * factors[-1]._den)
+    return Fraction(total, den * factors[-1]._den)
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -790,11 +748,11 @@ def series_to_json(a: MPSeries) -> dict:
     terms = []
     for n, c in a.sorted_terms():
         entry = {"n": {str(s): e for s, e in n.items()}}
-        entry["c"] = str(c) if a.field == RATIONAL else float(c)
+        entry["c"] = str(c)
         terms.append(entry)
     return {
         "truncation": {"degree": a.truncation.degree, "species": a.truncation.species},
-        "field": a.field,
+        "field": RATIONAL,
         "terms": terms,
     }
 
@@ -803,9 +761,8 @@ def series_from_json(doc: Mapping) -> MPSeries:
     t = config_mapping(doc["truncation"], "truncation")
     trunc = Truncation(config_int(t["degree"], "truncation.degree", 0),
                        config_species(t["species"], "truncation.species"))
-    field = doc["field"]
-    if field not in _FIELDS:
-        raise ValueError(f"unknown coefficient field {field!r}")
+    if doc["field"] != RATIONAL:
+        raise ValueError(f"unknown coefficient field {doc['field']!r}")
     terms = {}
     for k, entry in enumerate(config_list(doc.get("terms", []), "terms")):
         at = f"terms[{k}]"
@@ -813,6 +770,5 @@ def series_from_json(doc: Mapping) -> MPSeries:
         n = MultiIndex({config_species(s, f'{at}.n["{s}"]', key=True):
                         config_int(e, f'{at}.n["{s}"]', 0)
                         for s, e in config_mapping(entry["n"], f"{at}.n").items()})
-        c = config_number(entry["c"], f"{at}.c")
-        terms[n] = c if field == RATIONAL else float(c)
-    return MPSeries(terms, trunc, field)
+        terms[n] = config_number(entry["c"], f"{at}.c")
+    return MPSeries(terms, trunc)

@@ -16,7 +16,10 @@ Both graph sums come from the weight source, per (vertex count, colouring):
 `connected_sum` for the pressure and `two_connected_sum` for the
 two-connected route, each as (sum, stderr).  One builder, `_weight_sums`,
 turns either into a series and the standard error of each coefficient, so
-this module never asks what kind of source it reads.
+this module never asks what kind of source it reads.  A Monte Carlo sum is a
+float and enters the series at its exact binary value, so every route runs
+in exact arithmetic on every source, and on one pressure the recursive and
+Lagrange-Good routes agree exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .graphs import (
     canonical_coloured_key,  # noqa: F401  perfbench's tracer wraps this attribute by name
 )
 from .series import (
-    RATIONAL,
     MPSeries,
     MultiIndex,
     SeriesMatrix,
@@ -40,8 +42,6 @@ from .series import (
     _add_into,
     _numerators,
     _powers,
-    _value,
-    _zero,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -140,24 +140,30 @@ def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
                key=lambda run: run[1] * run[2], default=(0, 0, 0))
 
 
-def _weight_sums(source_method, field: str, truncation: Truncation,
+def _weight_sums(source_method, truncation: Truncation,
                  min_degree: int) -> tuple[MPSeries, dict[MultiIndex, float]]:
     """(sum_n x^n S(n)/n!, {n: stderr of S(n)/n!}) over the admissible n of
     degree >= min_degree, with (S(n), stderr) = source_method(|n|, canonical
-    colouring of n) and S(n) divided in `field`.  Degrees above
-    MAX_WEIGHT_SUM_VERTICES raise ValueError."""
+    colouring of n) and S(n) exact: a float sum at its binary value.  A sum
+    that is not finite, and degrees above MAX_WEIGHT_SUM_VERTICES, raise
+    ValueError."""
     _check_weight_sum_size(truncation)
     values, errors = {}, {}
     for n in admissible_indices(truncation, min_degree=min_degree):
-        s, err = source_method(n.degree, canonical_colouring(n))
-        values[truncation.pack(n)] = (Fraction(s) / n.factorial() if field == RATIONAL
-                                      else float(s) / n.factorial())
+        colours = canonical_colouring(n)
+        s, err = source_method(n.degree, colours)
+        try:
+            s = Fraction(s)
+        except (OverflowError, ValueError):
+            raise ValueError(f"the weight sum on {n.degree} vertices coloured {colours} "
+                             f"is {s}, not a finite number") from None
+        values[truncation.pack(n)] = s / n.factorial()
         errors[n] = err / n.factorial()
-    return MPSeries.one(truncation, field)._keyed(*_numerators(values, field)), errors
+    return MPSeries.one(truncation)._keyed(*_numerators(values)), errors
 
 
 def _pressure(source, truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
-    series, errors = _weight_sums(source.connected_sum, source.field, truncation, min_degree=1)
+    series, errors = _weight_sums(source.connected_sum, truncation, min_degree=1)
     for k in range(1, truncation.species + 1):
         if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
             raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
@@ -178,7 +184,9 @@ def mc_pressure_series(potential: PairPotential, params: McParams,
                        truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
     """Monte Carlo pressure series plus the standard error of each b(n): the
     pressure `pressure_from_weights` builds from McWeightSource(potential,
-    params), bit for bit, with the errors its `connected_sum` reports."""
+    params), with the errors its `connected_sum` reports.  Each b(n) is the
+    float joint sum S of its (vertex count, colouring) taken exactly,
+    Fraction(S) / n!, and its error is the float stderr of S over n!."""
     return _pressure(McWeightSource(potential, params), truncation)
 
 
@@ -215,13 +223,12 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
     unique answer)."""
     series = p.series
     t = series.truncation
-    field = series.field
     active = _active_species(p)
     b1 = _check_invertible(series, active)
     fam = densities(p).by_species
 
-    rho_power = _powers(fam, t, field)
-    one = MPSeries.one(t, field)
+    rho_power = _powers(fam, t)
+    one = MPSeries.one(t)
     # rho^n = rho^(n without its top species s) * rho_s^(n_s), memoised by the
     # key of n, the prefix's key being that of n less n_s z_s
     monomials = {0: one}
@@ -239,17 +246,17 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
     for n in admissible_indices(t, min_degree=1):
         if not set(n.species) <= active_set:
             continue
-        diagonal = Fraction(1) if field == RATIONAL else 1.0
+        diagonal = Fraction(1)
         for s, e in n.items():
             diagonal *= b1[s] ** e
         key = t.pack(n)
-        done = _value(field, running.get(key, _zero(field)), den)
+        done = Fraction(running.get(key, 0), den)
         c = (series._coefficient(key) - done) / diagonal
         if c != 0:
             coeffs[key] = c
             term = rho_monomial(key).scaled(c)
             den = _add_into(running, den, term._terms, term._den)
-    return VirialSeries(one._keyed(*_numerators(coeffs, field)), RECURSIVE)
+    return VirialSeries(one._keyed(*_numerators(coeffs)), RECURSIVE)
 
 
 # -- route 2: Lagrange-Good extraction ------------------------------------------
@@ -285,8 +292,8 @@ class LagrangeGoodInverter:
             rows = [[dp[i - 1].diff(j).mul_var(i) * recip[i - 1] for j in species]
                     for i in species]
             for i, row in enumerate(rows):
-                row[i] = MPSeries.one(p.truncation, p.field) + row[i]
-            self._a = p * determinant(SeriesMatrix(rows, p.truncation, p.field))
+                row[i] = MPSeries.one(p.truncation) + row[i]
+            self._a = p * determinant(SeriesMatrix(rows, p.truncation))
             self._top, self._recip = top, recip
         factors = [self._a] + [self._recip[i - 1] for i, e in pairs for _ in range(e)]
         return coefficient_of_product(factors, n)
@@ -315,8 +322,7 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
     B = two_connected_gf(model, truncation).series
     # keyed numerators over B's denominator: 1 at each e_k (key _steps[k - 1]),
     # then -(|n| - 1) b(n), |n| being a key's degree digit
-    unit = B._den if B.field == RATIONAL else 1.0
-    terms = {step: unit for step in truncation._steps if truncation.degree >= 1}
+    terms = {step: B._den for step in truncation._steps if truncation.degree >= 1}
     top = truncation._places[0]
     terms.update((k, -(k // top - 1) * c) for k, c in B._terms.items())
     return VirialSeries(B._keyed(terms, B._den), TWO_CONNECTED)
@@ -330,7 +336,7 @@ def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
     Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     _require_block_factorizing(model)
-    series, _ = _weight_sums(model.two_connected_sum, model.field, truncation, min_degree=2)
+    series, _ = _weight_sums(model.two_connected_sum, truncation, min_degree=2)
     return TwoConnectedGF(series)
 
 
@@ -353,10 +359,10 @@ def verify_ghost_relation(model, truncation: Truncation) -> GhostReport:
     The left side comes from the connected-graph pressure, the right side from
     the two-connected generating function; equality is the rooted dissymmetry
     identity, with the root of dB/drho_k acting as a ghost vertex of colour k.
+    On a Monte Carlo source both sides are exact functions of independent
+    estimates, so the check runs and fails by the sampling error.
     """
     _require_block_factorizing(model)
-    if model.field != RATIONAL:
-        raise ValueError("the ghost relation check needs the exact field")
     p = pressure_from_weights(model, truncation)
     fam = densities(p).by_species
     B = two_connected_gf(model, truncation).series
@@ -385,8 +391,7 @@ def functional_inverse(problem: InversionProblem) -> dict[int, MPSeries]:
     lifted = Truncation(t.degree + 1, t.species)
     F = {k: s.with_truncation(lifted) for k, s in problem.F.items()}
     H = {k: reciprocal(F[k]) for k in F}
-    w = {k: MPSeries.variable(k, lifted, s.field).scaled(H[k].constant_term)
-         for k, s in F.items()}
+    w = {k: MPSeries.variable(k, lifted).scaled(H[k].constant_term) for k in F}
     for _ in range(t.degree + 1):
         w = {k: substitute(H[k], w).mul_var(k) for k in F}
     return w

@@ -19,7 +19,8 @@ Every weight source answers `connected_sum(m, colours)` and
 `two_connected_sum(m, colours)`: the summed weights of the connected (for
 the pressure) or two-connected (for route 3) graphs on {1..m} in one
 colouring, as (sum, stderr).  `SyntheticBlockModel` gives (Fraction, 0)
-from graphs.py's class tables, `McWeightSource` float estimates.
+from graphs.py's class tables, `McWeightSource` float estimates, which the
+series take at their exact binary values.
 
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
@@ -559,7 +560,6 @@ class SyntheticBlockModel:
     graphs.py.
     """
 
-    field = "rational"
     block_factorizing = True
 
     def __init__(self, species_count: int,
@@ -659,7 +659,7 @@ def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
 
 
 class McWeightSource:
-    """Adapter: Monte Carlo cluster integrals as a (float-field) weight source.
+    """Adapter: Monte Carlo cluster integrals as a weight source of float sums.
 
     `connected_sum` is one joint estimate per (vertex count, colouring), the
     sum over all connected graphs from `mayer_sum_mc`.  `two_connected_sum`
@@ -669,7 +669,6 @@ class McWeightSource:
     molecules factorize over blocks, hence `block_factorizing` is True.
     """
 
-    field = "float"
     block_factorizing = True
 
     def __init__(self, potential: PairPotential, params: McParams):

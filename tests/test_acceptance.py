@@ -92,7 +92,7 @@ def corpus() -> list[CorpusEntry]:
                 c = inverter.coefficient(n)
                 if c != 0:
                     lg_terms[n] = c
-            lg = MPSeries(lg_terms, t, p.series.field)
+            lg = MPSeries(lg_terms, t)
             entries.append(CorpusEntry(seed, model, t, p, rec, twoc, lg))
         _corpus = entries
     return _corpus

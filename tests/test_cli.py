@@ -360,14 +360,15 @@ def test_the_shared_parser_serves_back_to_back_subcommands_as_fresh_calls(
 # model and graph paths are printed, so they are relative to the working
 # directory.  `weights estimate` is one `weight_mc` run, as written by the
 # exp-of-energy Mayer kernel; the `virial invert` pressures are one joint
-# estimate per (vertex count, colouring) by subset recursion
+# estimate per (vertex count, colouring) by subset recursion, taken at its
+# exact binary value, and each c(n) is rounded to a float once, at output
 PINNED_MC_STDOUT = {
     ("virial", "invert", "--method", "recursive", "--degree", "4", "--samples", "20000"):
-        "16a4a53f4ce813a8575377a6f64cd89ccbf55910b3a91425e189849b9afb03ca",
+        "c8ca5e2e9a26f48af72680e4e237424a6f361783503addf0c540164389299659",
     ("virial", "invert", "--method", "recursive", "--degree", "3", "--samples", "100000"):
-        "1e007daf003fb1396902363e9e843cd37652f81ea9f8b00d0ff48056571b5dcc",
+        "0f1c9bcbef55f6e1aecf14dc47afe65b3cc4210a6308d517e65d4e174526eec6",
     ("virial", "invert", "--method", "lagrange-good", "--degree", "4", "--samples", "20000"):
-        "7f75d3069631b99153f7cd8b06e388d2587b4e44c6278832f8ac1bac08ee3270",
+        "4d7fc307e408fe9e95d3af740b642bf5120a298c8bd3da7d2d20e5c435798443",
     ("weights", "estimate", "--graph", "graph.json", "--samples", "50000"):
         "269f4a76a4989eb546f22cbff27d56a5fe5261fef2883c2b79c50134dcab13a3",
 }
@@ -385,6 +386,46 @@ def test_monte_carlo_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--seed", "5", "--model", "model.json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC_STDOUT[argv]
+
+
+def test_recursive_and_lagrange_good_print_the_same_mc_coefficients(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", ROD_MIXTURE)
+    rows = {}
+    for method in ("recursive", "lagrange-good"):
+        code, out, err = run(capsys, "virial", "invert", "--method", method, "--degree", "4",
+                             "--samples", "20000", "--seed", "5", "--model", "model.json")
+        assert (code, err) == (0, "")
+        rows[method] = [(row["n"], row["c"]) for row in json.loads(out)["coefficients"]]
+    assert rows["recursive"] == rows["lagrange-good"]
+
+
+def test_virial_compare_lists_no_lagrange_good_difference_on_the_rod_mixture(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", ROD_MIXTURE)
+    code, out, err = run(capsys, "virial", "compare", "--degree", "3", "--seed", "5",
+                         "--model", "model.json")
+    assert err == ""
+    differences = json.loads(out)["differences"]
+    assert all(d["method"] == "two-connected" for d in differences)
+
+
+def test_mc_coefficient_outside_the_float_range_is_usage_error(capsys, monkeypatch,
+                                                               hard_rods_model):
+    invert = virial_mod.invert_recursive
+
+    def huge(p):
+        v = invert(p)
+        return virial_mod.VirialSeries(
+            v.series + MPSeries({MultiIndex({1: 2}): 10 ** 400}, v.series.truncation), v.method)
+
+    monkeypatch.setattr(virial_mod, "invert_recursive", huge)
+    code, out, err = run(capsys, "virial", "invert", "--model", hard_rods_model,
+                         "--degree", "2", "--samples", "100")
+    assert (code, out) == (2, "")
+    assert "c(2·e1) lies outside the float range" in err
 
 
 def test_weights_estimate_and_determinism(tmp_path, capsys, hard_rods_model):
@@ -537,6 +578,8 @@ PATH_400 = {"n": 400, "edges": [[i, i + 1] for i in range(1, 400)], "colours": [
 PATH_1000 = {"n": 1000, "edges": [[i, i + 1] for i in range(1, 1000)], "colours": [1] * 1000}
 TWO_RODS = "<two-species hard rods model>"
 TWO_RODS_DOC = {"type": "hard_rods_1d", "sigma": {"1": 1, "2": 2}, "L": 10}
+# every degree-5 joint sum may reach L^4·4! > 10^309
+HUGE_RODS = {"sigma": {"1": 9e76, "2": 5e76}, "L": 1e77, "type": "hard_rods_1d"}
 K_100 = {"n": 100, "edges": [[i, j] for i in range(1, 101) for j in range(i + 1, 101)],
          "colours": [1] * 100}
 
@@ -619,6 +662,12 @@ def one_species_model(tmp_path):
     (("weights", "estimate", "--samples", "100", "--model", TWO_RODS, "--graph"),
      {"n": 2, "edges": [[1, 2]], "colours": [3, 1]},
      "colours[0]: expected a species index in 1..2 (the model's species), got 3"),
+    (("virial", "invert", "--degree", "5", "--samples", "200", "--model"), HUGE_RODS,
+     "L^4·4!, past the largest float"),
+    (("virial", "compare", "--degree", "5", "--samples", "200", "--model"), HUGE_RODS,
+     "L^4·4!, past the largest float"),
+    (("weights", "stability", "--b", "0", "--scheme", "low-discrepancy", "--model"),
+     TWO_RODS_DOC, "--scheme: stability draws pseudo-random configurations only"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
@@ -627,7 +676,8 @@ def one_species_model(tmp_path):
         "bound-exp-overflow", "bound-power-overflow", "stability-b-overflow",
         "mc-volume-overflow", "estimate-above-mayer-cap", "rod-box-volume-overflow",
         "estimate-above-chunk-cap", "cap-above-rod-species", "radii-above-rod-species",
-        "rod-species-gap", "nan-tol", "inf-tol", "negative-tol", "colour-above-rod-species"])
+        "rod-species-gap", "nan-tol", "inf-tol", "negative-tol", "colour-above-rod-species",
+        "invert-joint-sum-overflow", "compare-joint-sum-overflow", "stability-scheme"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
@@ -707,7 +757,6 @@ def test_two_connected_method_on_non_factorizing_model(tmp_path, capsys, hard_ro
     from virialkit.series import Truncation
 
     class Opaque:
-        field = "float"
         block_factorizing = False
 
     with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from virialkit import series as series_mod
 from virialkit.series import (
-    FLOAT,
-    RATIONAL,
     MPSeries,
     MultiIndex,
     SeriesMatrix,
@@ -114,10 +112,8 @@ def test_mul_truncation_discards():
 def test_mismatched_truncation_and_field_raise():
     with pytest.raises(ValueError):
         var(1, T31) + var(1, Truncation(4, 1))
-    with pytest.raises(ValueError):
-        var(1).to_float() + var(1)
-    with pytest.raises(ValueError):
-        MPSeries({e1(): 0.5}, T31, RATIONAL)  # float coefficient in rational field
+    with pytest.raises(ValueError, match="field"):
+        MPSeries({e1(): 1}, T31, "float")  # the rational field is the only one
 
 
 # -- derivative / variable multiplication ----------------------------------------
@@ -179,12 +175,10 @@ def test_log_nontrivial_leading_constant():
     lg = log(f)
     assert lg.leading == 3
     assert lg.series.constant_term == 0
-    # exact field cannot fold log(3); float field can
+    # the exact field cannot hold log(3)
     with pytest.raises(ValueError):
         lg.as_series()
-    folded = log(f.to_float()).as_series()
-    import math
-    assert folded.constant_term == pytest.approx(math.log(3))
+    assert log(one() + var(1)).as_series() == log(one() + var(1)).series
 
 
 def test_exp_log_round_trip_two_species():
@@ -209,20 +203,17 @@ def test_reciprocal_examples():
 
 
 def power_product(n: MultiIndex, family: Mapping[int, MPSeries], *,
-                  truncation: Truncation | None = None,
-                  field: str | None = None) -> MPSeries:
+                  truncation: Truncation | None = None) -> MPSeries:
     """prod_i family[i]^{n_i}, truncated; the oracle for `substitute` on
     monomials.  The empty product is 1."""
-    if truncation is None or field is None:
+    if truncation is None:
         if not family:
-            raise ValueError("empty family needs explicit truncation and field")
-        probe = next(iter(family.values()))
-        truncation = truncation or probe.truncation
-        field = field or probe.field
+            raise ValueError("empty family needs an explicit truncation")
+        truncation = next(iter(family.values())).truncation
     for s in family.values():
-        if s.truncation != truncation or s.field != field:
-            raise ValueError("family series must share one truncation and field")
-    result = MPSeries.one(truncation, field)
+        if s.truncation != truncation:
+            raise ValueError("family series must share one truncation")
+    result = MPSeries.one(truncation)
     for species, e in n.items():
         if species not in family:
             raise ValueError(f"family has no series for species {species}")
@@ -242,7 +233,7 @@ def test_power_product_examples():
     p = power_product(MultiIndex({1: 2}), fam)
     assert p.terms == {e1(2): 1, e1(3): 2}
     with pytest.raises(ValueError):
-        power_product(MultiIndex({2: 1}), fam, truncation=T31, field=RATIONAL)
+        power_product(MultiIndex({2: 1}), fam, truncation=T31)
 
 
 def test_substitute_examples():
@@ -310,10 +301,10 @@ def cofactor_determinant(m: SeriesMatrix) -> MPSeries:
     def det(rows):
         k = len(rows)
         if k == 0:
-            return MPSeries.one(m.truncation, m.field)
+            return MPSeries.one(m.truncation)
         if k == 1:
             return rows[0][0]
-        total = MPSeries.zero(m.truncation, m.field)
+        total = MPSeries.zero(m.truncation)
         for j in range(k):
             minor = tuple(tuple(r[c] for c in range(k) if c != j) for r in rows[1:])
             term = rows[0][j] * det(minor)
@@ -323,15 +314,15 @@ def cofactor_determinant(m: SeriesMatrix) -> MPSeries:
     return det(m.entries)
 
 
-def random_series(rng, t, field=RATIONAL, density=0.5):
-    """Random series with small coefficients; float ones are multiples of 1/4,
-    so products and sums of a few of them are exact in either field."""
+def random_series(rng, t, floats=False, density=0.5):
+    """Random series with small coefficients, multiples of 1/4, given to the
+    constructor as Fractions or, with `floats`, as the equal floats."""
     terms = {}
     for n in admissible_indices(t):
         if rng.random() < density:
             c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
-            terms[n] = c if field == RATIONAL else float(c)
-    return MPSeries(terms, t, field)
+            terms[n] = float(c) if floats else c
+    return MPSeries(terms, t)
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -372,10 +363,10 @@ def test_coefficient_of_product_matches_full_product():
     rng = random.Random(11)
     t = Truncation(4, 3)
     indices = list(admissible_indices(t))
-    for field in (RATIONAL, FLOAT):
+    for floats in (False, True):
         for count in range(1, 5):
             for _ in range(4):
-                factors = [random_series(rng, t, field) for _ in range(count)]
+                factors = [random_series(rng, t, floats) for _ in range(count)]
                 product = factors[0]
                 for f in factors[1:]:
                     product = product * f
@@ -395,8 +386,8 @@ def test_coefficient_of_product_empty_and_invalid():
 # -- packed keys against the MultiIndex-keyed oracles ------------------------------
 #
 # The oracles are the MultiIndex-keyed operations the packed core replaced.
-# They visit the terms in the same order, so even float coefficients, whose
-# sums depend on that order, must come out bit-equal.
+# Series built from floats hold their exact binary values, so the core's
+# integer numerators there run over denominators of up to 2^52 per factor.
 
 PACKED_TRUNCATIONS = [Truncation(0, 1), Truncation(8, 1), Truncation(4, 3), Truncation(2, 12)]
 
@@ -418,14 +409,14 @@ def product_oracle(a: MPSeries, b: MPSeries) -> MPSeries:
             if n1.degree + n2.degree <= a.truncation.degree:
                 n = index_sum(n1, n2)
                 out[n] = out.get(n, 0) + c1 * c2
-    return MPSeries(out, a.truncation, a.field)
+    return MPSeries(out, a.truncation)
 
 
 def sum_oracle(a: MPSeries, b: MPSeries, sign: int = 1) -> MPSeries:
     out = dict(a.terms)
     for n, c in b.terms.items():
         out[n] = out[n] + sign * c if n in out else sign * c
-    return MPSeries(out, a.truncation, a.field)
+    return MPSeries(out, a.truncation)
 
 
 def lowered(n: MultiIndex, species: int) -> MultiIndex:
@@ -434,17 +425,17 @@ def lowered(n: MultiIndex, species: int) -> MultiIndex:
 
 def diff_oracle(a: MPSeries, species: int) -> MPSeries:
     return MPSeries({lowered(n, species): c * n.get(species)
-                     for n, c in a.terms.items() if n.get(species)}, a.truncation, a.field)
+                     for n, c in a.terms.items() if n.get(species)}, a.truncation)
 
 
 def div_var_oracle(a: MPSeries, species: int) -> MPSeries:
-    return MPSeries({lowered(n, species): c for n, c in a.terms.items()}, a.truncation, a.field)
+    return MPSeries({lowered(n, species): c for n, c in a.terms.items()}, a.truncation)
 
 
 def mul_var_oracle(a: MPSeries, species: int) -> MPSeries:
     return MPSeries({MultiIndex({**dict(n.items()), species: n.get(species) + 1}): c
                      for n, c in a.terms.items()
-                     if n.degree < a.truncation.degree}, a.truncation, a.field)
+                     if n.degree < a.truncation.degree}, a.truncation)
 
 
 def coefficient_oracle(factors, n: MultiIndex):
@@ -460,8 +451,8 @@ def coefficient_oracle(factors, n: MultiIndex):
     for s, e in n.items():
         box = [b + k * weights[s - 1] for k in range(e + 1) for b in box]
     inside = set(box)
-    zero, one_ = (Fraction(0), Fraction(1)) if factors[0].field == RATIONAL else (0.0, 1.0)
-    acc = {0: one_}
+    zero = Fraction(0)
+    acc = {0: Fraction(1)}
     for f in factors[:-1]:
         terms = packed(f)
         part = [(m, terms[m]) for m in box if m in terms]
@@ -480,8 +471,8 @@ def coefficient_oracle(factors, n: MultiIndex):
 
 
 def exact(c):
-    """A coefficient with its type, a float by its exact bits."""
-    return type(c), c.hex() if isinstance(c, float) else c
+    """A coefficient with its type."""
+    return type(c), c
 
 
 def bits(a: MPSeries) -> list:
@@ -489,39 +480,36 @@ def bits(a: MPSeries) -> list:
     return [(n, exact(c)) for n, c in a.terms.items()]
 
 
-def noisy_series(rng, t: Truncation, field: str) -> MPSeries:
-    """Random series whose float coefficients round in products and sums."""
+def noisy_series(rng, t: Truncation, coefficients: str) -> MPSeries:
+    """Random series from small rationals, or from floats in [-3, 3], which
+    enter at their exact binary values."""
     terms = {}
     for n in admissible_indices(t):
         if rng.random() < 0.6:
-            terms[n] = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if field == RATIONAL
-                        else rng.uniform(-3.0, 3.0))
-    return MPSeries(terms, t, field)
+            terms[n] = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        if coefficients == "rational" else rng.uniform(-3.0, 3.0))
+    return MPSeries(terms, t)
 
 
 def checked(a: MPSeries) -> MPSeries:
     """`a`, after asserting that its stored form is reduced, that its `terms`
-    are Fractions (floats) and that the public constructor rebuilds it."""
+    are Fractions and that the public constructor rebuilds it."""
     numerators = list(a._terms.values())
     assert all(numerators)
-    if a.field == RATIONAL:
-        assert type(a._den) is int and a._den > 0
-        assert all(type(c) is int for c in numerators)
-        assert math.gcd(a._den, *numerators) == 1
-        assert all(type(c) is Fraction for c in a.terms.values())
-    else:
-        assert a._den == 1
-        assert all(type(c) is float for c in a.terms.values())
-    assert MPSeries(a.terms, a.truncation, a.field) == a
+    assert type(a._den) is int and a._den > 0
+    assert all(type(c) is int for c in numerators)
+    assert math.gcd(a._den, *numerators) == 1
+    assert all(type(c) is Fraction for c in a.terms.values())
+    assert MPSeries(a.terms, a.truncation) == a
     return a
 
 
-@pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("coefficients", ["rational", "float"])
 @pytest.mark.parametrize("t", PACKED_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
-def test_packed_core_matches_multiindex_oracles(t, field):
+def test_packed_core_matches_multiindex_oracles(t, coefficients):
     rng = random.Random(t.degree * 100 + t.species)
     for _ in range(3):
-        a, b, c = (checked(noisy_series(rng, t, field)) for _ in range(3))
+        a, b, c = (checked(noisy_series(rng, t, coefficients)) for _ in range(3))
         assert bits(checked(a * b)) == bits(product_oracle(a, b))
         assert bits(checked(a + b)) == bits(sum_oracle(a, b))
         assert bits(checked(a - b)) == bits(sum_oracle(a, b, -1))
@@ -611,14 +599,20 @@ def test_multiindex_degree_is_read_only():
 def test_unit_series_is_shared_per_truncation_value_and_field():
     a, b = MPSeries.one(Truncation(3, 2)), MPSeries.one(Truncation(3, 2))
     assert a is b and a == MPSeries.constant(1, Truncation(3, 2))
-    f = MPSeries.one(Truncation(3, 2), FLOAT)
-    assert f is MPSeries.one(Truncation(3, 2), FLOAT) and f.field == FLOAT and f is not a
     assert MPSeries.one(Truncation(2, 3)) != a
 
 
 def test_fraction_coefficients_are_stored_unchanged():
     q = Fraction(3, 7)
-    assert series_mod._coerce(q, RATIONAL) is q
+    assert series_mod._coerce(q) is q
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_coefficients_are_refused(value):
+    with pytest.raises(ValueError, match="non-finite float"):
+        MPSeries({e1(): value}, T31)
+    with pytest.raises(ValueError, match="non-finite float"):
+        var(1).scaled(value)
 
 
 def test_terms_view_is_read_only():
@@ -658,10 +652,9 @@ def test_evaluate_at_complex_point():
     assert f.evaluate({1: 1j}) == pytest.approx(1 + 2j)
 
 
-def test_scaled_rejects_float_scalar_on_rational_series():
-    with pytest.raises(ValueError):
-        var(1).scaled(0.5)
-    assert var(1).to_float().scaled(0.5)[e1()] == 0.5
+def test_scaled_takes_a_float_scalar_at_its_exact_value():
+    assert var(1).scaled(0.5)[e1()] == Fraction(1, 2)
+    assert var(1).scaled(0.1)[e1()] == Fraction(0.1) != Fraction(1, 10)
 
 
 def test_div_var_requires_the_factor():
@@ -687,10 +680,14 @@ def test_json_round_trip_rational():
 
 
 def test_json_round_trip_float():
-    f = MPSeries({e1(): -3.5}, T31, FLOAT)
+    # a float coefficient is its exact binary value, written as p/q
+    f = MPSeries({e1(): -3.5, e1(2): 0.1}, T31)
     doc = series_to_json(f)
-    assert doc["terms"][0]["c"] == -3.5
+    assert [t["c"] for t in doc["terms"]] == ["-7/2", "3602879701896397/36028797018963968"]
     assert series_from_json(doc) == f
+    doc["field"] = "float"
+    with pytest.raises(ValueError, match="field"):
+        series_from_json(doc)
 
 
 # -- property tests ----------------------------------------------------------------
@@ -765,7 +762,7 @@ def test_leibniz_rule(a, b, i):
 
 
 def scaled_oracle(a: MPSeries, q) -> MPSeries:
-    return MPSeries({n: q * c for n, c in a.terms.items()}, a.truncation, a.field)
+    return MPSeries({n: q * c for n, c in a.terms.items()}, a.truncation)
 
 
 def power_sum_oracle(u: MPSeries, coefficient) -> MPSeries:
