@@ -136,8 +136,8 @@ MAX_MC_MAYER_FACTORS = 5 * 10 ** 9
 # Largest series plan, S species up to --degree D: on random synthetic models
 # (2-core Xeon, Python 3.11) the graph sums take 0.8-2 µs per labelled graph
 # (pressure at (S, D) = (8, 6): 89 s) and the routes grow like the square of
-# the indices (Lagrange-Good at (12, 5): over 90 s); `virial compare` at
-# (10, 5) and (7, 6), the largest admitted plans, takes 41 s and 47 s.
+# the indices (Lagrange-Good at (12, 5): 19 s); `virial compare` at (10, 5)
+# and (7, 6), the largest admitted plans, takes 12 s and 43 s.
 MAX_SERIES_INDICES = 4000
 MAX_SERIES_GRAPHS = 3 * 10 ** 7
 
@@ -147,7 +147,7 @@ def _series_plan(args, methods) -> tuple[object, Truncation]:
     on --model to --degree over --species-cap (else the model's) species,
     refused before any work above a series cap or, on a Monte Carlo source
     (a synthetic model is its own), MAX_MC_MAYER_FACTORS in one run or a
-    hard-core joint sum that can leave the float range."""
+    hard-core sum, joint or two-connected, that can leave the float range."""
     model = weights_mod.model_from_json(_load_json(args.model))
     flags = "--degree and --species-cap" if hasattr(args, "species_cap") else "--degree"
     truncation = Truncation(args.degree, _species_cap(model, getattr(args, "species_cap", None)))
@@ -177,15 +177,21 @@ def _series_plan(args, methods) -> tuple[object, Truncation]:
         if factors > MAX_MC_MAYER_FACTORS:
             raise ValueError(f"--samples: a Monte Carlo run is capped at {MAX_MC_MAYER_FACTORS} "
                              f"Mayer factors, got {what}")
-    if pairs and model.overlap_batch is not None:
-        # a hard-core joint sum on d vertices is the volume L^(dim (d - 1)) of
-        # the free positions times a mean of per-sample sums of magnitude at
-        # most (d - 1)!; the largest is on the most vertices when L >= 1
-        power = model.dimension * (d - 1)
-        if Fraction(model.box_length) ** power * math.factorial(d - 1) > sys.float_info.max:
-            raise ValueError(f"L = {model.box_length:g}: a joint sum on {d} vertices can reach "
-                             f"L^{power}·{d - 1}!, past the largest float "
-                             f"{sys.float_info.max:.6g}; lower --degree or the model's L")
+    if model.overlap_batch is not None:
+        # a hard-core sum on m vertices is the volume L^(dim (m - 1)) of the
+        # free positions times a mean of magnitude at most (m - 1)! for the
+        # joint sum (largest at m = d when L >= 1), and at most the count of
+        # labelled graphs for the two-connected classes (each |f...f| <= 1)
+        reach = [("a joint sum", d, f"{d - 1}!", math.factorial(d - 1))] if pairs else []
+        if "two-connected" in methods:
+            reach += [("the two-connected sums", m, f"{count}", count) for m in range(2, d + 1)
+                      for count in [len(graphs_mod.two_connected_graph_list(m))]]
+        for what, m, shown, factor in reach:
+            power = model.dimension * (m - 1)
+            if Fraction(model.box_length) ** power * factor > sys.float_info.max:
+                raise ValueError(f"L = {model.box_length:g}: {what} on {m} vertices can reach "
+                                 f"L^{power}·{shown}, past the largest float "
+                                 f"{sys.float_info.max:.6g}; lower --degree or the model's L")
     return McWeightSource(model, McParams(samples, args.seed, args.scheme)), truncation
 
 

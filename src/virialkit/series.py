@@ -53,9 +53,10 @@ FLOAT = RATIONAL
 # Memoised minors cost at most k 2^(k-1) series products for a k x k
 # determinant, 24 576 at k = 12, where a cofactor expansion needs about
 # 1.3e9.  Measured at k = 12 (2-core Xeon, Python 3.11): I + z1 J at degree 1
-# takes 0.01 s, dense rational entries at Truncation(2, 2) 3.6 s, and a
-# Lagrange-Good shaped M = I + O(z) at Truncation(2, 12) 14 s.  The cap keeps
-# every admitted determinant within seconds to tens of seconds.
+# takes 0.001 s, dense rational entries at Truncation(2, 2) 0.18 s, and the
+# Lagrange-Good set-up of a random synthetic model at Truncation(4, 12), M
+# built through degree 3, 0.85 s (15 s through degree 4).  The cap keeps
+# every admitted determinant within seconds.
 MAX_DETERMINANT_DIM = 12
 
 
@@ -196,6 +197,14 @@ class Truncation:
             radix = 2 * self.degree + 1
             n = MultiIndex.from_exponents(key // place % radix for place in self._places[1:])
         return n
+
+    def _cut(self, degree: int | None) -> int:
+        """The bound below which keys have degree <= `degree` (default D)."""
+        if degree is None:
+            return self._limit
+        if degree < 0:
+            raise ValueError(f"a series cut needs a degree >= 0, got {degree}")
+        return min(self._limit, (degree + 1) * self._places[0])
 
     def _key(self, n: MultiIndex) -> int | None:
         """The key of n, None when n is not admissible."""
@@ -443,7 +452,10 @@ class MPSeries:
         if not isinstance(other, MPSeries):
             return self.scaled(other)
         self._check_compatible(other, "multiply")
-        limit = self.truncation._limit
+        return self._product(other, self.truncation._limit)
+
+    def _product(self, other: MPSeries, limit: int) -> MPSeries:
+        """The product's terms with keys below `limit` (`Truncation._cut`)."""
         out: dict[int, int] = {}
         for k1, c1 in self._terms.items():
             room = limit - k1
@@ -517,14 +529,15 @@ class MPSeries:
 # -- transcendental / inverse operations ------------------------------------
 
 
-def _power_sum(u: MPSeries, coefficient: Callable[[int], object]) -> MPSeries:
-    """sum_m coefficient(m) u^m for m = 0..D, for u with zero constant term:
-    the sum stops at the first power of u that vanishes."""
-    one = MPSeries.one(u.truncation)
+def _power_sum(u: MPSeries, coefficient: Callable[[int], object],
+               degree: int | None = None) -> MPSeries:
+    """sum_m coefficient(m) u^m through `degree` (default D), for u with zero
+    constant term: the sum stops at the first power of u that vanishes."""
+    one, limit = MPSeries.one(u.truncation), u.truncation._cut(degree)
     result = one.scaled(coefficient(0))
     power = one
     for m in range(1, u.truncation.degree + 1):
-        power = power * u
+        power = power._product(u, limit)
         if power.is_zero():
             break
         result = result + power.scaled(coefficient(m))
@@ -571,14 +584,15 @@ def log(a: MPSeries) -> LogSeries:
     return LogSeries(c0, _power_sum(u, lambda m: Fraction((-1) ** (m + 1), m) if m else 0))
 
 
-def reciprocal(a: MPSeries) -> MPSeries:
-    """Multiplicative inverse 1/a via the geometric series; needs a(0) != 0."""
+def reciprocal(a: MPSeries, degree: int | None = None) -> MPSeries:
+    """Multiplicative inverse 1/a via the geometric series; needs a(0) != 0.
+    Its terms through `degree` (default D) are exact: no power of u lowers one."""
     c0 = a.constant_term
     if c0 == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
     inv_c0 = 1 / c0
     u = a.scaled(inv_c0) - MPSeries.one(a.truncation)
-    return _power_sum(u, lambda m: (-1) ** m).scaled(inv_c0)
+    return _power_sum(u, lambda m: (-1) ** m, degree).scaled(inv_c0)
 
 
 def _powers(family: Mapping[int, MPSeries],
@@ -646,9 +660,9 @@ class SeriesMatrix:
         self.truncation = truncation
 
 
-def determinant(m: SeriesMatrix) -> MPSeries:
-    """Determinant by Laplace expansion over memoised minors; the empty
-    determinant is 1.
+def determinant(m: SeriesMatrix, degree: int | None = None) -> MPSeries:
+    """Determinant by Laplace expansion over memoised minors, through
+    `degree` (default D); the empty determinant is 1.
 
     Working from the bottom row upwards, the minor on the last s rows and a
     column set C of size s is expanded along its first row,
@@ -656,19 +670,22 @@ def determinant(m: SeriesMatrix) -> MPSeries:
     minor on s - 1 rows is computed once.  This is the exact cofactor sum at
     k 2^(k-1) series products instead of about e k!, and it divides by
     nothing: it holds for any matrix, even one whose constant part is
-    singular, such as diag(z1, z2).  A product is skipped when the lowest
-    degrees of its two factors already exceed the truncation (the lowest
-    key carries the lowest degree, see `Truncation`), so when the entries
-    off the diagonal have no constant term (M = I + O(z)) only column sets
-    close to the row set carry a nonzero minor.  Each minor is summed on
-    integer numerators: a signed product joins the sum over the least
-    common denominator of the two, and the minor is reduced once at the end.
+    singular, such as diag(z1, z2).  Every product keeps only its terms
+    through `degree`, which read only its factors' terms through `degree`,
+    so the result is exactly the full determinant's terms through it.  A
+    product is skipped when its factors' lowest degrees (their lowest keys'
+    degrees, see `Truncation`) already add up past `degree`, so when the
+    entries off the diagonal have no constant term (M = I + O(z)) only
+    column sets close to the row set carry a nonzero minor.  Each minor is
+    summed on integer numerators: a signed product joins the sum over the
+    least common denominator of the two, and the minor is reduced once at
+    the end.
     """
     if m.dimension > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant limited to dimension {MAX_DETERMINANT_DIM}, "
                          f"got {m.dimension}")
     one = MPSeries.one(m.truncation)
-    limit = m.truncation._limit
+    limit = m.truncation._cut(degree)
     # column bitmask -> (minor on the last rows, lowest key among its terms)
     minors = {0: (one, 0)}
     for row in reversed(m.entries):
@@ -680,7 +697,7 @@ def determinant(m: SeriesMatrix) -> MPSeries:
                 bit = 1 << j
                 if cols & bit or lows[j] is None or lows[j] + low >= limit:
                     continue  # the product is zero
-                term = entry * minor
+                term = entry._product(minor, limit)
                 sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
                 acc = sums.setdefault(cols | bit, [{}, term._den])
                 acc[1] = _add_into(acc[0], acc[1], term._terms, term._den, sign)

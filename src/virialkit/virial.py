@@ -273,6 +273,10 @@ class LagrangeGoodInverter:
     largest top species requested so far, and one c(n) is a single extraction
     [z^n] A * prod_i (1/(dp/dz_i))^{n_i} over the box of exponents <= n
     (`coefficient_of_product`, with 1/(dp/dz_i) repeated n_i times).
+
+    p has no constant term, so that extraction reads det M and every
+    1/(dp/dz_i) only through degree |n| - 1 <= D - 1: they and M's entries are
+    built exactly that far, and A = p * det M through D.
     """
 
     def __init__(self, p: PressureSeries):
@@ -287,13 +291,14 @@ class LagrangeGoodInverter:
         if top > self._top:
             p, species = self.series, range(1, top + 1)
             _check_invertible(p, species)  # before anything is replaced
+            t, cut = p.truncation, max(p.truncation.degree - 1, 0)
             dp = [p.diff(i) for i in species]
-            recip = self._recip + [reciprocal(d) for d in dp[len(self._recip):]]
-            rows = [[dp[i - 1].diff(j).mul_var(i) * recip[i - 1] for j in species]
-                    for i in species]
+            recip = self._recip + [reciprocal(d, cut) for d in dp[len(self._recip):]]
+            rows = [[dp[i - 1].diff(j).mul_var(i)._product(recip[i - 1], t._cut(cut))
+                     for j in species] for i in species]
             for i, row in enumerate(rows):
-                row[i] = MPSeries.one(p.truncation) + row[i]
-            self._a = p * determinant(SeriesMatrix(rows, p.truncation))
+                row[i] = MPSeries.one(t) + row[i]
+            self._a = p * determinant(SeriesMatrix(rows, t), cut)
             self._top, self._recip = top, recip
         factors = [self._a] + [self._recip[i - 1] for i, e in pairs for _ in range(e)]
         return coefficient_of_product(factors, n)

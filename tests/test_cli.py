@@ -695,6 +695,24 @@ def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model
     assert "Traceback" not in err
 
 
+def test_two_connected_sums_past_the_float_range_are_refused_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    # the route-3 class sums on 5 vertices reach 238 labelled graphs × L^4 > 10^310
+    def sampled(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(virialkit.weights, "weight_mc", sampled)
+    path = write(tmp_path / "huge.json", HUGE_RODS)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "virial", "mu", "--degree", "5", "--samples", "200",
+                         "--species", "1", "--model", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: L = 1e+77: the two-connected sums on 5 vertices")
+    assert "Traceback" not in err
+
+
 def test_model_block_above_the_canonical_key_cap_is_usage_error(tmp_path, capsys):
     # a 12-cycle block would take about 45 min of colour-preserving permutations
     cycle = [[i, i % 12 + 1] for i in range(1, 13)]

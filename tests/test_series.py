@@ -747,6 +747,39 @@ def test_reciprocal_round_trip(f):
     assert f * reciprocal(f) == MPSeries.one(T43)
 
 
+def through(a: MPSeries, degree: int) -> MPSeries:
+    """`a` without its terms above `degree`."""
+    return MPSeries({n: c for n, c in a.terms.items() if n.degree <= degree}, a.truncation)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.lists(
+           st.lists(sparse_series(T43), min_size=k, max_size=k), min_size=k, max_size=k)),
+       st.integers(0, T43.degree))
+def test_determinant_cut_at_a_degree_is_the_full_determinant_through_it(rows, d):
+    # the entries' constant parts, drawn like any term, are often singular
+    m = SeriesMatrix(rows, T43)
+    assert checked(determinant(m, degree=d)) == through(cofactor_determinant(m), d)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(sparse_series(T43, constant="nonzero"), st.integers(0, T43.degree))
+def test_reciprocal_cut_at_a_degree_is_the_full_reciprocal_through_it(f, d):
+    r = checked(reciprocal(f, degree=d))
+    assert r == through(reciprocal(f), d)
+    assert through(f * r, d) == MPSeries.one(T43)
+
+
+def test_cut_degrees_outside_the_truncation():
+    t = T22
+    z1, z2 = MPSeries.variable(1, t), MPSeries.variable(2, t)
+    m = SeriesMatrix([[z1, MPSeries.zero(t)], [MPSeries.zero(t), z2]], t)
+    assert determinant(m, degree=1).is_zero()
+    assert determinant(m, degree=5) == determinant(m) == z1 * z2
+    with pytest.raises(ValueError, match="degree >= 0"):
+        reciprocal(MPSeries.one(t) + z1, degree=-1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_series(T43), sparse_series(T43), st.integers(1, 3))
 def test_leibniz_rule(a, b, i):

@@ -21,9 +21,13 @@ from virialkit.graphs import (
 from virialkit.series import (
     MPSeries,
     MultiIndex,
+    SeriesMatrix,
     Truncation,
     admissible_indices,
+    coefficient_of_product,
+    determinant,
     log,
+    reciprocal,
     substitute,
 )
 from virialkit.virial import (
@@ -393,6 +397,64 @@ def test_grown_lagrange_good_inverter_is_bit_exact(degree, species):
         inv = LagrangeGoodInverter(p)
         for n in order + indices:
             assert inv.coefficient(n) == fresh[n], n
+
+
+def full_degree_lagrange_good(p: PressureSeries):
+    """c(n) by Lagrange-Good with every factor built through the full degree D
+    over all species: the set-up the inverter cuts at D - 1, as an oracle."""
+    series, t = p.series, p.series.truncation
+    species = range(1, t.species + 1)
+    dp = [series.diff(i) for i in species]
+    recip = [reciprocal(d) for d in dp]
+    rows = [[dp[i - 1].diff(j).mul_var(i) * recip[i - 1] for j in species] for i in species]
+    for i, row in enumerate(rows):
+        row[i] = MPSeries.one(t) + row[i]
+    a = series * determinant(SeriesMatrix(rows, t))
+    return lambda n: coefficient_of_product(
+        [a] + [recip[i - 1] for i, e in n.items() for _ in range(e)], n)
+
+
+@pytest.mark.parametrize("species, degree",
+                         [(1, 6), (2, 6), (3, 5), (4, 3), (6, 2), (7, 2), (10, 3)])
+def test_lagrange_good_set_up_cut_at_d_minus_1_equals_the_full_degree_one(species, degree):
+    t = Truncation(degree, species)
+    p = pressure_from_weights(SyntheticBlockModel.random(species + degree, species), t)
+    oracle, inv = full_degree_lagrange_good(p), LagrangeGoodInverter(p)
+    for n in admissible_indices(t, min_degree=1):
+        assert inv.coefficient(n) == oracle(n), n
+
+
+def test_lagrange_good_cut_set_up_on_hand_built_and_mc_pressures():
+    # degree 1, where the set-up is cut to constants; b(e_i) != 1, so dp/dz_i
+    # has a constant term other than 1; and a Monte Carlo rod pressure
+    rng = random.Random(31)
+    pressures = [pressure_from_weights(McWeightSource(ROD_MIXTURE, McParams(2000, seed=31)),
+                                       Truncation(4, 2))]
+    for degree, species in ((1, 3), (4, 2), (3, 3)):
+        t = Truncation(degree, species)
+        terms = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for n in admissible_indices(t, min_degree=2)}
+        terms.update({MultiIndex.single(k): Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))
+                      for k in range(1, species + 1)})
+        pressures.append(PressureSeries(MPSeries(terms, t)))
+    for p in pressures:
+        oracle, inv = full_degree_lagrange_good(p), LagrangeGoodInverter(p)
+        rec = invert_recursive(p).series
+        for n in admissible_indices(p.series.truncation, min_degree=1):
+            assert inv.coefficient(n) == oracle(n) == rec[n], n
+
+
+def test_lagrange_good_grown_by_a_rising_top_species_reuses_its_cut_reciprocals():
+    t = Truncation(4, 3)
+    p = pressure_from_weights(SyntheticBlockModel.random(5, 3), t)
+    oracle, inv = full_degree_lagrange_good(p), LagrangeGoodInverter(p)
+    kept = []
+    for top in (1, 2, 3):
+        for n in admissible_indices(t, min_degree=1):
+            if n.species[-1] == top:
+                assert inv.coefficient(n) == oracle(n), n
+        assert len(inv._recip) == top and all(a is b for a, b in zip(inv._recip, kept))
+        kept = list(inv._recip)
 
 
 # -- two-connected route ---------------------------------------------------------------
