@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 # The largest species index a config or a flag may name: `virial invert
-# --degree 2` over this many species takes 0.6 s (2-core Xeon, Python 3.11);
+# --degree 2` over this many species takes 0.23 s (2-core Xeon, Python 3.11);
 # at degree 3 the CLI's series-plan caps (cli.MAX_SERIES_INDICES) refuse it.
 S_MAX = 64
 # e^x is a finite float for x <= EXP_MAX

@@ -135,9 +135,11 @@ MAX_MC_MAYER_FACTORS = 5 * 10 ** 9
 
 # Largest series plan, S species up to --degree D: on random synthetic models
 # (2-core Xeon, Python 3.11) the graph sums take 0.8-2 µs per labelled graph
-# (pressure at (S, D) = (8, 6): 89 s) and the routes grow like the square of
-# the indices (Lagrange-Good at (12, 5): 19 s); `virial compare` at (10, 5)
-# and (7, 6), the largest admitted plans, takes 12 s and 43 s.
+# (pressure at (S, D) = (8, 6): 89 s), while the routes, whose series
+# products visit only the pairs they keep, take far less (at (12, 5):
+# Lagrange-Good 1.8 s, recursive 0.2 s); `virial compare` at (10, 5) and
+# (7, 6), the largest admitted plans, takes 5.3 s and 41 s, the latter
+# mostly in its per-colouring graph tables.
 MAX_SERIES_INDICES = 4000
 MAX_SERIES_GRAPHS = 3 * 10 ** 7
 

@@ -53,10 +53,10 @@ FLOAT = RATIONAL
 # Memoised minors cost at most k 2^(k-1) series products for a k x k
 # determinant, 24 576 at k = 12, where a cofactor expansion needs about
 # 1.3e9.  Measured at k = 12 (2-core Xeon, Python 3.11): I + z1 J at degree 1
-# takes 0.001 s, dense rational entries at Truncation(2, 2) 0.18 s, and the
+# takes 0.001 s, dense rational entries at Truncation(2, 2) 0.17 s, and the
 # Lagrange-Good set-up of a random synthetic model at Truncation(4, 12), M
-# built through degree 3, 0.85 s (15 s through degree 4).  The cap keeps
-# every admitted determinant within seconds.
+# built through degree 3, 0.12 s (det M through degree 4: 0.53 s).  The cap
+# keeps every admitted determinant within seconds.
 MAX_DETERMINANT_DIM = 12
 
 
@@ -311,10 +311,11 @@ class MPSeries:
     gcd(den, *numerators) == 1, which is the least common denominator of the
     coefficients.  The form is unique, so equality is a compare of dicts and
     denominators.  `terms` is a read-only view keyed by `MultiIndex` with
-    `Fraction` values, built on first use.
+    `Fraction` values, and `_ordered` the (key, numerator) pairs in ascending
+    key order; both are built on first use.
     """
 
-    __slots__ = ("_terms", "_den", "truncation", "_view")
+    __slots__ = ("_terms", "_den", "truncation", "_view", "_sorted")
 
     field = RATIONAL  # see FLOAT
 
@@ -332,7 +333,7 @@ class MPSeries:
                 values[key] = c
         self._terms, self._den = _numerators(values)
         self.truncation = truncation
-        self._view = None
+        self._view = self._sorted = None
 
     # -- constructors ------------------------------------------------------
 
@@ -374,6 +375,12 @@ class MPSeries:
             raise ValueError(f"coefficient of {n!r} is undefined at truncation {self.truncation}")
         return self._coefficient(key)
 
+    def _ordered(self) -> list[tuple[int, int]]:
+        """The (key, numerator) pairs in ascending key order, that is by degree."""
+        if self._sorted is None:
+            self._sorted = sorted(self._terms.items())
+        return self._sorted
+
     def _coefficient(self, key: int) -> Fraction:
         return Fraction(self._terms.get(key, 0), self._den)
 
@@ -387,7 +394,7 @@ class MPSeries:
     def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in graded-lexicographic order (deterministic output)."""
         unpack, den = self.truncation.unpack, self._den
-        return [(unpack(k), Fraction(c, den)) for k, c in sorted(self._terms.items())]
+        return [(unpack(k), Fraction(c, den)) for k, c in self._ordered()]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MPSeries) and self.truncation == other.truncation
@@ -430,7 +437,7 @@ class MPSeries:
         out._terms = terms
         out._den = den
         out.truncation = self.truncation
-        out._view = None
+        out._view = out._sorted = None
         return out
 
     # -- arithmetic --------------------------------------------------------
@@ -455,12 +462,25 @@ class MPSeries:
         return self._product(other, self.truncation._limit)
 
     def _product(self, other: MPSeries, limit: int) -> MPSeries:
-        """The product's terms with keys below `limit` (`Truncation._cut`)."""
+        """The product's terms with keys below `limit` (`Truncation._cut`).
+
+        Both factors are walked in ascending key order.  k1 + k2 < limit
+        exactly when the degrees add up to at most the cut's (see
+        `Truncation`), so the inner walk ends at the first k2 at or above
+        limit - k1 and the outer one once that room is at most `other`'s
+        lowest key: only the kept pairs are visited.
+        """
         out: dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            room = limit - k1
-            for k2, c2 in other._terms.items():
-                if k2 < room:
+        theirs = other._ordered()
+        if theirs:
+            low = theirs[0][0]
+            for k1, c1 in self._ordered():
+                room = limit - k1
+                if room <= low:
+                    break
+                for k2, c2 in theirs:
+                    if k2 >= room:
+                        break
                     k = k1 + k2
                     out[k] = out.get(k, 0) + c1 * c2
         return self._keyed(out, self._den * other._den)
@@ -529,11 +549,10 @@ class MPSeries:
 # -- transcendental / inverse operations ------------------------------------
 
 
-def _power_sum(u: MPSeries, coefficient: Callable[[int], object],
-               degree: int | None = None) -> MPSeries:
-    """sum_m coefficient(m) u^m through `degree` (default D), for u with zero
-    constant term: the sum stops at the first power of u that vanishes."""
-    one, limit = MPSeries.one(u.truncation), u.truncation._cut(degree)
+def _power_sum(u: MPSeries, coefficient: Callable[[int], object]) -> MPSeries:
+    """sum_m coefficient(m) u^m, for u with zero constant term: the sum stops
+    at the first power of u that vanishes."""
+    one, limit = MPSeries.one(u.truncation), u.truncation._limit
     result = one.scaled(coefficient(0))
     power = one
     for m in range(1, u.truncation.degree + 1):
@@ -585,14 +604,40 @@ def log(a: MPSeries) -> LogSeries:
 
 
 def reciprocal(a: MPSeries, degree: int | None = None) -> MPSeries:
-    """Multiplicative inverse 1/a via the geometric series; needs a(0) != 0.
-    Its terms through `degree` (default D) are exact: no power of u lowers one."""
-    c0 = a.constant_term
-    if c0 == 0:
+    """Multiplicative inverse 1/a through `degree` (default D); needs a(0) != 0.
+
+    With a = A / den on integer numerators A, 1/A has the coefficients
+    R_k = Q_k / A_0^(|k| + 1), where Q_0 = 1 and
+    Q_k = -sum_{0 < j <= k} A_j A_0^(|j| - 1) Q_(k - j) are integers.  Q is
+    built one degree at a time, each degree from the lower ones, so only
+    pairs whose degrees add up to at most `degree` are visited, and
+    1/a = den Q_k A_0^(cut - |k|) over A_0^(cut + 1), cut the highest
+    degree kept, with the sign of the denominator moved to the numerators.
+    """
+    a0 = a._terms.get(0, 0)
+    if a0 == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
-    inv_c0 = 1 / c0
-    u = a.scaled(inv_c0) - MPSeries.one(a.truncation)
-    return _power_sum(u, lambda m: (-1) ** m, degree).scaled(inv_c0)
+    top = a.truncation._places[0]
+    cut = a.truncation._cut(degree) // top - 1
+    # the terms A_j A_0^(|j| - 1) of each degree |j| = 1..cut
+    steps = [[] for _ in range(cut + 1)]
+    for j, c in a._terms.items():
+        d = j // top
+        if 0 < d <= cut:
+            steps[d].append((j, c * a0 ** (d - 1)))
+    levels = [{0: 1}]  # levels[d]: the nonzero Q_k with |k| = d
+    for d in range(1, cut + 1):
+        acc: dict[int, int] = {}
+        for e in range(1, d + 1):
+            for m, q in levels[d - e].items():
+                for j, w in steps[e]:
+                    acc[m + j] = acc.get(m + j, 0) - w * q
+        levels.append({k: q for k, q in acc.items() if q})
+    den = a0 ** (cut + 1)
+    scale = a._den if den > 0 else -a._den
+    terms = {k: scale * q * a0 ** (cut - d) for d, level in enumerate(levels)
+             for k, q in level.items()}
+    return a._keyed(terms, abs(den))
 
 
 def _powers(family: Mapping[int, MPSeries],
@@ -787,5 +832,7 @@ def series_from_json(doc: Mapping) -> MPSeries:
         n = MultiIndex({config_species(s, f'{at}.n["{s}"]', key=True):
                         config_int(e, f'{at}.n["{s}"]', 0)
                         for s, e in config_mapping(entry["n"], f"{at}.n").items()})
-        terms[n] = config_number(entry["c"], f"{at}.c")
+        c = config_number(entry["c"], f"{at}.c")
+        # a float is its exact binary value, as the constructor takes it
+        terms[n] = Fraction(entry["c"]) if isinstance(entry["c"], float) else c
     return MPSeries(terms, trunc)

@@ -24,6 +24,7 @@ Lagrange-Good routes agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -196,11 +197,12 @@ def densities(p: PressureSeries) -> DensityFamily:
     return DensityFamily({k: p.series.diff(k).mul_var(k) for k in range(1, t.species + 1)})
 
 
-def _active_species(p: PressureSeries) -> tuple[int, ...]:
-    seen: set[int] = set()
-    for n in p.series.terms:
-        seen.update(n.species)
-    return tuple(sorted(seen))
+def _active_species(series: MPSeries) -> tuple[int, ...]:
+    """The species with a nonzero exponent in some term, read off the keys' digits."""
+    t = series.truncation
+    radix = 2 * t.degree + 1
+    return tuple(s for s in range(1, t.species + 1)
+                 if any(k // t._places[s] % radix for k in series._terms))
 
 
 def _check_invertible(series: MPSeries, species) -> dict[int, object]:
@@ -220,10 +222,16 @@ def _check_invertible(series: MPSeries, species) -> dict[int, object]:
 def invert_recursive(p: PressureSeries) -> VirialSeries:
     """Solve b(k) = sum_{n<=k} c(n) [z^k] rho^n order by order in
     graded-lexicographic order (any order respecting n <= k gives the same
-    unique answer)."""
+    unique answer).
+
+    c(n) is read off integer numerators, b(n) over p's denominator and the
+    running sum of the processed c(m) rho^m over its own, and divided by the
+    diagonal prod_s b(e_s)^(n_s) only when some b(e_s) != 1.  rho^n =
+    prod_s b(e_s)^(n_s) z^n + O(|n| + 1), so at |n| = D the term c(n) rho^n
+    reaches only z^n, which is already read, and is never built."""
     series = p.series
     t = series.truncation
-    active = _active_species(p)
+    active = _active_species(series)
     b1 = _check_invertible(series, active)
     fam = densities(p).by_species
 
@@ -240,22 +248,24 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
         return monomials[key]
 
     active_set = set(active)
+    diagonal = any(b != 1 for b in b1.values())
+    pressure, pden = series._terms, series._den
     # sum of processed c(n) rho^n: keyed numerators over `den`, added in place
     running, den = {}, 1
     coeffs = {}
     for n in admissible_indices(t, min_degree=1):
         if not set(n.species) <= active_set:
             continue
-        diagonal = Fraction(1)
-        for s, e in n.items():
-            diagonal *= b1[s] ** e
         key = t.pack(n)
-        done = Fraction(running.get(key, 0), den)
-        c = (series._coefficient(key) - done) / diagonal
-        if c != 0:
-            coeffs[key] = c
-            term = rho_monomial(key).scaled(c)
-            den = _add_into(running, den, term._terms, term._den)
+        num, cden = pressure.get(key, 0) * den - running.get(key, 0) * pden, pden * den
+        if num and diagonal:
+            d = math.prod(b1[s] ** e for s, e in n.items())
+            num, cden = num * d.denominator, cden * d.numerator
+        if num:
+            c = coeffs[key] = Fraction(num, cden)
+            if n.degree < t.degree:
+                rho = rho_monomial(key)
+                den = _add_into(running, den, rho._terms, rho._den * c.denominator, c.numerator)
     return VirialSeries(one._keyed(*_numerators(coeffs)), RECURSIVE)
 
 

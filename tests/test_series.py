@@ -476,8 +476,9 @@ def exact(c):
 
 
 def bits(a: MPSeries) -> list:
-    """The terms in stored order, each coefficient by `exact`."""
-    return [(n, exact(c)) for n, c in a.terms.items()]
+    """The terms in key order, each coefficient by `exact`.  Stored order is
+    not compared: no value depends on it, and the product walk changes it."""
+    return [(n, exact(c)) for n, c in a.sorted_terms()]
 
 
 def noisy_series(rng, t: Truncation, coefficients: str) -> MPSeries:
@@ -511,6 +512,11 @@ def test_packed_core_matches_multiindex_oracles(t, coefficients):
     for _ in range(3):
         a, b, c = (checked(noisy_series(rng, t, coefficients)) for _ in range(3))
         assert bits(checked(a * b)) == bits(product_oracle(a, b))
+        for x, y in ((a, b), (without_constant(a), b), (a, without_constant(b)),
+                     (without_constant(a), without_constant(b))):
+            for d in range(t.degree + 1):  # the graded walk ends at every cut
+                assert (bits(checked(x._product(y, t._cut(d))))
+                        == bits(through(product_oracle(x, y), d)))
         assert bits(checked(a + b)) == bits(sum_oracle(a, b))
         assert bits(checked(a - b)) == bits(sum_oracle(a, b, -1))
         assert list(a.sorted_terms()) == grlex_order(a)
@@ -685,6 +691,12 @@ def test_json_round_trip_float():
     doc = series_to_json(f)
     assert [t["c"] for t in doc["terms"]] == ["-7/2", "3602879701896397/36028797018963968"]
     assert series_from_json(doc) == f
+    # a float given in JSON is read at its exact binary value too, in range
+    doc["terms"][1]["c"] = 0.1
+    assert series_from_json(json.loads(json.dumps(doc))) == f
+    doc["terms"][1]["c"] = 1e308 * 10
+    with pytest.raises(ValueError, match=r"terms\[1\]\.c: expected a number"):
+        series_from_json(doc)
     doc["field"] = "float"
     with pytest.raises(ValueError, match="field"):
         series_from_json(doc)
@@ -810,6 +822,37 @@ def power_sum_oracle(u: MPSeries, coefficient) -> MPSeries:
 
 def without_constant(a: MPSeries) -> MPSeries:
     return MPSeries({n: c for n, c in a.terms.items() if n}, a.truncation)
+
+
+def reciprocal_oracle(a: MPSeries) -> MPSeries:
+    """1/a = (1/a0) sum_m (-u)^m with u = a/a0 - 1, through the Fraction oracles."""
+    inv_a0 = 1 / a.constant_term
+    u = without_constant(scaled_oracle(a, inv_a0))
+    return scaled_oracle(power_sum_oracle(u, lambda m: (-1) ** m), inv_a0)
+
+
+RECIPROCAL_CONSTANTS = (1, -1, 3, Fraction(-2, 5), Fraction(7, 3), -0.1)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(sparse_series(T43, constant="zero"), st.sampled_from(RECIPROCAL_CONSTANTS))
+def test_reciprocal_recurrence_matches_the_power_sum_at_every_cut(u, a0):
+    # with a0 < 0 the raw denominator a0^(cut + 1) can be negative; `checked`
+    # asserts that the stored one is positive
+    a = u + MPSeries.constant(a0, T43)
+    want = reciprocal_oracle(a)
+    for d in range(T43.degree + 2):
+        assert bits(checked(reciprocal(a, d))) == bits(through(want, d))
+
+
+@pytest.mark.parametrize("t", PACKED_TRUNCATIONS, ids=lambda t: f"S{t.species}-D{t.degree}")
+def test_reciprocal_recurrence_matches_the_power_sum_on_dense_float_series(t):
+    rng = random.Random(t.degree * 10 + t.species)
+    for a0 in RECIPROCAL_CONSTANTS:
+        a = without_constant(noisy_series(rng, t, "float")) + MPSeries.constant(a0, t)
+        want = reciprocal_oracle(a)
+        for d in range(t.degree + 1):
+            assert bits(checked(reciprocal(a, d))) == bits(through(want, d))
 
 
 STEPS = ("mul", "add", "sub", "neg", "scaled", "diff", "mul_var", "div_var", "exp",

@@ -23,6 +23,8 @@ from virialkit.series import (
     MultiIndex,
     SeriesMatrix,
     Truncation,
+    _add_into,
+    _powers,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -313,6 +315,83 @@ def test_invert_recursive_unnormalized_linear_coefficient():
     assert lg == Fraction(-1, 4)
 
 
+def fraction_recursive(p: PressureSeries) -> MPSeries:
+    """The recursive route as one Fraction per operation: the active species
+    read off the `terms` view, c(n) = (b(n) - done) / diagonal with a Fraction
+    diagonal for every n, and c(n) rho^n built and added for every n, |n| = D
+    included.  The loop the integer route replaced, kept as its oracle."""
+    series = p.series
+    t = series.truncation
+    active = set()
+    for n in series.terms:
+        active.update(n.species)
+    b1 = {i: series[MultiIndex.single(i)] for i in active}
+    fam = densities(p).by_species
+    rho_power = _powers(fam, t)
+    monomials = {0: MPSeries.one(t)}
+
+    def rho_monomial(key: int) -> MPSeries:
+        if key not in monomials:
+            *_, (s, e) = t.unpack(key).items()
+            monomials[key] = rho_monomial(key - e * t._steps[s - 1]) * rho_power(s, e)
+        return monomials[key]
+
+    running, den = {}, 1
+    coeffs = {}
+    for n in admissible_indices(t, min_degree=1):
+        if not set(n.species) <= active:
+            continue
+        diagonal = Fraction(1)
+        for s, e in n.items():
+            diagonal *= b1[s] ** e
+        key = t.pack(n)
+        c = (series._coefficient(key) - Fraction(running.get(key, 0), den)) / diagonal
+        if c != 0:
+            coeffs[n] = c
+            term = rho_monomial(key).scaled(c)
+            den = _add_into(running, den, term._terms, term._den)
+    return MPSeries(coeffs, t)
+
+
+@lru_cache(maxsize=None)
+def oracle_pressures() -> tuple[PressureSeries, ...]:
+    """Pressures with b(e_k) = 1, b(e_k) != 1, b(e_k) < 0, an inactive
+    species, c(n) that cancel to 0, and Monte Carlo floats."""
+    out = [pressure_from_weights(SyntheticBlockModel.random(s + d, s), Truncation(d, s))
+           for s, d in ((1, 6), (2, 6), (3, 5), (4, 3), (6, 2))]
+    out.append(pressure_from_weights(McWeightSource(ROD_MIXTURE, McParams(2000, seed=3)),
+                                     Truncation(4, 2)))
+    rng = random.Random(32)
+    for degree, species, b1 in ((4, 2, (2, Fraction(5, 3))), (3, 3, (-3, 1, Fraction(-1, 2))),
+                                (3, 4, (1, 2, None, -1))):
+        t = Truncation(degree, species)
+        live = {k for k, b in enumerate(b1, start=1) if b is not None}
+        terms = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for n in admissible_indices(t, min_degree=2) if set(n.species) <= live}
+        terms.update({MultiIndex.single(k): b for k, b in enumerate(b1, start=1) if b is not None})
+        out.append(PressureSeries(MPSeries(terms, t)))
+    # c(3) = 4 b2^2 - 2 b3 = 0 and the ideal mixture's c(n) = 0 for |n| >= 2
+    out.append(hand_pressure({e(1): 1, e(2): 1, e(3): 2, e(4): Fraction(1, 3)}, 5, 1))
+    out.append(hand_pressure({e(1): 1, e(0, 0, 1): -2}, 4, 3))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_integer_recursive_route_equals_the_fraction_loop(case):
+    p = oracle_pressures()[case]
+    got, want = invert_recursive(p).series, fraction_recursive(p)
+    assert got == want
+    assert got._den > 0 and all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_recursive_route_keeps_cancelled_and_inactive_coefficients_out():
+    p = hand_pressure({e(1): 1, e(2): 1, e(3): 2, e(4): Fraction(1, 3)}, 5, 1)
+    c = invert_recursive(p).series
+    assert c[e(2)] == -1 and c[e(3)] == 0 and c[e(4)] != 0
+    assert invert_recursive(hand_pressure({e(1): 1, e(0, 0, 1): -2}, 4, 3)).series == \
+        MPSeries({e(1): 1, e(0, 0, 1): 1}, Truncation(4, 3))
+
+
 # -- Lagrange-Good --------------------------------------------------------------------
 
 
@@ -376,6 +455,33 @@ def test_lagrange_good_eight_species():
     inv = LagrangeGoodInverter(p)
     for n in admissible_indices(t, min_degree=1):
         assert inv.coefficient(n) == rec.series[n]
+
+
+def dense_pressure(seed: int, degree: int, species: int) -> PressureSeries:
+    """Every term nonzero with probability about 12/13, b(e_k) from {-3, 1, 2, 5} / {1, 2, 3}."""
+    rng = random.Random(seed)
+    t = Truncation(degree, species)
+    terms = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+             for n in admissible_indices(t, min_degree=2)}
+    terms.update({MultiIndex.single(k): Fraction(rng.choice((-3, 1, 2, 5)), rng.randint(1, 3))
+                  for k in range(1, species + 1)})
+    return PressureSeries(MPSeries(terms, t))
+
+
+def test_recursive_and_lagrange_good_agree_at_24_species_and_at_degree_5_over_8():
+    # shapes the all-pairs product loop took seconds on: (24, 3) on 60
+    # indices whose top species is within MAX_DETERMINANT_DIM, and (8, 5)
+    # on every index
+    p = dense_pressure(24, 3, 24)
+    t = p.series.truncation
+    rec, inv = invert_recursive(p).series, LagrangeGoodInverter(p)
+    reachable = [n for n in admissible_indices(t, min_degree=1) if n.species[-1] <= 12]
+    for n in sorted(random.Random(3).sample(reachable, 60), key=t.pack):
+        assert inv.coefficient(n) == rec[n], n
+    p = dense_pressure(8, 5, 8)
+    rec, inv = invert_recursive(p).series, LagrangeGoodInverter(p)
+    for n in admissible_indices(p.series.truncation, min_degree=1):
+        assert inv.coefficient(n) == rec[n], n
 
 
 @pytest.mark.parametrize("degree, species", [(6, 2), (4, 3), (4, 4)])
