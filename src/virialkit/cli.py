@@ -435,6 +435,7 @@ def cmd_bounds_compute(args) -> int:
            "density_domain_radii": {str(i): r for i, r in
                                     sorted(bounds_mod.density_domain(spec).radii.items())}}
     if args.model:
+        config_int(args.degree, "--degree", 1, None, "an audit degree")  # 0 audits no pressure
         source, truncation = _series_plan(args, ("recursive",))
         hypothesis = config_int(args.samples_hypothesis, "--samples-hypothesis", 0,
                                 MAX_HYPOTHESIS_COORDINATES // truncation.species,

@@ -372,9 +372,8 @@ def connected_block_profiles(n: int) -> tuple[tuple[int, int], tuple[tuple, ...]
         edges = masks[rows] & span[vs]
         lowest[rows] |= edges & -edges
         found.append((vs, rows, edges))
-    ones = np.array([x.bit_count() for x in range(1 << n * (n - 1) // 2)])
     bits = {vs: [b for b in range(span[vs].bit_length()) if span[vs] >> b & 1] for vs in sets}
-    groups = [(vs, rows * width + ones[lowest[rows] & ((edges & -edges) - 1)],
+    groups = [(vs, rows * width + np.bitwise_count(lowest[rows] & ((edges & -edges) - 1)),
                sum((edges >> b & 1) << k for k, b in enumerate(bits[vs])))
               for vs, rows, edges in found if len(rows)]
     return (len(masks), width), tuple(sorted(groups, key=lambda group: group[1][0]))
@@ -424,21 +423,28 @@ def canonical_colouring(n: MultiIndex) -> tuple[int, ...]:
 # The canonical key of (graph, colours) is the minimum of the relabelled edge
 # mask over all relabellings that map each vertex to a slot of its own colour
 # in the sorted colour vector.  Keys coincide exactly for colour-preserving-
-# isomorphic coloured graphs.  For sizes <= 6 the minimization runs over all
-# 2^(n(n-1)/2) masks at once, one table per colour pattern: each permutation
-# sends the low and the high half of the edge bits through two small lookup
-# tables, whose outer OR is the relabelled mask of every mask.  The class
-# tables of the weight sums index these tables directly with numpy;
+# isomorphic coloured graphs.  Species enter only by equality and order, so
+# the relabellings depend on a sorted colouring only through its run lengths
+# (`_runs`).  For sizes <= 6 the minimization runs over all 2^(n(n-1)/2)
+# masks at once, one table per run-length pattern: each permutation sends
+# the low and the high half of the edge bits through two small lookup tables,
+# whose outer OR is the relabelled mask of every mask.  The class tables of
+# the weight sums index these tables directly with numpy;
 # `canonical_coloured_key` serves callers with one graph at a time, and above
 # size 6 it minimizes over the permutations mask by mask.
 
 
-def _perms_fixing_colours(colours_sorted: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All vertex permutations of {1..n} preserving a sorted colour vector:
-    each colour's slots form one run, permuted within itself."""
-    runs = [tuple(run) for _, run in itertools.groupby(
-        range(1, len(colours_sorted) + 1), key=lambda pos: colours_sorted[pos - 1])]
-    for assignment in itertools.product(*(itertools.permutations(run) for run in runs)):
+def _runs(colours_sorted: tuple[int, ...]) -> tuple[int, ...]:
+    """The run lengths of a sorted colour vector: (1, 1, 3) -> (2, 1)."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(colours_sorted))
+
+
+def _perms_fixing_colours(runs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All vertex permutations of {1..n} preserving a sorted colouring with
+    these run lengths: each run's slots are permuted within themselves."""
+    starts = itertools.accumulate(runs, initial=1)
+    slots = [range(start, start + run) for start, run in zip(starts, runs)]
+    for assignment in itertools.product(*map(itertools.permutations, slots)):
         yield tuple(itertools.chain.from_iterable(assignment))
 
 
@@ -461,13 +467,14 @@ def _subset_ors(bits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _canonical_table(size: int, colours_sorted: tuple[int, ...]) -> np.ndarray:
-    """mask -> canonical mask, minimized over colour-preserving relabellings.
+def _canonical_table(size: int, runs: tuple[int, ...]) -> np.ndarray:
+    """mask -> canonical mask, minimized over the relabellings that preserve a
+    sorted colouring with these run lengths: 63 patterns cover sizes <= 6.
 
     A relabelling moves each edge bit to one bit, so it maps the mask
     hi << k | lo to HI[hi] | LO[lo], with one small table per half of the
     bits; a permutation's table over all masks is the outer OR of the two."""
-    perms = np.array(list(_perms_fixing_colours(colours_sorted)), dtype=np.int64)
+    perms = np.array(list(_perms_fixing_colours(runs)), dtype=np.int64)
     i, j = np.array(_pairs(size), dtype=np.int64).reshape(-1, 2).T - 1
     moved = 1 << _pair_index(np.minimum(perms[:, i], perms[:, j]),
                              np.maximum(perms[:, i], perms[:, j]), size)
@@ -489,10 +496,10 @@ def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tu
     base = [0] * size
     for slot, v in enumerate(sorted(range(size), key=colours.__getitem__), start=1):
         base[v] = slot
-    mask = _relabel_mask(size, mask, tuple(base))
+    mask, runs = _relabel_mask(size, mask, tuple(base)), _runs(sorted_colours)
     if size <= 6:
-        return (size, sorted_colours, int(_canonical_table(size, sorted_colours)[mask]))
-    best = min(_relabel_mask(size, mask, perm) for perm in _perms_fixing_colours(sorted_colours))
+        return (size, sorted_colours, int(_canonical_table(size, runs)[mask]))
+    best = min(_relabel_mask(size, mask, perm) for perm in _perms_fixing_colours(runs))
     return (size, sorted_colours, best)
 
 
@@ -505,8 +512,8 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     (block, restricted colouring) keys, which no model enters, so the table is
     built once per (m, colours) and shared by every model.  A block on
     ascending vertices restricts sorted colours to sorted colours, so its key
-    is `_canonical_table` of that pattern at its relabelled mask: one lookup
-    per vertex set, coded as (pattern number, canonical mask) in one integer.
+    is `_canonical_table` of its run lengths at its relabelled mask: one
+    lookup per vertex set, coded as (pattern, canonical mask) in one integer.
     Sorting the codes of each row and counting equal rows gives the table.
     """
     shape, groups = connected_block_profiles(m)
@@ -516,7 +523,7 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     for verts, at, masks in groups:
         pattern = (len(verts), tuple(colours[v - 1] for v in verts))
         codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
-                          | _canonical_table(*pattern)[masks])
+                          | _canonical_table(pattern[0], _runs(pattern[1]))[masks])
     codes.sort(axis=1)
     codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
     starts = [0, *(np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1).tolist()]
@@ -534,7 +541,7 @@ def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tupl
     graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
     lookup over the masks of `two_connected_graph_list(m)`; model-independent
     like `_connected_block_classes`."""
-    classes = Counter(_canonical_table(m, colours)[two_connected_graph_list(m)].tolist())
+    classes = Counter(_canonical_table(m, _runs(colours))[two_connected_graph_list(m)].tolist())
     return tuple(((m, colours, c), count) for c, count in classes.items())
 
 

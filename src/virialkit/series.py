@@ -640,23 +640,27 @@ def reciprocal(a: MPSeries, degree: int | None = None) -> MPSeries:
     return a._keyed(terms, abs(den))
 
 
-def _powers(family: Mapping[int, MPSeries],
-            truncation: Truncation) -> Callable[[int, int], MPSeries]:
-    """Memoised power(i, e) = family[i]^e, each built as power(i, e - 1) * family[i]."""
-    cache: dict[tuple[int, int], MPSeries] = {}
+def _monomials(family: Mapping[int, MPSeries],
+               index_truncation: Truncation) -> Callable[[int], MPSeries]:
+    """Memoised monomial(key) = prod_s family[s]^(n_s), n the index with this
+    key under `index_truncation` (which may admit species past the family's
+    cap), by the unit step monomial(n - e_s) * family[s], s the top species
+    of n.  A species missing from the family is an error."""
+    cache = {0: MPSeries.one(next(iter(family.values())).truncation)}
 
-    def power(species: int, e: int) -> MPSeries:
-        key = (species, e)
+    def monomial(key: int) -> MPSeries:
         if key not in cache:
-            cache[key] = (MPSeries.one(truncation) if e == 0
-                          else power(species, e - 1) * family[species])
+            s = index_truncation.unpack(key).species[-1]
+            if s not in family:
+                raise ValueError(f"family has no series for species {s}")
+            cache[key] = monomial(key - index_truncation._steps[s - 1]) * family[s]
         return cache[key]
 
-    return power
+    return monomial
 
 
 def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
-    """Compose: sum_n outer[n] * prod_i family[i]^{n_i}.
+    """Compose: sum_n outer[n] * prod_i family[i]^{n_i}, from `_monomials`.
 
     Every family series must have zero constant term (the summability
     condition making the composition finite order by order).
@@ -670,20 +674,14 @@ def substitute(outer: MPSeries, family: Mapping[int, MPSeries]) -> MPSeries:
         if s.constant_term != 0:
             raise ValueError("substitution family must have zero constant terms")
 
-    fam_power = _powers(family, truncation)
-    result = MPSeries.zero(truncation)
-    for n, c in outer.terms.items():
-        if n.degree > truncation.degree:
-            continue  # each family factor has degree >= 1
-        term = MPSeries.constant(c, truncation)
-        for species, e in n.items():
-            if species not in family:
-                raise ValueError(f"family has no series for species {species}")
-            term = term * fam_power(species, e)
-            if term.is_zero():
-                break
-        result = result + term
-    return result
+    monomial = _monomials(family, outer.truncation)
+    place = outer.truncation._places[0]
+    acc, den = {}, 1
+    for key, c in outer._terms.items():
+        if key // place <= truncation.degree:  # each family factor has degree >= 1
+            rho = monomial(key)
+            den = _add_into(acc, den, rho._terms, rho._den * outer._den, c)
+    return MPSeries.one(truncation)._keyed(acc, den)
 
 
 class SeriesMatrix:

@@ -41,8 +41,8 @@ from .series import (
     SeriesMatrix,
     Truncation,
     _add_into,
+    _monomials,
     _numerators,
-    _powers,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -226,7 +226,8 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
 
     c(n) is read off integer numerators, b(n) over p's denominator and the
     running sum of the processed c(m) rho^m over its own, and divided by the
-    diagonal prod_s b(e_s)^(n_s) only when some b(e_s) != 1.  rho^n =
+    diagonal prod_s b(e_s)^(n_s) only when some b(e_s) != 1.  rho^n comes
+    from one unit-step memo (`_monomials`), and rho^n =
     prod_s b(e_s)^(n_s) z^n + O(|n| + 1), so at |n| = D the term c(n) rho^n
     reaches only z^n, which is already read, and is never built."""
     series = p.series
@@ -235,18 +236,7 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
     b1 = _check_invertible(series, active)
     fam = densities(p).by_species
 
-    rho_power = _powers(fam, t)
-    one = MPSeries.one(t)
-    # rho^n = rho^(n without its top species s) * rho_s^(n_s), memoised by the
-    # key of n, the prefix's key being that of n less n_s z_s
-    monomials = {0: one}
-
-    def rho_monomial(key: int) -> MPSeries:
-        if key not in monomials:
-            *_, (s, e) = t.unpack(key).items()
-            monomials[key] = rho_monomial(key - e * t._steps[s - 1]) * rho_power(s, e)
-        return monomials[key]
-
+    rho_monomial = _monomials(fam, t)
     active_set = set(active)
     diagonal = any(b != 1 for b in b1.values())
     pressure, pden = series._terms, series._den
@@ -266,7 +256,7 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
             if n.degree < t.degree:
                 rho = rho_monomial(key)
                 den = _add_into(running, den, rho._terms, rho._den * c.denominator, c.numerator)
-    return VirialSeries(one._keyed(*_numerators(coeffs)), RECURSIVE)
+    return VirialSeries(MPSeries.one(t)._keyed(*_numerators(coeffs)), RECURSIVE)
 
 
 # -- route 2: Lagrange-Good extraction ------------------------------------------

@@ -186,10 +186,6 @@ class HardRods1D(PairPotential):
         dx = min(dx, self.box_length - dx)
         return math.inf if dx < self._core[m1.species, m2.species] else 0.0
 
-    def energy_batch(self, k1, x1, o1, k2, x2, o2) -> np.ndarray:
-        d = minimum_image(x1[:, 0] - x2[:, 0], self.box_length)
-        return np.where(d < self._core[k1, k2], np.inf, 0.0)
-
     def overlap_batch(self, k1, k2, dx, o1, o2) -> np.ndarray:
         d = dx[:, 0]
         return minimum_image(d, self.box_length, out=d) < self._core[k1, k2]

@@ -542,6 +542,18 @@ def test_bounds_compute_without_hypothesis_points_is_usage_error(tmp_path, capsy
     assert "samples" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_bounds_compute_below_degree_one_is_usage_error(tmp_path, capsys, degree):
+    # at degree 0 the pressure is empty, every dp/dz_i is 0 and the audit fails
+    model = write(tmp_path / "m.json", {"type": "synthetic", "species": 1, "default_w": "1"})
+    spec = write(tmp_path / "d.json", {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}]})
+    code, out, err = run(capsys, "bounds", "compute", "--spec", spec, "--model", model,
+                         "--degree", degree)
+    assert code == 2
+    assert out == ""
+    assert "--degree" in err and "1.." in err
+
+
 # -- errors -----------------------------------------------------------------------
 
 

@@ -34,10 +34,12 @@ from virialkit.graphs import (
 from virialkit.graphs import (
     _adjacency,
     _canonical_table,
+    _connected_block_classes,
     _pair_index,
     _pairs,
     _perms_fixing_colours,
     _relabel_mask,
+    _runs,
     _split_blocks,
 )
 from virialkit.series import MultiIndex
@@ -427,13 +429,13 @@ def test_canonical_key_invariant_under_colour_preserving_relabelling():
         assert canonical_coloured_key(n, g2.mask, colours2) == key
 
 
-def matmul_canonical_table(size, colours_sorted):
+def matmul_canonical_table(size, runs):
     """The oracle: the canonical table as one int64 (masks x edge bits) @
     (edge bits) product per colour-preserving permutation."""
     pairs = _pairs(size)
     bits = (np.arange(1 << len(pairs), dtype=np.int64)[:, None] >> np.arange(len(pairs))) & 1
     canon = None
-    for perm in _perms_fixing_colours(colours_sorted):
+    for perm in _perms_fixing_colours(runs):
         weights = np.array([1 << _pair_index(*sorted((perm[i - 1], perm[j - 1])), size)
                             for i, j in pairs], dtype=np.int64)
         relabelled = bits @ weights
@@ -458,8 +460,8 @@ CANONICAL_TABLE_PATTERNS = [p for size in range(1, 6) for p in sorted_colour_pat
 def test_canonical_table_equals_the_matmul_table():
     assert len(CANONICAL_TABLE_PATTERNS) == 31 + 3
     for colours in CANONICAL_TABLE_PATTERNS:
-        table = _canonical_table(len(colours), colours)
-        expected = matmul_canonical_table(len(colours), colours)
+        table = _canonical_table(len(colours), _runs(colours))
+        expected = matmul_canonical_table(len(colours), _runs(colours))
         assert table.dtype == expected.dtype and np.array_equal(table, expected), colours
 
 
@@ -468,10 +470,25 @@ def test_canonical_table_equals_the_minimum_over_relabellings():
     for colours in [(1, 1), (1, 1, 2), (1, 2, 2, 2), (1, 1, 2, 3, 3), (1,) * 6,
                     (1, 1, 1, 2, 2, 2), (1, 1, 2, 2, 3, 3)]:
         size = len(colours)
-        table = _canonical_table(size, colours)
+        table = _canonical_table(size, _runs(colours))
         for mask in rng.sample(range(len(table)), min(len(table), 12)):
             assert int(table[mask]) == min(_relabel_mask(size, mask, perm)
-                                           for perm in _perms_fixing_colours(colours))
+                                           for perm in _perms_fixing_colours(_runs(colours)))
+
+
+def test_canonical_tables_are_one_per_run_length_pattern():
+    # species enter a canonical table only by equality and order: the 923
+    # sorted colourings of 1..6 vertices over six species (917 of degree 2
+    # to 6) share the 63 compositions of 1..6 into runs
+    assert _runs((1, 1, 3)) == _runs((2, 2, 5)) == (2, 1)
+    assert _runs((1, 2, 3, 4, 5, 6)) == (1,) * 6
+    try:
+        for m in range(1, 7):
+            for colours in itertools.combinations_with_replacement(range(1, 7), m):
+                _connected_block_classes(m, colours)
+        assert _canonical_table.cache_info().currsize <= 63
+    finally:
+        _connected_block_classes.cache_clear()  # hundreds of MB of class tables
 
 
 @settings(max_examples=100, deadline=None)

@@ -259,6 +259,27 @@ def test_substitute_linear_and_monomial_agreement():
         assert substitute(mono, fam) == power_product(n, fam)
 
 
+def test_monomials_equal_the_power_products():
+    for t in (Truncation(3, 2), Truncation(4, 3), Truncation(2, 4)):
+        z = {s: MPSeries.variable(s, t) for s in range(1, t.species + 1)}
+        fam = {s: z[s].scaled(Fraction(s, 2)) - z[1] * z[s] + z[t.species] * z[t.species]
+               for s in z}
+        monomial = series_mod._monomials(fam, t)
+        for n in admissible_indices(t):
+            assert monomial(t.pack(n)) == power_product(n, fam), (t, n)
+
+
+def test_substitute_reads_indices_past_the_family_cap():
+    # outer names species 3, which the family's truncation does not admit
+    outer = MPSeries({MultiIndex({1: 1, 3: 1}): 1, MultiIndex({3: 2}): 2}, Truncation(3, 3))
+    t = Truncation(3, 2)
+    fam = {1: MPSeries.variable(1, t), 3: MPSeries.variable(1, t) + MPSeries.variable(2, t)}
+    z = {(a, b): MultiIndex({1: a, 2: b}) for a in range(3) for b in range(3)}
+    assert substitute(outer, fam) == MPSeries({z[0, 2]: 2, z[1, 1]: 5, z[2, 0]: 3}, t)
+    with pytest.raises(ValueError, match="no series for species 3"):
+        substitute(outer, {1: fam[1]})
+
+
 # -- determinant --------------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from virialkit.series import (
     SeriesMatrix,
     Truncation,
     _add_into,
-    _powers,
     admissible_indices,
     coefficient_of_product,
     determinant,
@@ -327,7 +326,13 @@ def fraction_recursive(p: PressureSeries) -> MPSeries:
         active.update(n.species)
     b1 = {i: series[MultiIndex.single(i)] for i in active}
     fam = densities(p).by_species
-    rho_power = _powers(fam, t)
+    powers = {}
+
+    def rho_power(s: int, e: int) -> MPSeries:
+        if (s, e) not in powers:
+            powers[s, e] = MPSeries.one(t) if e == 0 else rho_power(s, e - 1) * fam[s]
+        return powers[s, e]
+
     monomials = {0: MPSeries.one(t)}
 
     def rho_monomial(key: int) -> MPSeries:
