@@ -233,10 +233,11 @@ class HypothesisReport:
 def coefficient_sum_bound(p: PressureSeries, spec: DomainSpec) -> float:
     """sum |b(n)| R^n over stored terms: an upper bound for sup_D |p| at
     truncation order (the tail is not represented)."""
-    total = 0.0
-    for n, c in p.series.terms.items():
+    t, den, total = p.series.truncation, p.series._den, 0.0
+    for key, num in p.series._terms.items():
+        n = t.unpack(key)
         spec.require(n.species)
-        v = abs(float(c))
+        v = abs(num / den)
         for i, e in n.items():
             v *= spec.species[i].R ** e
         total += v
@@ -294,11 +295,11 @@ def _gradient(series: MPSeries) -> tuple[np.ndarray, np.ndarray]:
     """All S partials dp/dz_i as one table over the K distinct monomials of
     the gradient: a (K, S) array of exponents and an (S, K) float array of
     coefficients.  Each coefficient is the correctly rounded n_i b(n), the
-    float that `MPSeries.diff` gives."""
-    width = series.truncation.species
+    float that `MPSeries.diff` gives, here n_i num / den on keyed numerators."""
+    t, den, width = series.truncation, series._den, series.truncation.species
     rows: dict[tuple[int, ...], list[float]] = {}
-    for n, c in series.terms.items():
-        num, den = c.as_integer_ratio()
+    for key, num in series._terms.items():
+        n = t.unpack(key)
         dense = [0] * width
         for s, e in n.items():
             dense[s - 1] = e

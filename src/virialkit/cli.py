@@ -301,15 +301,13 @@ def cmd_virial_compare(args) -> int:
     base, *others = (_virial_by_method(source, truncation, m, p) for m in METHOD_FLAGS)
     diffs = []
     for m, series in zip(METHOD_FLAGS[1:], others):
-        keys = set(base.terms) | set(series.terms)
-        for n in sorted(keys, key=truncation.pack):
-            a, b = base[n], series[n]
-            # every route is exact, so only sampling separates them: on a
-            # Monte Carlo source route 3 draws its own streams
-            if abs(a - b) > tol:
+        # every route is exact, so only sampling separates them: on a Monte
+        # Carlo source route 3 draws its own streams
+        for n, d in (series - base).sorted_terms():
+            if abs(d) > tol:
                 diffs.append({"n": {str(s): e for s, e in n.items()}, "method": m,
-                              "recursive": _coeff_out(n, a, source),
-                              "other": _coeff_out(n, b, source)})
+                              "recursive": _coeff_out(n, base[n], source),
+                              "other": _coeff_out(n, series[n], source)})
     identical = not diffs
     _emit({"command": "virial compare", "model": args.model, "degree": args.degree,
            "methods": METHOD_FLAGS, "seed": args.seed, "tolerance": args.tol,
@@ -321,6 +319,7 @@ def cmd_virial_compare(args) -> int:
 
 def cmd_virial_mu(args) -> int:
     source, truncation = _series_plan(args, ("two-connected",))
+    config_int(args.species, "--species", 1, truncation.species, "a species index")
     series = virial_mod.chemical_potential(source, truncation, args.species)
     rows = _coefficient_rows(series, "chemical-potential", source)
     if args.format == "csv":

@@ -506,7 +506,9 @@ def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tu
 @lru_cache(maxsize=None)
 def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """((sorted canonical block keys, number of labelled graphs), ...) over the
-    connected graphs on {1..m} coloured by the sorted `colours`.
+    connected graphs on {1..m} coloured by the sorted `colours` with two or
+    more blocks (at m = 1, the single vertex's empty row): the one-block graphs
+    are `_two_connected_classes`, so the two tables partition the connected graphs.
 
     A block-factorizing weight depends only on the multiset of canonical
     (block, restricted colouring) keys, which no model enters, so the table is
@@ -520,13 +522,15 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
     patterns: dict[tuple, int] = {}
     codes = np.full(shape, -1, dtype=np.int64)  # -1 pads graphs with fewer blocks
-    for verts, at, masks in groups:
+    for verts, at, masks in (group for group in groups if len(group[0]) < m):  # not one block
         pattern = (len(verts), tuple(colours[v - 1] for v in verts))
         codes.flat[at] = (patterns.setdefault(pattern, len(patterns)) << shift
                           | _canonical_table(pattern[0], _runs(pattern[1]))[masks])
     codes.sort(axis=1)
+    codes = codes[(codes[:, -1] >= 0) | (m == 1)]  # drop the emptied rows, none at m = 1
     codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
-    starts = [0, *(np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1).tolist()]
+    # a class starts at each row unlike the one before, the first unlike the -2s (no code)
+    starts = np.flatnonzero(np.diff(codes, axis=0, prepend=-2).any(axis=1)).tolist()
     rows, ends = codes[starts].tolist(), starts[1:] + [len(codes)]
     pattern_of = list(patterns)
     keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))

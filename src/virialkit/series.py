@@ -47,7 +47,7 @@ RATIONAL = "rational"
 # perfbench/workloads.py still names a field: `MPSeries(terms, t, FLOAT)` and
 # `MPSeries(lg_terms, t, p.series.field)`.  These three names (FLOAT, the
 # constructor's third argument and `MPSeries.field`) only admit the one field;
-# ROADMAP item 11, which rewrites perfbench's hooks, removes them.
+# ROADMAP item 13, which rewrites perfbench's hooks, removes them.
 FLOAT = RATIONAL
 
 # Memoised minors cost at most k 2^(k-1) series products for a k x k

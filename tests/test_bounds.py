@@ -351,6 +351,70 @@ def test_gradient_on_grid_and_interior_match_the_sample_point_rows(width):
     assert np.abs(at_points - expected[:, grid:]).max() < 1e-12
 
 
+def view_sum_bound(p, spec):
+    """The oracle of `coefficient_sum_bound`: read through the `terms` view,
+    one MultiIndex and one Fraction per term."""
+    total = 0.0
+    for n, c in p.series.terms.items():
+        spec.require(n.species)
+        v = abs(float(c))
+        for i, e in n.items():
+            v *= spec.species[i].R ** e
+        total += v
+    return total
+
+
+def view_gradient(series):
+    """The oracle of `_gradient`, read through the `terms` view."""
+    width = series.truncation.species
+    rows = {}
+    for n, c in series.terms.items():
+        num, den = c.as_integer_ratio()
+        dense = [0] * width
+        for s, e in n.items():
+            dense[s - 1] = e
+        for s, e in n.items():
+            dense[s - 1] -= 1
+            rows.setdefault(tuple(dense), [0.0] * width)[s - 1] = num * e / den
+            dense[s - 1] += 1
+    exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), width)
+    coefficients = np.array(list(rows.values())).reshape(len(rows), width).T
+    return exponents, coefficients
+
+
+def mc_rod_pressure():
+    from virialkit.virial import mc_pressure_series
+    from virialkit.weights import HardRods1D, McParams
+    return mc_pressure_series(HardRods1D({1: 1, 2: 2}, 40), McParams(20_000, seed=3),
+                              Truncation(3, 2))[0]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda w=width, d=degree: random_pressure(w, d, w + d)
+      for width, degree in ((1, 6), (2, 5), (3, 4), (5, 3), (7, 2))),
+    lambda: pressure({}, 3, 2), mc_rod_pressure,
+], ids=["1-6", "2-5", "3-4", "5-3", "7-2", "zero", "mc-rods"])
+def test_keyed_bound_and_gradient_equal_the_terms_view_bit_for_bit(make):
+    p = make()
+    width = p.series.truncation.species
+    spec = make_domain_spec([(i, 0.01 * i, 0.03 * i, 0.5) for i in range(1, width + 1)])
+    assert coefficient_sum_bound(p, spec).hex() == view_sum_bound(p, spec).hex()
+    (exponents, coefficients), (want_e, want_c) = _gradient(p.series), view_gradient(p.series)
+    assert exponents.tolist() == want_e.tolist()
+    assert [x.hex() for x in coefficients.ravel().tolist()] == \
+        [x.hex() for x in want_c.ravel().tolist()]
+    # a spec without the top species: both refuse the same term the same way
+    short = make_domain_spec([(i, 0.01, 0.03, 0.5) for i in range(1, width)] or
+                             [(width + 1, 0.01, 0.03, 0.5)])
+    errors = []
+    for bound in (coefficient_sum_bound, view_sum_bound):
+        try:
+            bound(p, short)
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert len(errors) == (0 if p.series.is_zero() else 2) and len(set(errors)) <= 1
+
+
 def test_gradient_vanishing_at_one_grid_point_is_found_there():
     # dp/dz_1 = 2 - 2 z_1 - 4 z_2 vanishes on the grid only at (R_1, R_2) =
     # (1/2, 1/4): ring index 4 (radius R, angle 0) for both species

@@ -725,6 +725,23 @@ def test_two_connected_sums_past_the_float_range_are_refused_before_sampling(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("species", ["0", "3"])
+def test_mu_species_outside_the_cap_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                               species):
+    # at degree 5 route 3 samples for seconds before the derivative reads --species
+    def sampled(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(virialkit.weights.McWeightSource, "two_connected_sum", sampled)
+    path = write(tmp_path / "model.json", ROD_MIXTURE)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "virial", "mu", "--degree", "5", "--species", species,
+                         "--model", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --species: expected a species index in 1..2, got {species}")
+
+
 def test_model_block_above_the_canonical_key_cap_is_usage_error(tmp_path, capsys):
     # a 12-cycle block would take about 45 min of colour-preserving permutations
     cycle = [[i, i % 12 + 1] for i in range(1, 13)]

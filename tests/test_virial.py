@@ -150,11 +150,13 @@ def test_class_table_sums_on_a_second_model_match_brute_force():
                 brute_two_connected_sum(MODEL_A, colours), colours
 
 
+# the connected table holds the graphs of two or more blocks: 728 - 238 = 490
+# of the connected graphs on five vertices, 26 704 - 11 368 on six
 @pytest.mark.parametrize("colours,graphs,classes", [
-    ((1, 1, 1, 1, 1), (728, 238), (16, 10)),
-    ((1, 1, 2, 2, 3), (728, 238), (192, 80)),
-    ((1,) * 6, (26704, 11368), (75, 56)),
-    ((1, 1, 1, 2, 2, 2), (26704, 11368), (736, 473)),
+    ((1, 1, 1, 1, 1), (490, 238), (6, 10)),
+    ((1, 1, 2, 2, 3), (490, 238), (112, 80)),
+    ((1,) * 6, (15336, 11368), (19, 56)),
+    ((1, 1, 1, 2, 2, 2), (15336, 11368), (263, 473)),
 ])
 def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, classes):
     m = len(colours)
@@ -196,19 +198,39 @@ def is_plain_key(key):
 
 
 def test_class_tables_equal_the_key_walk():
-    # (1, 2, 3, 4, 5, 6) has 12 981 distinct block keys and 26 704 classes
+    # (1, 2, 3, 4, 5, 6) has 12 981 distinct block keys and 26 704 classes,
+    # 15 336 of two or more blocks
     for colours in TABLE_COLOURINGS + [(1, 2, 3, 4, 5, 6)]:
         m = len(colours)
         connected = graphs_mod._connected_block_classes(m, colours)
         two_connected = graphs_mod._two_connected_classes(m, colours)
         assert len(connected) == len(set(keys for keys, _ in connected))
-        assert Counter(dict(connected)) == walked_connected_classes(m, colours), colours
+        one_block = Counter({(key,): count for key, count in two_connected})
+        assert Counter(dict(connected)) + one_block == walked_connected_classes(m, colours), \
+            colours
         assert len(two_connected) == len(set(key for key, _ in two_connected))
         assert Counter(dict(two_connected)) == walked_two_connected_classes(m, colours), colours
         assert all(type(keys) is tuple and all(map(is_plain_key, keys)) and type(count) is int
                    for keys, count in connected)
         assert all(is_plain_key(key) and type(count) is int for key, count in two_connected)
-    assert len(graphs_mod._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 26704
+    assert len(graphs_mod._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 15336
+
+
+def test_class_tables_partition_the_connected_graphs():
+    # every connected graph sits in exactly one table: two or more blocks in
+    # the connected table, one block in the two-connected table
+    for colours in TABLE_COLOURINGS + [(1, 1, 2, 2, 3, 3)]:
+        m = len(colours)
+        connected = graphs_mod._connected_block_classes(m, colours)
+        two_connected = graphs_mod._two_connected_classes(m, colours)
+        if m >= 2:
+            assert all(len(keys) >= 2 for keys, _ in connected), colours
+        one_block = Counter({(key,): count for key, count in two_connected})
+        assert not set(dict(connected)) & set(one_block), colours
+        assert Counter(dict(connected)) + one_block == walked_connected_classes(m, colours), \
+            colours
+        assert sum(count for _, count in connected + two_connected) == \
+            len(connected_graph_list(m)), colours
 
 
 def test_class_tables_are_model_independent():
