@@ -26,7 +26,7 @@ from . import graphs as graphs_mod
 from . import virial as virial_mod
 from . import weights as weights_mod
 from ._config import EXP_MAX, config_int, config_mapping, config_number, config_species
-from .series import MAX_DETERMINANT_DIM, MPSeries, MultiIndex, Truncation, admissible_indices
+from .series import MPSeries, MultiIndex, Truncation, admissible_indices
 from .weights import McParams, McWeightSource, SyntheticBlockModel
 
 SCHEMA = "virialkit/1"
@@ -136,10 +136,13 @@ MAX_MC_MAYER_FACTORS = 5 * 10 ** 9
 # Largest series plan, S species up to --degree D: on random synthetic models
 # (2-core Xeon, Python 3.11) the graph sums take 0.8-2 µs per labelled graph
 # (pressure at (S, D) = (8, 6): 89 s), while the routes, whose series
-# products visit only the pairs they keep, take far less (at (12, 5):
-# Lagrange-Good 1.8 s, recursive 0.2 s); `virial compare` at (10, 5) and
-# (7, 6), the largest admitted plans, takes 5.3 s and 41 s, the latter
-# mostly in its per-colouring graph tables.
+# products visit only the pairs they keep, take far less (at (12, 5), just
+# above the cap: Lagrange-Good 1.25 s, recursive 0.19 s); `virial compare`
+# at the largest admitted plans takes 0.26 s at (64, 2), 0.52 s at (26, 3),
+# 1.2 s at (15, 4), 4.8 s at (10, 5) and 36 s at (7, 6), the last mostly in
+# its per-colouring graph tables.  Lagrange-Good has no species cap of its
+# own: its det M walks one Hessian minor per squarefree index of degree
+# <= D - 1, so this cap bounds it too.
 MAX_SERIES_INDICES = 4000
 MAX_SERIES_GRAPHS = 3 * 10 ** 7
 
@@ -162,9 +165,6 @@ def _series_plan(args, methods) -> tuple[object, Truncation]:
         if size > cap:
             raise ValueError(f"{flags}: a series plan is capped at {cap} {what}, got {size} "
                              f"at degree {d} over {s} species")
-    if "lagrange-good" in methods and s > MAX_DETERMINANT_DIM:
-        raise ValueError(f"{flags}: the Lagrange-Good route is capped at {MAX_DETERMINANT_DIM} "
-                         f"species (its determinant's dimension), got {s}")
     if isinstance(model, SyntheticBlockModel):
         return model, truncation
     samples, pairs = args.samples, d * (d - 1) // 2 if set(methods) - {"two-connected"} else 0

@@ -53,10 +53,12 @@ FLOAT = RATIONAL
 # Memoised minors cost at most k 2^(k-1) series products for a k x k
 # determinant, 24 576 at k = 12, where a cofactor expansion needs about
 # 1.3e9.  Measured at k = 12 (2-core Xeon, Python 3.11): I + z1 J at degree 1
-# takes 0.001 s, dense rational entries at Truncation(2, 2) 0.17 s, and the
-# Lagrange-Good set-up of a random synthetic model at Truncation(4, 12), M
-# built through degree 3, 0.12 s (det M through degree 4: 0.53 s).  The cap
-# keeps every admitted determinant within seconds.
+# takes 0.001 s, dense rational entries at Truncation(2, 2) 0.17 s, and
+# I + diag(z_i / (dp/dz_i)) H of a random synthetic pressure at
+# Truncation(4, 12) 0.11 s through degree 3 (0.66 s through degree 4).  The
+# cap keeps every determinant a caller asks for within seconds.  The
+# Lagrange-Good route is not bound by it: it asks only for Hessian minors of
+# dimension at most D - 1 (`virial._det_m`).
 MAX_DETERMINANT_DIM = 12
 
 

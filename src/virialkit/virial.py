@@ -7,6 +7,7 @@ p as a series in the densities are computed by
 
 * recursive inversion of b(k) = sum_{n<=k} c(n) [z^k] rho(z)^n, order by order,
 * Lagrange-Good coefficient extraction with the determinant factor det M(z),
+  summed from the principal minors of the pressure's Hessian,
 * the two-connected-graph formula (valid for block-factorizing weights).
 
 Exact agreement of the three routes on block-factorizing models is the
@@ -262,6 +263,47 @@ def invert_recursive(p: PressureSeries) -> VirialSeries:
 # -- route 2: Lagrange-Good extraction ------------------------------------------
 
 
+def _det_m(dp: list[MPSeries], recip: list[MPSeries], t: Truncation, cut: int) -> MPSeries:
+    """det M through degree `cut`, M = I + diag(z_i R_i) H over the species of
+    `dp` (dp[i - 1] = dp/dz_i, recip[i - 1] = R_i = 1/(dp/dz_i) through `cut`),
+    H the Hessian of p, by the principal-minor expansion
+
+        det(I + diag(x) H) = sum over species sets T of prod_{i in T} x_i det H_T.
+
+    z^T has degree |T|, so only the sets with |T| <= cut reach the result, and
+    the term of T is built only through degree cut - |T| and then shifted by
+    the key of z^T.  T is walked in ascending species order, prod_{i in T} R_i
+    grows by one unit step per species added, H_ij = d(dp/dz_i)/dz_j is
+    memoised per unordered pair, and det H_T is H_ii itself at T = {i} and
+    otherwise the exact, division-free `determinant` of a |T| x |T| matrix:
+    at most sum_{k <= cut} C(N, k) minors, one per squarefree index of degree
+    <= cut, so the walk costs no more than the truncation's admissible indices."""
+    hessian: dict[tuple[int, int], MPSeries] = {}
+
+    def h(i: int, j: int) -> MPSeries:
+        pair = (min(i, j), max(i, j))
+        if pair not in hessian:
+            hessian[pair] = dp[pair[0]].diff(pair[1] + 1)
+        return hessian[pair]
+
+    acc, den = {0: 1}, 1
+    # (T as 0-based species, prod_{i in T} R_i through degree cut - |T|, key of z^T)
+    stack = [((), None, 0)]
+    while stack:
+        T, r, shift = stack.pop()
+        room = cut - len(T)
+        if T:
+            minor = (h(T[0], T[0]) if len(T) == 1 else
+                     determinant(SeriesMatrix([[h(i, j) for j in T] for i in T], t), room))
+            term = r._product(minor, t._cut(room))
+            den = _add_into(acc, den, {k + shift: c for k, c in term._terms.items()}, term._den)
+        if room > 0:
+            for j in range(T[-1] + 1 if T else 0, len(dp)):
+                step = recip[j] if r is None else r._product(recip[j], t._cut(room - 1))
+                stack.append((T + (j,), step, shift + t._steps[j]))
+    return MPSeries.one(t)._keyed(acc, den)
+
+
 class LagrangeGoodInverter:
     """Coefficient extraction c(n) = [z^n] p * (dp/dz)^{-n} * det M(z) with
     M_ij = delta_ij + z_i d2p/dz_i dz_j / (dp/dz_i) over species 1..N.
@@ -275,8 +317,10 @@ class LagrangeGoodInverter:
     (`coefficient_of_product`, with 1/(dp/dz_i) repeated n_i times).
 
     p has no constant term, so that extraction reads det M and every
-    1/(dp/dz_i) only through degree |n| - 1 <= D - 1: they and M's entries are
-    built exactly that far, and A = p * det M through D.
+    1/(dp/dz_i) only through degree |n| - 1 <= D - 1: they are built exactly
+    that far, and A = p * det M through D.  det M is never formed as an N x N
+    matrix of series: `_det_m` sums the principal minors of the Hessian over
+    species sets of size <= D - 1, so N is not capped by MAX_DETERMINANT_DIM.
     """
 
     def __init__(self, p: PressureSeries):
@@ -291,14 +335,10 @@ class LagrangeGoodInverter:
         if top > self._top:
             p, species = self.series, range(1, top + 1)
             _check_invertible(p, species)  # before anything is replaced
-            t, cut = p.truncation, max(p.truncation.degree - 1, 0)
+            cut = max(p.truncation.degree - 1, 0)
             dp = [p.diff(i) for i in species]
             recip = self._recip + [reciprocal(d, cut) for d in dp[len(self._recip):]]
-            rows = [[dp[i - 1].diff(j).mul_var(i)._product(recip[i - 1], t._cut(cut))
-                     for j in species] for i in species]
-            for i, row in enumerate(rows):
-                row[i] = MPSeries.one(t) + row[i]
-            self._a = p * determinant(SeriesMatrix(rows, t), cut)
+            self._a = p * _det_m(dp, recip, p.truncation, cut)
             self._top, self._recip = top, recip
         factors = [self._a] + [self._recip[i - 1] for i, e in pairs for _ in range(e)]
         return coefficient_of_product(factors, n)

@@ -895,7 +895,6 @@ def random_model(tmp_path, species):
 
 INDEX_CAP = f"a series plan is capped at {MAX_SERIES_INDICES} admissible indices, got "
 GRAPH_CAP = f"a series plan is capped at {MAX_SERIES_GRAPHS} labelled connected graphs summed, got "
-DETERMINANT_CAP = "the Lagrange-Good route is capped at 12 species (its determinant's dimension), got "
 
 
 @pytest.mark.parametrize("species,degree,argv,named", [
@@ -907,17 +906,13 @@ DETERMINANT_CAP = "the Lagrange-Good route is capped at 12 species (its determin
                                  f"over 8 species"),
     (8, 6, ("virial", "mu", "--species", "1"),
      f"--degree and --species-cap: {GRAPH_CAP}46413704 at degree 6 over 8 species"),
-    (24, 3, ("virial", "invert", "--method", "lagrange-good"),
-     f"--degree and --species-cap: {DETERMINANT_CAP}24"),
-    (24, 3, ("virial", "compare"), f"--degree and --species-cap: {DETERMINANT_CAP}24"),
     (64, 3, ("bounds", "compute", "--spec", None),
      f"--degree: {INDEX_CAP}47904 at degree 3 over 64 species"),
-], ids=["invert-64-3", "invert-12-5", "invert-8-6", "mu-8-6", "lagrange-good-24-3",
-        "compare-24-3", "bounds-64-3"])
+], ids=["invert-64-3", "invert-12-5", "invert-8-6", "mu-8-6", "bounds-64-3"])
 def test_series_plan_above_a_cap_is_refused_before_any_work(tmp_path, capsys, species, degree,
                                                             argv, named):
     # at the parent of these caps the first three ran 26 s, over 30 s and
-    # over 60 s, and the Lagrange-Good refusals came after the pressure
+    # over 60 s
     if None in argv:
         spec = write(tmp_path / "d.json", {"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}]})
         argv = tuple(spec if a is None else a for a in argv)
@@ -933,7 +928,7 @@ def test_series_plan_above_a_cap_is_refused_before_any_work(tmp_path, capsys, sp
 ])
 def test_series_plans_under_the_caps_are_admitted(tmp_path, species, degree, above):
     # the largest plan under both caps at each degree, and the next one up;
-    # Lagrange-Good, which compare runs, needs S <= 12 too
+    # Lagrange-Good, which compare runs, has no species cap of its own
     def plan(species, degree, command, methods):
         args = build_parser().parse_args(["virial", command, "--model",
                                           random_model(tmp_path, species), "--degree",
@@ -942,13 +937,40 @@ def test_series_plans_under_the_caps_are_admitted(tmp_path, species, degree, abo
 
     assert plan(species, degree, "invert", ("recursive",))[1] == Truncation(degree, species)
     every = ("recursive", "lagrange-good", "two-connected")
-    if species > 12:
-        with pytest.raises(ValueError, match="capped at 12 species"):
-            plan(species, degree, "compare", every)
-    else:
-        assert plan(species, degree, "compare", every)[1] == Truncation(degree, species)
+    assert plan(species, degree, "compare", every)[1] == Truncation(degree, species)
     with pytest.raises(ValueError, match="series plan is capped"):
         plan(*above, "invert", ("recursive",))
+
+
+@pytest.mark.parametrize("argv,methods", [
+    (("invert", "--method", "lagrange-good"), ("lagrange-good",)),
+    (("compare",), ("recursive", "lagrange-good", "two-connected")),
+], ids=["lagrange-good-24-3", "compare-24-3"])
+def test_lagrange_good_plans_past_twelve_species_are_admitted(tmp_path, argv, methods):
+    # Lagrange-Good's det M sums Hessian minors of dimension <= D - 1, so a
+    # plan past the 12 x 12 determinant cap is bounded by the series caps alone
+    args = build_parser().parse_args(["virial", *argv, "--model", random_model(tmp_path, 24),
+                                      "--degree", "3"])
+    assert _series_plan(args, methods)[1] == Truncation(3, 24)
+
+
+@pytest.mark.parametrize("species,degree,above", [(64, 2, (64, 3)), (26, 3, (27, 3)),
+                                                  (15, 4, (16, 4))])
+def test_compare_at_the_widest_admitted_plans_agrees_exactly(tmp_path, capsys, species,
+                                                             degree, above):
+    # the widest plan per degree that the series caps admit: all three routes,
+    # Lagrange-Good over every species, agree exactly; one species more is
+    # refused by the index cap
+    code, out, err = run(capsys, "virial", "compare", "--model", random_model(tmp_path, species),
+                         "--degree", str(degree))
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"], doc["tolerance"], doc["differences"]) == \
+        (0, "", "identical", 0, [])
+    s, d = above
+    code, out, err = run(capsys, "virial", "compare", "--model", random_model(tmp_path, s),
+                         "--degree", str(d))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --degree and --species-cap: {INDEX_CAP}")
 
 
 def test_default_samples_stay_under_the_mayer_cap():

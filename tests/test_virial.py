@@ -577,6 +577,59 @@ def test_lagrange_good_cut_set_up_on_hand_built_and_mc_pressures():
             assert inv.coefficient(n) == oracle(n) == rec[n], n
 
 
+def matrix_det_m(p: PressureSeries) -> MPSeries:
+    """det M through degree D - 1 from the S x S matrix M = I + N of series,
+    N_ij = z_i H_ij / (dp/dz_i), expanded over column-bitmask minors: the
+    set-up the sum over principal Hessian minors replaced, as an oracle."""
+    series, t = p.series, p.series.truncation
+    cut, species = max(t.degree - 1, 0), range(1, t.species + 1)
+    dp = [series.diff(i) for i in species]
+    recip = [reciprocal(d, cut) for d in dp]
+    rows = [[dp[i - 1].diff(j).mul_var(i)._product(recip[i - 1], t._cut(cut)) for j in species]
+            for i in species]
+    for i, row in enumerate(rows):
+        row[i] = MPSeries.one(t) + row[i]
+    return determinant(SeriesMatrix(rows, t), cut)
+
+
+def random_terms_pressure(seed, degree, species, b1, live=None):
+    """Random rational b(n) at |n| >= 2 over the species in `live` (default
+    all), and b(e_k) = b1[k - 1]."""
+    rng = random.Random(seed)
+    t = Truncation(degree, species)
+    live = set(range(1, species + 1)) if live is None else set(live)
+    terms = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+             for n in admissible_indices(t, min_degree=2) if set(n.species) <= live}
+    terms.update({MultiIndex.single(k): b for k, b in enumerate(b1, start=1)})
+    return PressureSeries(MPSeries(terms, t))
+
+
+DET_M_CASES = {
+    **{f"random-{s}-{d}": (lambda s=s, d=d: pressure_from_weights(
+        SyntheticBlockModel.random(s + d, s), Truncation(d, s)))
+       for s, d in ((1, 6), (2, 6), (3, 5), (4, 3), (7, 2), (12, 3))},
+    "mc-rods-4-2": lambda: pressure_from_weights(
+        McWeightSource(ROD_MIXTURE, McParams(2000, seed=35)), Truncation(4, 2)),
+    "b1-not-one-4-2": lambda: random_terms_pressure(1, 4, 2, (2, Fraction(5, 3))),
+    "b1-negative-3-3": lambda: random_terms_pressure(2, 3, 3, (-3, 1, Fraction(-1, 2))),
+    # species 2 enters only through b(e_2), so its Hessian row and column vanish
+    "inactive-species-4-3": lambda: random_terms_pressure(3, 4, 3, (1, 1, -2), live=(1, 3)),
+    "degree-1-3": lambda: random_terms_pressure(4, 1, 3, (1, 3, Fraction(-2, 5))),
+}
+
+
+@pytest.mark.parametrize("case", DET_M_CASES)
+def test_principal_minor_det_m_equals_the_matrix_oracle(case):
+    p = DET_M_CASES[case]()
+    t = p.series.truncation
+    inv = LagrangeGoodInverter(p)
+    inv.coefficient(MultiIndex.single(t.species))  # A and the reciprocals over every species
+    want = matrix_det_m(p)
+    dp = [p.series.diff(i) for i in range(1, t.species + 1)]
+    assert virial._det_m(dp, inv._recip, t, max(t.degree - 1, 0)) == want
+    assert inv._a == p.series * want
+
+
 def test_lagrange_good_grown_by_a_rising_top_species_reuses_its_cut_reciprocals():
     t = Truncation(4, 3)
     p = pressure_from_weights(SyntheticBlockModel.random(5, 3), t)
