@@ -1,7 +1,7 @@
 """Typed readers for config values: the one place that decides what a
 well-formed JSON config value is.  A reader returns the value or raises
-ValueError("<key path>: expected <what>, got <value>").  Numbers are JSON
-ints, finite floats or "p/q" strings, never booleans.
+ValueError("<key path>: expected <what>, got <value>" or "<key path>: missing").
+Numbers are JSON ints, finite floats or "p/q" strings, never booleans.
 """
 
 import json
@@ -64,6 +64,14 @@ def config_mapping(value, path: str, nonempty: bool = False) -> dict:
     if not isinstance(value, dict) or (nonempty and not value):
         _fail(path, "a non-empty JSON object" if nonempty else "a JSON object", value)
     return value
+
+
+def config_field(doc: dict, key: str, at: str = "") -> tuple:
+    """(doc[key], its key path) of the JSON object at key path `at`."""
+    path = f"{at}.{key}" if at else key
+    if key not in doc:
+        raise ValueError(f"{path}: missing")
+    return doc[key], path
 
 
 def config_list(value, path: str, length: int | None = None) -> list:

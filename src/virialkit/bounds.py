@@ -20,11 +20,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._config import EXP_MAX, config_list, config_mapping, config_number, config_species
+from ._config import (EXP_MAX, config_field, config_list, config_mapping, config_number,
+                      config_species)
 from .series import MPSeries, MultiIndex
 from .virial import PressureSeries, VirialSeries
 
@@ -103,21 +104,13 @@ def det_bound_exponent_exact(spec: DomainSpec) -> Fraction:
     return lead * quad_root
 
 
-def _refuse(i: int, what: str):
-    """A bound that is not a finite float is refused rather than overflowing."""
-    raise ValueError(f"species i = {i}: the bound factor {what} takes the bound "
-                     f"past the largest float {sys.float_info.max:.6g}")
-
-
-def _times_factor(out: float, factor: Callable[[], float], i: int, what: str) -> float:
-    """out * factor(); ValueError naming species i when that is not a finite
-    float."""
-    try:
-        out *= factor()
-    except (OverflowError, ZeroDivisionError):
-        out = math.inf
+def _times_factor(out: float, factor: float, i: int, what: str) -> float:
+    """out * factor (inf where it overflows), refused, naming species i, when
+    the bound is not a finite float."""
+    out *= factor
     if not math.isfinite(out):
-        _refuse(i, what)
+        raise ValueError(f"species i = {i}: the bound factor {what} takes the bound "
+                         f"past the largest float {sys.float_info.max:.6g}")
     return out
 
 
@@ -146,9 +139,7 @@ def _scaled_bound(spec: DomainSpec, scale: float, n: MultiIndex,
             except (OverflowError, ZeroDivisionError):
                 f = math.inf
             factors[i, e] = f
-        out *= f
-        if not math.isfinite(out):
-            _refuse(i, f"(e^a/r)^{e}")
+        out = _times_factor(out, f, i, f"(e^a/r)^{e}")
     return out
 
 
@@ -160,8 +151,11 @@ def inverse_bound(spec: DomainSpec, n: MultiIndex, k: MultiIndex) -> float:
     out = det_bound_constant(spec)
     for i in sorted(set(n.species) | set(k.species)):
         d, ni, ki = spec.species[i], n.get(i), k.get(i)
-        out = _times_factor(out, lambda: math.exp(d.a * (ni + ki)) / d.r ** ni, i,
-                            f"e^(a·{ni + ki})/r^{ni}")
+        try:
+            f = math.exp(d.a * (ni + ki)) / d.r ** ni
+        except (OverflowError, ZeroDivisionError):
+            f = math.inf
+        out = _times_factor(out, f, i, f"e^(a·{ni + ki})/r^{ni}")
     return out
 
 
@@ -519,11 +513,11 @@ def domain_spec_to_json(spec: DomainSpec) -> dict:
 
 def domain_spec_from_json(doc: Mapping) -> DomainSpec:
     species = {}
-    for k, entry in enumerate(config_list(doc["species"], "species")):
+    for k, entry in enumerate(config_list(*config_field(doc, "species"))):
         at = f"species[{k}]"
         e = config_mapping(entry, at)
-        r = float(config_number(e["r"], f"{at}.r", "a radius r > 0", lambda x: x > 0))
-        R = float(config_number(e["R"], f"{at}.R", "a radius R > r", lambda x: x > r))
-        a = float(config_number(e["a"], f"{at}.a", "a budget a >= 0", lambda x: x >= 0))
-        species[config_species(e["i"], f"{at}.i")] = SpeciesDomain(r, R, a)
+        r = float(config_number(*config_field(e, "r", at), "a radius r > 0", lambda x: x > 0))
+        R = float(config_number(*config_field(e, "R", at), "a radius R > r", lambda x: x > r))
+        a = float(config_number(*config_field(e, "a", at), "a budget a >= 0", lambda x: x >= 0))
+        species[config_species(*config_field(e, "i", at))] = SpeciesDomain(r, R, a)
     return DomainSpec(species)

@@ -25,7 +25,8 @@ from . import bounds as bounds_mod
 from . import graphs as graphs_mod
 from . import virial as virial_mod
 from . import weights as weights_mod
-from ._config import EXP_MAX, config_int, config_mapping, config_number, config_species
+from ._config import (EXP_MAX, config_field, config_int, config_mapping, config_number,
+                      config_species)
 from .series import MPSeries, MultiIndex, Truncation, admissible_indices
 from .weights import McParams, McWeightSource, SyntheticBlockModel
 
@@ -388,12 +389,12 @@ def cmd_weights_kp_check(args) -> int:
     doc = _load_json(args.spec)
     radii = {config_species(k, f'radii["{k}"]', key=True):
              float(config_number(r, f'radii["{k}"]', "a radius > 0", lambda x: x > 0))
-             for k, r in config_mapping(doc["radii"], "radii", nonempty=True).items()}
+             for k, r in config_mapping(*config_field(doc, "radii"), nonempty=True).items()}
     cap = (_species_cap(model, max(radii), "radii") if args.species_cap is None
            else _species_cap(model, args.species_cap))
     # the criterion weighs species k by e^((a+3b)k): keep that finite up to the cap
     b = config_number(doc.get("b", 0), "b", "a constant b >= 0", lambda x: x >= 0)
-    a = config_number(doc["a"], "a", f"a slope a > 0 with (a+3b)·{cap} <= {EXP_MAX}",
+    a = config_number(*config_field(doc, "a"), f"a slope a > 0 with (a+3b)·{cap} <= {EXP_MAX}",
                       lambda x: 0 < x and (x + 3 * b) * cap <= EXP_MAX)
     spec = weights_mod.KpSpec(radii, float(a), float(b))
     report = weights_mod.kp_check(model, spec, cap,

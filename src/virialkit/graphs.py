@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ._config import config_int, config_list, config_mapping, config_species
+from ._config import config_field, config_int, config_list, config_mapping, config_species
 from .series import MultiIndex
 
 MAX_ENUMERATION_VERTICES = 8
@@ -504,11 +504,12 @@ def canonical_coloured_key(size: int, mask: int, colours: tuple[int, ...]) -> tu
 
 
 @lru_cache(maxsize=None)
-def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """((sorted canonical block keys, number of labelled graphs), ...) over the
-    connected graphs on {1..m} coloured by the sorted `colours` with two or
-    more blocks (at m = 1, the single vertex's empty row): the one-block graphs
-    are `_two_connected_classes`, so the two tables partition the connected graphs.
+def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(keys, rows) over the connected graphs on {1..m} coloured by the sorted
+    `colours` with two or more blocks (at m = 1, the single vertex's empty
+    row): each distinct canonical block key once, and one row (ascending key
+    indices, number of labelled graphs) per class.  The one-block graphs are
+    `_two_connected_classes`, so the two tables partition the connected graphs.
 
     A block-factorizing weight depends only on the multiset of canonical
     (block, restricted colouring) keys, which no model enters, so the table is
@@ -516,7 +517,7 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     ascending vertices restricts sorted colours to sorted colours, so its key
     is `_canonical_table` of its run lengths at its relabelled mask: one
     lookup per vertex set, coded as (pattern, canonical mask) in one integer.
-    Sorting the codes of each row and counting equal rows gives the table.
+    Sorting the codes of each row and counting equal rows gives the rows.
     """
     shape, groups = connected_block_profiles(m)
     shift = m * (m - 1) // 2  # a block mask on at most m vertices fits in these bits
@@ -530,23 +531,26 @@ def _connected_block_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tu
     codes = codes[(codes[:, -1] >= 0) | (m == 1)]  # drop the emptied rows, none at m = 1
     codes = codes[np.lexsort(codes.T)]  # equal rows now adjacent
     # a class starts at each row unlike the one before, the first unlike the -2s (no code)
-    starts = np.flatnonzero(np.diff(codes, axis=0, prepend=-2).any(axis=1)).tolist()
-    rows, ends = codes[starts].tolist(), starts[1:] + [len(codes)]
+    starts = np.flatnonzero(np.diff(codes, axis=0, prepend=-2).any(axis=1))
+    counts, codes = np.diff(starts, append=len(codes)).tolist(), codes[starts]
+    distinct = np.sort(codes[codes >= 0])  # not np.unique, which imports numpy.ma (1 MB)
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0].tolist()
+    pads = np.count_nonzero(codes < 0, axis=1).tolist()
     pattern_of = list(patterns)
-    keys = {c: (*pattern_of[c >> shift], c & ((1 << shift) - 1))
-            for row in rows for c in row if c >= 0}
-    return tuple((tuple(sorted(keys[c] for c in row if c >= 0)), end - start)
-                 for row, start, end in zip(rows, starts, ends))
+    keys = tuple((*pattern_of[c >> shift], c & ((1 << shift) - 1)) for c in distinct)
+    place = dict(zip(distinct, range(len(distinct)))).__getitem__  # one int per index, shared
+    return keys, tuple((tuple(map(place, row[pad:])), count)
+                       for row, pad, count in zip(codes.tolist(), pads, counts))
 
 
 @lru_cache(maxsize=None)
-def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """((canonical key, number of labelled graphs), ...) over the two-connected
-    graphs on {1..m} coloured by the sorted `colours`: one `_canonical_table`
-    lookup over the masks of `two_connected_graph_list(m)`; model-independent
-    like `_connected_block_classes`."""
+def _two_connected_classes(m: int, colours: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(keys, counts) over the two-connected graphs on {1..m} coloured by the
+    sorted `colours`: class i is the canonical key keys[i] of counts[i]
+    labelled graphs, by one `_canonical_table` lookup over the masks of
+    `two_connected_graph_list(m)`; model-independent like the connected table."""
     classes = Counter(_canonical_table(m, _runs(colours))[two_connected_graph_list(m)].tolist())
-    return tuple(((m, colours, c), count) for c, count in classes.items())
+    return tuple((m, colours, c) for c in classes), tuple(classes.values())
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -561,10 +565,10 @@ def graph_from_json(doc: Mapping, path: str = "") -> Graph:
     document's JSON key path, for error messages."""
     at = f"{path}." if path else ""
     doc = config_mapping(doc, path or "graph")
-    n = config_int(doc["n"], f"{at}n", 0, MAX_GRAPH_VERTICES, "a vertex count")
+    n = config_int(*config_field(doc, "n", path), 0, MAX_GRAPH_VERTICES, "a vertex count")
     edges = [[config_int(v, f"{at}edges[{k}][{m}]", 1, n, "a vertex")
               for m, v in enumerate(config_list(e, f"{at}edges[{k}]", 2))]
-             for k, e in enumerate(config_list(doc["edges"], f"{at}edges"))]
+             for k, e in enumerate(config_list(*config_field(doc, "edges", path)))]
     return Graph.from_edges(n, edges)
 
 

@@ -40,7 +40,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._config import config_int, config_list, config_mapping, config_number, config_species
+from ._config import (config_field, config_int, config_list, config_mapping, config_number,
+                      config_species)
 
 # The name of the coefficient field, as reprs and JSON documents write it.
 RATIONAL = "rational"
@@ -820,10 +821,10 @@ def series_to_json(a: MPSeries) -> dict:
 
 
 def series_from_json(doc: Mapping) -> MPSeries:
-    t = config_mapping(doc["truncation"], "truncation")
-    trunc = Truncation(config_int(t["degree"], "truncation.degree", 0),
-                       config_species(t["species"], "truncation.species"))
-    if doc["field"] != RATIONAL:
+    t = config_mapping(*config_field(doc, "truncation"))
+    trunc = Truncation(config_int(*config_field(t, "degree", "truncation"), 0),
+                       config_species(*config_field(t, "species", "truncation")))
+    if config_field(doc, "field")[0] != RATIONAL:
         raise ValueError(f"unknown coefficient field {doc['field']!r}")
     terms = {}
     for k, entry in enumerate(config_list(doc.get("terms", []), "terms")):
@@ -831,8 +832,8 @@ def series_from_json(doc: Mapping) -> MPSeries:
         entry = config_mapping(entry, at)
         n = MultiIndex({config_species(s, f'{at}.n["{s}"]', key=True):
                         config_int(e, f'{at}.n["{s}"]', 0)
-                        for s, e in config_mapping(entry["n"], f"{at}.n").items()})
-        c = config_number(entry["c"], f"{at}.c")
+                        for s, e in config_mapping(*config_field(entry, "n", at)).items()})
+        c = config_number(*config_field(entry, "c", at))
         # a float is its exact binary value, as the constructor takes it
         terms[n] = Fraction(entry["c"]) if isinstance(entry["c"], float) else c
     return MPSeries(terms, trunc)

@@ -138,7 +138,7 @@ def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
     _check_weight_sum_size(truncation)
     return max(((m, count, key[2].bit_count())
                 for m in range(2, truncation.degree + 1)
-                for key, count in _two_connected_classes(m, (1,) * m)),
+                for key, count in zip(*_two_connected_classes(m, (1,) * m))),
                key=lambda run: run[1] * run[2], default=(0, 0, 0))
 
 

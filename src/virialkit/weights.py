@@ -43,22 +43,20 @@ bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._config import (config_int, config_list, config_mapping, config_number,
+from ._config import (config_field, config_int, config_list, config_mapping, config_number,
                       config_species, to_fraction)
 from .graphs import (
     MAX_WEIGHT_SUM_VERTICES,
-    Block,
     ColouredGraph,
     Graph,
     _connected_block_classes,
@@ -519,30 +517,38 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
 # -- synthetic block-factorizing models --------------------------------------
 
 
-def _sum_class_weights(model: SyntheticBlockModel, classes) -> Fraction:
-    """sum over ((canonical block keys), count) classes of count times the
-    product of the keys' block weights.
-
-    Each key's weight is read once as (numerator, denominator); a class
-    multiplies integers, the class products are summed per denominator, and
-    those sums over their least common denominator make the one Fraction
-    built.
-    """
-    weights: dict[tuple, tuple[int, int]] = {}
+def _sum_class_weights(model: SyntheticBlockModel, connected=((), ()),
+                       two_connected=((), ())) -> Fraction:
+    """sum over the classes of graphs.py's tables `connected` (keys, rows of
+    (key indices, count)) and `two_connected` (keys, counts; class i is keys[i])
+    of count times the product of the class's block weights.  Each table's
+    keys are read once, the connected table's as integer lists that its rows
+    index; the class products are summed per denominator, and the sums over
+    their least common denominator make the one Fraction built."""
     by_den: dict[int, int] = {}
-    for keys, count in classes:
-        num, den = count, 1
-        for key in keys:
-            w = weights.get(key)
-            if w is None:
-                q = model.weight_for_canonical_key(key)
-                w = weights[key] = (q.numerator, q.denominator)
-            num *= w[0]
-            den *= w[1]
-        if num:
-            by_den[den] = by_den.get(den, 0) + num
+    keys, rows = connected
+    weights = [model.weight_for_canonical_key(key) for key in keys]
+    nums, dens = [w.numerator for w in weights], [w.denominator for w in weights]
+    for indices, num in rows:  # num starts as the class's count
+        den = 1
+        for i in indices:
+            num *= nums[i]
+            den *= dens[i]
+        by_den[den] = by_den.get(den, 0) + num
+    for key, count in zip(*two_connected):
+        w = model.weight_for_canonical_key(key)
+        by_den[w.denominator] = by_den.get(w.denominator, 0) + count * w.numerator
     den = math.lcm(*by_den)
     return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
+
+
+class RandomWeights(NamedTuple):
+    """The seeded rule for a block key with no given weight: num/den, den in
+    1..8 and num in [low·den, high·den], from default_rng(crc32(repr((seed, key)))."""
+
+    seed: int
+    low: int = -5
+    high: int = 5
 
 
 class SyntheticBlockModel:
@@ -550,25 +556,26 @@ class SyntheticBlockModel:
     connected coloured graphs by block factorization.
 
     Weights are keyed on the canonical form of (block, restricted colouring),
-    which enforces invariance under colour-preserving relabellings.  A model
-    may carry a fallback rule that synthesizes (and memoizes) a weight for
-    unknown canonical keys; without one, a missing block weight is an error.
-    Its weight sums are exact, (Fraction, 0), read off the class tables of
-    graphs.py.
+    which enforces invariance under colour-preserving relabellings.  A key
+    with no given weight follows the one rule `unseen`: None (an error), a
+    constant weight, or `RandomWeights`.  Every weight read is memoised; the
+    given blocks are kept apart too, so the model's JSON is them and the rule.
+    Its weight sums are exact, (Fraction, 0), read off graphs.py's class tables.
     """
 
     block_factorizing = True
 
     def __init__(self, species_count: int,
-                 blocks: Sequence[tuple[ColouredGraph, object]] = (),
-                 fallback: Callable[[tuple], Fraction] | None = None,
-                 default_weight=None):
+                 blocks: Sequence[tuple[ColouredGraph, object]] = (), unseen=None):
         if species_count < 1:
             raise ValueError("species_count must be >= 1")
         self.species_count = species_count
+        self.unseen = unseen if unseen is None or isinstance(unseen, RandomWeights) \
+            else to_fraction(unseen)
+        self._given: dict[tuple, Fraction] = {}
         self._weights: dict[tuple, Fraction] = {}
-        self._fallback = fallback
-        self.default_weight = None if default_weight is None else to_fraction(default_weight)
+        # random draws share one Fraction per value: few long-lived objects, rare full GCs
+        self._fraction = lru_cache(maxsize=None)(Fraction)
         for cg, w in blocks:
             self.add_block(cg, w)
 
@@ -577,7 +584,7 @@ class SyntheticBlockModel:
         if not is_two_connected(cg.graph):
             raise ValueError("block weights are defined on two-connected graphs")
         key = canonical_coloured_key(cg.graph.n, cg.graph.mask, cg.colours)
-        self._weights[key] = to_fraction(weight)
+        self._given[key] = self._weights[key] = to_fraction(weight)
 
     @classmethod
     def from_edge_weights(cls, species_count: int,
@@ -585,63 +592,43 @@ class SyntheticBlockModel:
                           ) -> SyntheticBlockModel:
         """The default model: only the single-edge block carries weight, one
         value per unordered colour pair; every other block weighs 0."""
-        model = cls(species_count, default_weight=0)
-        for (k, l), w in edge_weights.items():
-            cg = ColouredGraph(Graph.from_edges(2, [(1, 2)]), (k, l))
-            model.add_block(cg, w)
-        return model
+        edge = Graph.from_edges(2, [(1, 2)])
+        return cls(species_count, [(ColouredGraph(edge, kl), w) for kl, w in edge_weights.items()],
+                   unseen=0)
 
     @classmethod
     def random(cls, seed: int, species_count: int,
                low: int = -5, high: int = 5) -> SyntheticBlockModel:
-        """Model with a deterministic seeded fallback: every canonical block
-        key gets a rational weight in [low, high] on first use."""
-        # Draws share one Fraction per value: thousands of keys take few
-        # values, and fewer long-lived objects keep full garbage collections rare.
-        fraction = lru_cache(maxsize=None)(Fraction)
-
-        def draw(key: tuple) -> Fraction:
-            digest = zlib.crc32(repr((seed, key)).encode())
-            rng = np.random.default_rng(digest)
-            den = int(rng.integers(1, 9))
-            num = int(rng.integers(low * den, high * den + 1))
-            return fraction(num, den)
-
-        return cls(species_count, fallback=draw)
+        """Model whose every block key draws a weight in [low, high] on first use."""
+        return cls(species_count, unseen=RandomWeights(seed, low, high))
 
     def weight_for_canonical_key(self, key: tuple) -> Fraction:
         w = self._weights.get(key)
         if w is None:
-            if self._fallback is not None:
-                w = self._fallback(key)
-            elif self.default_weight is not None:
-                w = self.default_weight
-            else:
+            w = rule = self.unseen
+            if rule is None:
                 raise ValueError(f"no block weight for canonical key {key}")
+            if isinstance(rule, RandomWeights):
+                rng = np.random.default_rng(zlib.crc32(repr((rule.seed, key)).encode()))
+                den = int(rng.integers(1, 9))
+                w = self._fraction(int(rng.integers(rule.low * den, rule.high * den + 1)), den)
             self._weights[key] = w
         return w
 
-    def weight_of_block(self, b: Block, colours: tuple[int, ...]) -> Fraction:
-        restricted = tuple(colours[v - 1] for v in b.vertices)
-        return self.weight_for_canonical_key(
-            canonical_coloured_key(b.size, b.relabelled_mask, restricted))
-
     def connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[Fraction, int]:
-        """(sum over the connected graphs on {1..m} of their weights, 0), in one
-        pass over graphs.py's two class tables of (m, colours), which partition
-        the connected graphs: one entry per multiset of canonical block keys
-        for two or more blocks (19 to 1 322 at m = 6 over three species), one
+        """(sum over the connected graphs on {1..m} of their weights, 0), over
+        graphs.py's two class tables of (m, colours), which partition the
+        connected graphs: one row per multiset of canonical block keys for two
+        or more blocks (19 to 1 322 at m = 6 over three species), one class
         per canonical key for one block (56 to 1 752), against 26 704 graphs."""
-        one_block = (((key,), count) for key, count in _two_connected_classes(m, colours))
-        classes = itertools.chain(_connected_block_classes(m, colours), one_block)
-        return _sum_class_weights(self, classes), 0
+        return _sum_class_weights(self, _connected_block_classes(m, colours),
+                                  _two_connected_classes(m, colours)), 0
 
     def two_connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[Fraction, int]:
         """(sum over the two-connected graphs on {1..m} of their weights, 0),
         over the class table of one canonical coloured key per class with its
         number of labelled graphs."""
-        classes = _two_connected_classes(m, colours)
-        return _sum_class_weights(self, (((key,), count) for key, count in classes)), 0
+        return _sum_class_weights(self, two_connected=_two_connected_classes(m, colours)), 0
 
 
 def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
@@ -653,7 +640,8 @@ def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
         raise ValueError("synthetic weights are defined for connected graphs")
     out = Fraction(1)
     for b in block_decomposition(g.graph).blocks:
-        out *= m.weight_of_block(b, g.colours)
+        out *= m.weight_for_canonical_key(canonical_coloured_key(
+            b.size, b.relabelled_mask, tuple(g.colours[v - 1] for v in b.vertices)))
     return out
 
 
@@ -692,7 +680,7 @@ class McWeightSource:
         weight has the variance of count graph runs.  The classes draw
         independent streams, so the stderr is sqrt(sum of (count × stderr)^2)."""
         total, var = 0, 0.0
-        for (size, key_colours, mask), count in _two_connected_classes(m, colours):
+        for (size, key_colours, mask), count in zip(*_two_connected_classes(m, colours)):
             stream = self._stream(size, mask, key_colours)
             weight, err = weight_mc(ColouredGraph(Graph(size, mask), key_colours), self.potential,
                                     replace(stream, sample_count=count * stream.sample_count))
@@ -886,14 +874,13 @@ def model_to_json(model) -> dict:
                 "sigma": {str(k): float(v) for k, v in sorted(model.sigma.items())},
                 "L": float(model.box_length)}
     if isinstance(model, SyntheticBlockModel):
-        blocks = []
-        for (size, colours, mask), w in sorted(model._weights.items(),
-                                               key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-            g = Graph(size, mask)
-            blocks.append({"graph": graph_to_json(g), "colours": list(colours), "w": str(w)})
+        blocks = [{"graph": graph_to_json(Graph(size, mask)), "colours": list(colours),
+                   "w": str(w)} for (size, colours, mask), w in sorted(model._given.items())]
         doc = {"type": "synthetic", "species": model.species_count, "blocks": blocks}
-        if model.default_weight is not None:
-            doc["default_w"] = str(model.default_weight)
+        if isinstance(model.unseen, RandomWeights):
+            doc["random_fallback"] = model.unseen._asdict()
+        elif model.unseen is not None:
+            doc["default_w"] = str(model.unseen)
         return doc
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
@@ -906,11 +893,11 @@ _FALLBACK_BOUND = 10 ** 9
 def model_from_json(doc: Mapping):
     kind = doc.get("type")
     if kind == "hard_rods_1d":
-        L = config_number(doc["L"], "L", "a box length > 0", lambda x: x > 0)
+        L = config_number(*config_field(doc, "L"), "a box length > 0", lambda x: x > 0)
         sigma = {config_species(k, f'sigma["{k}"]', key=True):
                  config_number(v, f'sigma["{k}"]', f"a rod length in [0, {L})",
                                lambda x: 0 <= x < L)
-                 for k, v in config_mapping(doc["sigma"], "sigma", nonempty=True).items()}
+                 for k, v in config_mapping(*config_field(doc, "sigma"), nonempty=True).items()}
         missing = next((k for k in range(1, max(sigma)) if k not in sigma), None)
         if missing is not None:
             raise ValueError(f"sigma: expected rod lengths for species 1..{max(sigma)} with "
@@ -922,21 +909,20 @@ def model_from_json(doc: Mapping):
         for i, entry in enumerate(config_list(doc.get("blocks", []), "blocks")):
             at = f"blocks[{i}]"
             entry = config_mapping(entry, at)
-            g = graph_from_json(entry["graph"], f"{at}.graph")
+            g = graph_from_json(*config_field(entry, "graph", at))
             colours = tuple(config_species(c, f"{at}.colours[{j}]")
-                            for j, c in enumerate(config_list(entry["colours"], f"{at}.colours")))
+                            for j, c in enumerate(config_list(*config_field(entry, "colours", at))))
             species = max((species, *colours))
-            blocks.append((ColouredGraph(g, colours), config_number(entry["w"], f"{at}.w")))
-        fallback = None
+            blocks.append((ColouredGraph(g, colours), config_number(*config_field(entry, "w", at))))
+        if "random_fallback" in doc and "default_w" in doc:
+            raise ValueError("random_fallback, default_w: a model takes one rule for unseen keys")
+        unseen = config_number(doc["default_w"], "default_w") if "default_w" in doc else None
         if "random_fallback" in doc:
             fb = config_mapping(doc["random_fallback"], "random_fallback")
             low = config_int(fb.get("low", -5), "random_fallback.low",
                              -_FALLBACK_BOUND, _FALLBACK_BOUND)
             high = config_int(fb.get("high", 5), "random_fallback.high", low, _FALLBACK_BOUND)
-            fallback = SyntheticBlockModel.random(config_int(fb["seed"], "random_fallback.seed"),
-                                                  species, low, high)._fallback
-        default_w = doc.get("default_w")
-        return SyntheticBlockModel(species, blocks, fallback=fallback,
-                                   default_weight=None if default_w is None
-                                   else config_number(default_w, "default_w"))
+            unseen = RandomWeights(config_int(*config_field(fb, "seed", "random_fallback")),
+                                   low, high)
+        return SyntheticBlockModel(species, blocks, unseen)
     raise ValueError(f"unknown model type {kind!r}")

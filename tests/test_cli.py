@@ -680,6 +680,19 @@ def one_species_model(tmp_path):
      "L^4·4!, past the largest float"),
     (("weights", "stability", "--b", "0", "--scheme", "low-discrepancy", "--model"),
      TWO_RODS_DOC, "--scheme: stability draws pseudo-random configurations only"),
+    (("weights", "kp-check", "--model", HARD_RODS, "--spec"), {"a": 1.0}, "error: radii: missing"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1, "default_w": "0",
+      "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 1]}]},
+     "error: blocks[0].w: missing"),
+    (("bounds", "compute", "--spec"), {"species": [{"i": 1, "r": 0.02, "a": 0.3}]},
+     "error: species[0].R: missing"),
+    (("virial", "invert", "--degree", "2", "--samples", "100", "--model"),
+     {"type": "hard_rods_1d", "sigma": {"1": 1.0}}, "error: L: missing"),
+    (("graphs", "blocks", "--input"), {"n": 2}, "error: edges: missing"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 1, "default_w": "0", "random_fallback": {"seed": 1}},
+     "error: random_fallback, default_w:"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
@@ -689,7 +702,9 @@ def one_species_model(tmp_path):
         "mc-volume-overflow", "estimate-above-mayer-cap", "rod-box-volume-overflow",
         "estimate-above-chunk-cap", "cap-above-rod-species", "radii-above-rod-species",
         "rod-species-gap", "nan-tol", "inf-tol", "negative-tol", "colour-above-rod-species",
-        "invert-joint-sum-overflow", "compare-joint-sum-overflow", "stability-scheme"])
+        "invert-joint-sum-overflow", "compare-joint-sum-overflow", "stability-scheme",
+        "missing-radii", "missing-block-w", "missing-domain-R", "missing-rod-L",
+        "missing-graph-edges", "two-unseen-key-rules"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)

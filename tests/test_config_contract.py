@@ -18,8 +18,10 @@ GRAPH = {"n": 3, "edges": [[1, 2], [2, 3]], "colours": [1, 1, 2]}
 # Degree 1 keeps every in-range species count cheap; the readers run the same.
 CONFIGS = [
     ({"type": "synthetic", "species": 2, "default_w": "0",
-      "random_fallback": {"seed": 1, "low": -5, "high": 5},
       "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 2], "w": "1/2"}]},
+     ["virial", "invert", "--degree", "1", "--model"]),
+    # a model takes one rule for unseen block keys: default_w or random_fallback
+    ({"type": "synthetic", "species": 2, "random_fallback": {"seed": 1, "low": -5, "high": 5}},
      ["virial", "invert", "--degree", "1", "--model"]),
     (ROD, ["virial", "invert", "--degree", "1", "--samples", "100", "--model"]),
     ({"species": [{"i": 1, "r": 0.02, "R": 0.08, "a": 0.3}]}, ["bounds", "compute", "--spec"]),

@@ -160,10 +160,10 @@ def test_class_table_sums_on_a_second_model_match_brute_force():
 ])
 def test_class_table_multiplicities_count_the_labelled_graphs(colours, graphs, classes):
     m = len(colours)
-    tables = (graphs_mod._connected_block_classes(m, colours),
-              graphs_mod._two_connected_classes(m, colours))
-    assert tuple(sum(count for _, count in t) for t in tables) == graphs
-    assert tuple(len(t) for t in tables) == classes
+    _, rows = graphs_mod._connected_block_classes(m, colours)
+    _, counts = graphs_mod._two_connected_classes(m, colours)
+    assert (sum(count for _, count in rows), sum(counts)) == graphs
+    assert (len(rows), len(counts)) == classes
 
 
 @lru_cache(maxsize=None)
@@ -189,6 +189,18 @@ def walked_two_connected_classes(m, colours):
                    for mask in two_connected_graph_list(m).tolist())
 
 
+def connected_classes(m, colours):
+    """The connected table as (sorted canonical block keys, count) pairs, each
+    row's keys read through its key indices."""
+    keys, rows = graphs_mod._connected_block_classes(m, colours)
+    return [(tuple(sorted(keys[i] for i in indices)), count) for indices, count in rows]
+
+
+def two_connected_classes(m, colours):
+    """The two-connected table as (canonical key, count) pairs, in its order."""
+    return list(zip(*graphs_mod._two_connected_classes(m, colours)))
+
+
 def is_plain_key(key):
     """(int, tuple of int, int), built from Python ints only: the random
     fallback weight is drawn from repr((seed, key))."""
@@ -202,8 +214,14 @@ def test_class_tables_equal_the_key_walk():
     # 15 336 of two or more blocks
     for colours in TABLE_COLOURINGS + [(1, 2, 3, 4, 5, 6)]:
         m = len(colours)
-        connected = graphs_mod._connected_block_classes(m, colours)
-        two_connected = graphs_mod._two_connected_classes(m, colours)
+        keys, rows = graphs_mod._connected_block_classes(m, colours)
+        # each key once, every key in some row, each row's indices ascending
+        assert len(set(keys)) == len(keys) == len({i for indices, _ in rows for i in indices})
+        assert all(type(indices) is tuple and list(indices) == sorted(indices)
+                   for indices, _ in rows)
+        keys, counts = graphs_mod._two_connected_classes(m, colours)
+        assert type(keys) is tuple and type(counts) is tuple and len(keys) == len(counts)
+        connected, two_connected = connected_classes(m, colours), two_connected_classes(m, colours)
         assert len(connected) == len(set(keys for keys, _ in connected))
         one_block = Counter({(key,): count for key, count in two_connected})
         assert Counter(dict(connected)) + one_block == walked_connected_classes(m, colours), \
@@ -213,7 +231,7 @@ def test_class_tables_equal_the_key_walk():
         assert all(type(keys) is tuple and all(map(is_plain_key, keys)) and type(count) is int
                    for keys, count in connected)
         assert all(is_plain_key(key) and type(count) is int for key, count in two_connected)
-    assert len(graphs_mod._connected_block_classes(6, (1, 2, 3, 4, 5, 6))) == 15336
+    assert len(graphs_mod._connected_block_classes(6, (1, 2, 3, 4, 5, 6))[1]) == 15336
 
 
 def test_class_tables_partition_the_connected_graphs():
@@ -221,8 +239,7 @@ def test_class_tables_partition_the_connected_graphs():
     # the connected table, one block in the two-connected table
     for colours in TABLE_COLOURINGS + [(1, 1, 2, 2, 3, 3)]:
         m = len(colours)
-        connected = graphs_mod._connected_block_classes(m, colours)
-        two_connected = graphs_mod._two_connected_classes(m, colours)
+        connected, two_connected = connected_classes(m, colours), two_connected_classes(m, colours)
         if m >= 2:
             assert all(len(keys) >= 2 for keys, _ in connected), colours
         one_block = Counter({(key,): count for key, count in two_connected})
@@ -959,7 +976,7 @@ def per_class_stderr(source, m, colours):
     class on {1..m}, on the stream of its canonical graph; each class total
     carries count × the stderr of its run, and the classes add in quadrature."""
     var = 0.0
-    for (_, _, mask), count in graphs_mod._two_connected_classes(m, colours):
+    for (_, _, mask), count in zip(*graphs_mod._two_connected_classes(m, colours)):
         stream = source._stream(m, mask, colours)
         _, err = weight_mc(ColouredGraph(Graph(m, mask), colours), source.potential,
                            McParams(count * stream.sample_count, stream.seed))
@@ -1038,7 +1055,7 @@ def test_largest_two_connected_class_equals_the_walk_over_every_colouring():
             t = Truncation(degree, species)
             want = max(((n.degree, count, key[2].bit_count())
                         for n in admissible_indices(t, min_degree=2)
-                        for key, count in graphs_mod._two_connected_classes(
-                            n.degree, canonical_colouring(n))),
+                        for key, count in zip(*graphs_mod._two_connected_classes(
+                            n.degree, canonical_colouring(n)))),
                        key=lambda run: run[1] * run[2], default=(0, 0, 0))
             assert virial.largest_two_connected_class(t) == want, t

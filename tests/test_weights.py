@@ -1,6 +1,9 @@
+import itertools
+import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,10 @@ import pytest
 from scipy.stats import qmc
 
 from virialkit import weights
-from virialkit.graphs import ColouredGraph, Graph, _connected_sum_table, connected_graph_list
+from virialkit.graphs import (ColouredGraph, Graph, _connected_block_classes,
+                              _connected_sum_table, _two_connected_classes, connected_graph_list)
+from virialkit.series import Truncation
+from virialkit.virial import pressure_from_weights
 from virialkit.weights import (
     CustomPairPotential,
     HardRods1D,
@@ -607,6 +613,34 @@ def test_random_model_draws_share_one_fraction_per_value():
     assert len({id(w) for w in draws}) <= 8 * 81 < len(draws)
 
 
+class CountingModel(SyntheticBlockModel):
+    """A random model that counts its weight reads per canonical key."""
+
+    def __init__(self):
+        super().__init__(3, unseen=weights.RandomWeights(7))
+        self.reads = Counter()
+
+    def weight_for_canonical_key(self, key):
+        self.reads[key] += 1
+        return super().weight_for_canonical_key(key)
+
+
+def test_sum_class_weights_reads_each_key_once_per_table():
+    # the reads are what perfbench's weights.synthetic.lookups counts; the
+    # two tables' keys differ in size, so a connected sum reads each key once
+    for m in range(1, 6):
+        for colours in itertools.combinations_with_replacement((1, 2, 3), m):
+            connected = _connected_block_classes(m, colours)
+            two_connected = _two_connected_classes(m, colours)
+            for tables in ((connected, ((), ())), (((), ()), two_connected),
+                           (connected, two_connected)):
+                model = CountingModel()
+                total = weights._sum_class_weights(model, *tables)
+                assert model.reads == Counter(key for keys, _ in tables for key in keys), colours
+                assert max(model.reads.values(), default=1) == 1
+            assert (total, 0) == SyntheticBlockModel.random(7, 3).connected_sum(m, colours)
+
+
 def test_synthetic_weight_equals_block_product():
     from virialkit.graphs import block_decomposition
     m = SyntheticBlockModel.random(5, 2)
@@ -623,8 +657,10 @@ def test_synthetic_weight_equals_block_product():
         colours = tuple(rng.randint(1, 2) for _ in range(n))
         total = synthetic_weight(ColouredGraph(g, colours), m)
         prod = Fraction(1)
-        for b in block_decomposition(g).blocks:
-            prod *= m.weight_of_block(b, colours)
+        for b in block_decomposition(g).blocks:  # each block as a graph of its own
+            block = Graph(b.size, b.relabelled_mask)
+            prod *= synthetic_weight(ColouredGraph(block, tuple(colours[v - 1] for v in b.vertices)),
+                                     m)
         assert total == prod
 
 
@@ -755,3 +791,25 @@ def test_synthetic_json_round_trip():
     edge = ColouredGraph(Graph.from_edges(2, [(1, 2)]), (1, 2))
     assert synthetic_weight(edge, m2) == Fraction(-7, 2)
     assert synthetic_weight(TRIANGLE, m2) == 0  # zero default survives the round trip
+
+
+def test_random_model_json_is_its_given_blocks_and_its_rule():
+    # the memo of drawn weights is not written: the rule redraws them, so the
+    # reloaded model reaches keys the written model never read
+    model = SyntheticBlockModel.random(1, 2)
+    model.add_block(ColouredGraph(TRIANGLE.graph, (1, 1, 2)), "3/4")
+    pressure_from_weights(model, Truncation(3, 2))
+    doc = json.loads(json.dumps(model_to_json(model)))
+    assert doc["random_fallback"] == {"seed": 1, "low": -5, "high": 5}
+    assert [block["w"] for block in doc["blocks"]] == ["3/4"] and "default_w" not in doc
+    again = model_from_json(doc)
+    assert pressure_from_weights(again, Truncation(4, 2)).series == \
+        pressure_from_weights(model, Truncation(4, 2)).series
+
+
+def test_synthetic_json_takes_one_rule_for_unseen_keys():
+    doc = {"type": "synthetic", "species": 1, "default_w": "0", "random_fallback": {"seed": 1}}
+    with pytest.raises(ValueError, match="random_fallback, default_w"):
+        model_from_json(doc)
+    assert SyntheticBlockModel(1).unseen is None and "default_w" not in model_to_json(
+        SyntheticBlockModel(1))
