@@ -13,9 +13,11 @@ p as a series in the densities are computed by
 Exact agreement of the three routes on block-factorizing models is the
 central cross-check of the whole package.
 
-Both graph sums come from the weight source, per (vertex count, colouring):
-`connected_sum` for the pressure and `two_connected_sum` for the
-two-connected route, each as (sum, stderr).  One builder, `_weight_sums`,
+Both graph sums come from the weight source, in one call per pass over
+all the (vertex count, colouring) shapes of the truncation:
+`connected_sums` for the pressure and `two_connected_sums` for the
+two-connected route, one (sum, stderr) per shape, so a synthetic source
+draws the weights of a whole pass at once.  One builder, `_weight_sums`,
 turns either into a series and the standard error of each coefficient, so
 this module never asks what kind of source it reads.  A Monte Carlo sum is a
 float and enters the series at its exact binary value, so every route runs
@@ -142,22 +144,22 @@ def largest_two_connected_class(truncation: Truncation) -> tuple[int, int, int]:
                key=lambda run: run[1] * run[2], default=(0, 0, 0))
 
 
-def _weight_sums(source_method, truncation: Truncation,
+def _weight_sums(source_sums, truncation: Truncation,
                  min_degree: int) -> tuple[MPSeries, dict[MultiIndex, float]]:
     """(sum_n x^n S(n)/n!, {n: stderr of S(n)/n!}) over the admissible n of
-    degree >= min_degree, with (S(n), stderr) = source_method(|n|, canonical
-    colouring of n) and S(n) exact: a float sum at its binary value.  A sum
-    that is not finite, and degrees above MAX_WEIGHT_SUM_VERTICES, raise
-    ValueError."""
+    degree >= min_degree, with the (S(n), stderr) of every n from one call
+    source_sums(shapes) over the shapes (|n|, canonical colouring of n), and
+    S(n) exact: a float sum at its binary value.  A sum that is not finite,
+    and degrees above MAX_WEIGHT_SUM_VERTICES, raise ValueError."""
     _check_weight_sum_size(truncation)
+    indices = list(admissible_indices(truncation, min_degree=min_degree))
+    shapes = [(n.degree, canonical_colouring(n)) for n in indices]
     values, errors = {}, {}
-    for n in admissible_indices(truncation, min_degree=min_degree):
-        colours = canonical_colouring(n)
-        s, err = source_method(n.degree, colours)
+    for n, (m, colours), (s, err) in zip(indices, shapes, source_sums(shapes)):
         try:
             s = Fraction(s)
         except (OverflowError, ValueError):
-            raise ValueError(f"the weight sum on {n.degree} vertices coloured {colours} "
+            raise ValueError(f"the weight sum on {m} vertices coloured {colours} "
                              f"is {s}, not a finite number") from None
         values[truncation.pack(n)] = s / n.factorial()
         errors[n] = err / n.factorial()
@@ -165,7 +167,7 @@ def _weight_sums(source_method, truncation: Truncation,
 
 
 def _pressure(source, truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
-    series, errors = _weight_sums(source.connected_sum, truncation, min_degree=1)
+    series, errors = _weight_sums(source.connected_sums, truncation, min_degree=1)
     for k in range(1, truncation.species + 1):
         if truncation.degree >= 1 and series[MultiIndex.single(k)] != 1:
             raise AssertionError(f"weight-built pressure must have b(e_{k}) = 1")
@@ -174,10 +176,10 @@ def _pressure(source, truncation: Truncation) -> tuple[PressureSeries, dict[Mult
 
 def pressure_from_weights(model, truncation: Truncation) -> PressureSeries:
     """b(n) = (1/n!) sum over connected graphs on |n| vertices with the
-    canonical colouring of n, one `model.connected_sum` per (|n|, colouring):
-    exact from a synthetic model's class table, one joint estimate from one
-    sample stream for a Monte Carlo source.  Degrees above
-    MAX_WEIGHT_SUM_VERTICES raise ValueError.
+    canonical colouring of n, from one `model.connected_sums` call over every
+    (|n|, colouring): exact from a synthetic model's class tables, one joint
+    estimate from one sample stream per shape for a Monte Carlo source.
+    Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     return _pressure(model, truncation)[0]
 
@@ -186,7 +188,7 @@ def mc_pressure_series(potential: PairPotential, params: McParams,
                        truncation: Truncation) -> tuple[PressureSeries, dict[MultiIndex, float]]:
     """Monte Carlo pressure series plus the standard error of each b(n): the
     pressure `pressure_from_weights` builds from McWeightSource(potential,
-    params), with the errors its `connected_sum` reports.  Each b(n) is the
+    params), with the errors its `connected_sums` reports.  Each b(n) is the
     float joint sum S of its (vertex count, colouring) taken exactly,
     Fraction(S) / n!, and its error is the float stderr of S over n!."""
     return _pressure(McWeightSource(potential, params), truncation)
@@ -374,14 +376,15 @@ def virial_from_two_connected(model, truncation: Truncation) -> VirialSeries:
 
 
 def two_connected_gf(model, truncation: Truncation) -> TwoConnectedGF:
-    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum), one
-    `model.two_connected_sum` per (|n|, colouring).  Both kinds of source sum
-    over graphs.py's class table: exactly, or with one Monte Carlo run per
-    class (27 at degree 4 over two species, against 57 labelled graphs).
+    """B(rho) = sum_{|n|>=2} rho^n / n! * (two-connected weight sum), from
+    one `model.two_connected_sums` call over every (|n|, colouring).  Both
+    kinds of source sum over graphs.py's class table: exactly, or with one
+    Monte Carlo run per class (27 at degree 4 over two species, against 57
+    labelled graphs).
     Degrees above MAX_WEIGHT_SUM_VERTICES raise ValueError.
     """
     _require_block_factorizing(model)
-    series, _ = _weight_sums(model.two_connected_sum, truncation, min_degree=2)
+    series, _ = _weight_sums(model.two_connected_sums, truncation, min_degree=2)
     return TwoConnectedGF(series)
 
 

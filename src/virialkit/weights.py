@@ -15,12 +15,22 @@ connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
 evaluates each pair's Mayer factor once per sample and sums the graphs, and
 the pair integral of |zeta| of the convergence check.
 
-Every weight source answers `connected_sum(m, colours)` and
-`two_connected_sum(m, colours)`: the summed weights of the connected (for
-the pressure) or two-connected (for route 3) graphs on {1..m} in one
-colouring, as (sum, stderr).  `SyntheticBlockModel` gives (Fraction, 0)
-from graphs.py's class tables, `McWeightSource` float estimates, which the
+Every weight source (`WeightSource`) answers `connected_sums(shapes)` and
+`two_connected_sums(shapes)`: for each shape (m, colours) of a pass, the
+summed weights of the connected (for the pressure) or two-connected (for
+route 3) graphs on {1..m} in one colouring, as (sum, stderr);
+`connected_sum(m, colours)` and `two_connected_sum(m, colours)` are their
+one-shape calls.  `SyntheticBlockModel` gives (Fraction, 0) from graphs.py's
+class tables, `McWeightSource` float estimates shape by shape, which the
 series take at their exact binary values.
+
+A random synthetic model draws each unseen block key's weight from the seed
+and the key alone, bit for bit the two `integers` draws of numpy's
+default_rng(crc32(repr((seed, key)))).  `_random_draws` computes them
+without numpy's Generator: SeedSequence's hashing as uint64 array
+operations over a batch of keys, then PCG64 and Lemire's bounded integers
+on Python ints.  A pass draws the unseen keys of all its shapes' tables
+before it sums them, _DRAW_CHUNK keys at a time.
 
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
@@ -46,10 +56,10 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -514,6 +524,19 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
     return _mc_integral(m, u, p, rows, connected_sum)
 
 
+class WeightSource:
+    """What the pressure and route 3 read of a weight source: the plural
+    sums `connected_sums(shapes)` and `two_connected_sums(shapes)`, one
+    (sum, stderr) per shape (vertex count, colouring), which a subclass
+    defines; the singular sums are their one-shape calls."""
+
+    def connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple:
+        return self.connected_sums([(m, colours)])[0]
+
+    def two_connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple:
+        return self.two_connected_sums([(m, colours)])[0]
+
+
 # -- synthetic block-factorizing models --------------------------------------
 
 
@@ -542,16 +565,147 @@ def _sum_class_weights(model: SyntheticBlockModel, connected=((), ()),
     return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
 
 
-class RandomWeights(NamedTuple):
+# random_fallback weights are num/den with den <= 8 and num drawn in
+# [low*den, high*den]: within this bound every numerator is an int64, as the
+# numpy draws that define the rule need, and spans (high - low)*den past 2^32
+# take the 64-bit path of `_pcg_draw`
+_FALLBACK_BOUND = 10 ** 9
+
+
+@dataclass(frozen=True)
+class RandomWeights:
     """The seeded rule for a block key with no given weight: num/den, den in
-    1..8 and num in [low·den, high·den], from default_rng(crc32(repr((seed, key)))."""
+    1..8 and num in [low·den, high·den], the two `integers` draws of
+    numpy's default_rng(crc32(repr((seed, key)))), reproduced by
+    `_random_draws` without numpy's Generator.  low and high are integers,
+    not bools, with -_FALLBACK_BOUND <= low <= high <= _FALLBACK_BOUND;
+    anything else raises ValueError naming the field."""
 
     seed: int
     low: int = -5
     high: int = 5
 
+    def __post_init__(self):
+        config_int(self.low, "low", -_FALLBACK_BOUND, _FALLBACK_BOUND)
+        config_int(self.high, "high", self.low, _FALLBACK_BOUND)
 
-class SyntheticBlockModel:
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """init * mult^k mod 2^32 for k = 0..count: SeedSequence's hash constants,
+    which do not depend on the entropy."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return tuple(out)
+
+
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # mixing the entropy into the pool
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # drawing the state from the pool
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT2 = _PCG_MULT * _PCG_MULT & _M128
+_PCG_INC3 = (_PCG_MULT2 + _PCG_MULT + 1) & _M128
+_ENTROPY_ARRAY_MIN = 16  # digests hashed as one uint64 array from this many on
+_DRAW_CHUNK = 4096  # keys drawn at once by a weight-sum pass
+
+
+def _hashmix(value, k: int):
+    """SeedSequence's k-th hashmix of a 32-bit value (an int or a uint64 array)."""
+    value = (value ^ _MIX_HASH[k]) * _MIX_HASH[k + 1] & _M32
+    return value ^ value >> 16
+
+
+_POOL_TAIL = tuple(_hashmix(0, k) for k in range(1, 4))  # the pool words that hash no entropy
+
+
+def _seed_words(d):
+    """numpy's SeedSequence(d).generate_state(4, np.uint64) for an entropy
+    d < 2^32, on an int or elementwise on a uint64 array of them: 4 words,
+    each an int or a uint64 array.  The pool starts as hashmix(d) and three
+    constant hashmix(0); every product is masked to 32 bits, so a uint64
+    array never overflows and a negative int difference wraps like uint32."""
+    pool = [_hashmix(d, 0), *_POOL_TAIL]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                x = (0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[src], k)) & _M32
+                pool[dst] = x ^ x >> 16
+                k += 1
+    halves = []
+    for i in range(8):
+        x = (pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _M32
+        halves.append(x ^ x >> 16)
+    # the 32-bit words in little-endian pairs
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg_output(state: int) -> int:
+    """PCG64's XSL-RR output of a 128-bit state."""
+    rot, x = state >> 122, (state >> 64 ^ state) & _M64
+    return (x >> rot | x << (64 - rot)) & _M64
+
+
+def _pcg_draw(words: Sequence[int], low: int, high: int) -> tuple[int, int]:
+    """(num, den) of Generator(PCG64(SeedSequence)) seeded by the 64-bit
+    state words of `_seed_words`: den = integers(1, 9), then num =
+    integers(low·den, high·den + 1), by numpy's bounded draws on span =
+    (high - low)·den, the number of values less one.  Below span = 2^32 - 1 a draw reads 32-bit
+    halves of the outputs, the low half first and then the buffered high
+    half, and Lemire's method multiplies a half by span + 1 and rejects a
+    product whose low word is below 2^32 mod (span + 1).  den's span 7 + 1
+    divides 2^32, so its draw, the low half of the first output, never
+    rejects, and num starts from that output's high half.  span = 2^32 - 1
+    takes that half as is, span = 0 draws nothing, and a wider span takes
+    fresh 64-bit outputs, by Lemire's method at 64 bits."""
+    w0, w1, w2, w3 = words
+    inc = (w2 << 65 | w3 << 1 | 1) & _M128
+    # state 0, one LCG step, add initstate, a second step, and the step of
+    # the first output: initstate·a² + inc·(a² + a + 1)
+    state = ((w0 << 64 | w1) * _PCG_MULT2 + inc * _PCG_INC3) & _M128
+    r = _pcg_output(state)
+    den = 1 + ((r & _M32) >> 29)
+    span, off = (high - low) * den, low * den
+    if span == 0:
+        return off, den
+    if span == _M32:
+        return off + (r >> 32), den
+    if span < _M32:
+        threshold = (1 << 32) % (span + 1)
+        m, halves = (r >> 32) * (span + 1), []
+        while m & _M32 < threshold:
+            if not halves:
+                state = (state * _PCG_MULT + inc) & _M128
+                r = _pcg_output(state)
+                halves = [r >> 32, r & _M32]
+            m = halves.pop() * (span + 1)
+        return off + (m >> 32), den
+    threshold = (1 << 64) % (span + 1)
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        m = _pcg_output(state) * (span + 1)
+        if m & _M64 >= threshold:
+            return off + (m >> 64), den
+
+
+def _random_draws(rule: RandomWeights, keys: Sequence[tuple]) -> list[tuple[int, int]]:
+    """(num, den) of each key's weight under `rule`: bit for bit the two
+    `integers` draws of numpy's default_rng(crc32(repr((seed, key)))) that
+    the rule names, with no numpy Generator.  The seed words of a batch of
+    _ENTROPY_ARRAY_MIN keys or more are hashed as one uint64 array, those of
+    fewer key by key as ints, by the same `_seed_words`."""
+    digests = [zlib.crc32(repr((rule.seed, key)).encode()) for key in keys]
+    if len(digests) < _ENTROPY_ARRAY_MIN:
+        words = map(_seed_words, digests)
+    else:
+        words = zip(*(w.tolist() for w in _seed_words(np.array(digests, dtype=np.uint64))))
+    low, high = rule.low, rule.high
+    return [_pcg_draw(w, low, high) for w in words]
+
+
+class SyntheticBlockModel(WeightSource):
     """Exact rational weights defined on two-connected blocks, extended to all
     connected coloured graphs by block factorization.
 
@@ -560,7 +714,9 @@ class SyntheticBlockModel:
     with no given weight follows the one rule `unseen`: None (an error), a
     constant weight, or `RandomWeights`.  Every weight read is memoised; the
     given blocks are kept apart too, so the model's JSON is them and the rule.
-    Its weight sums are exact, (Fraction, 0), read off graphs.py's class tables.
+    Its weight sums are exact, (Fraction, 0), read off graphs.py's class
+    tables; under `RandomWeights` a pass first draws every unseen key of its
+    shapes' tables, in chunks.
     """
 
     block_factorizing = True
@@ -605,30 +761,63 @@ class SyntheticBlockModel:
     def weight_for_canonical_key(self, key: tuple) -> Fraction:
         w = self._weights.get(key)
         if w is None:
-            w = rule = self.unseen
+            rule = self.unseen
             if rule is None:
                 raise ValueError(f"no block weight for canonical key {key}")
             if isinstance(rule, RandomWeights):
-                rng = np.random.default_rng(zlib.crc32(repr((rule.seed, key)).encode()))
-                den = int(rng.integers(1, 9))
-                w = self._fraction(int(rng.integers(rule.low * den, rule.high * den + 1)), den)
-            self._weights[key] = w
+                self._draw((key,))
+                return self._weights[key]
+            w = self._weights[key] = rule
         return w
 
-    def connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[Fraction, int]:
-        """(sum over the connected graphs on {1..m} of their weights, 0), over
-        graphs.py's two class tables of (m, colours), which partition the
-        connected graphs: one row per multiset of canonical block keys for two
-        or more blocks (19 to 1 322 at m = 6 over three species), one class
-        per canonical key for one block (56 to 1 752), against 26 704 graphs."""
-        return _sum_class_weights(self, _connected_block_classes(m, colours),
-                                  _two_connected_classes(m, colours)), 0
+    def _draw(self, keys: Iterable[tuple]) -> None:
+        """Memoise the random weight of every key of `keys` that has none
+        yet, drawn by `_random_draws` _DRAW_CHUNK distinct keys at a time, so
+        that a pass of any size holds one chunk of draws at once."""
+        rule, weights, chunk = self.unseen, self._weights, {}
 
-    def two_connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[Fraction, int]:
-        """(sum over the two-connected graphs on {1..m} of their weights, 0),
-        over the class table of one canonical coloured key per class with its
-        number of labelled graphs."""
-        return _sum_class_weights(self, two_connected=_two_connected_classes(m, colours)), 0
+        def keep():
+            for key, (num, den) in zip(chunk, _random_draws(rule, list(chunk))):
+                weights[key] = self._fraction(num, den)
+            chunk.clear()
+
+        for key in keys:
+            if key not in weights:
+                chunk[key] = None
+                if len(chunk) == _DRAW_CHUNK:
+                    keep()
+        keep()
+
+    def _sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]],
+              tables: Callable[[int, tuple[int, ...]], tuple[tuple, tuple]]
+              ) -> list[tuple[Fraction, int]]:
+        """(sum, 0) per shape (m, colours) by `_sum_class_weights` over its
+        pair of class tables tables(m, colours), (connected, two-connected),
+        after one `_draw` over all their keys.  graphs.py memoises the tables, so the
+        draw meets each shape's tables as they are built, in shape order, and
+        the sums read them back."""
+        if isinstance(self.unseen, RandomWeights):
+            self._draw(key for shape in shapes for keys, _ in tables(*shape) for key in keys)
+        return [(_sum_class_weights(self, *tables(*shape)), 0) for shape in shapes]
+
+    def connected_sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]]
+                       ) -> list[tuple[Fraction, int]]:
+        """(sum over the connected graphs on {1..m} of their weights, 0) per
+        shape (m, colours), over graphs.py's two class tables of the shape,
+        which partition the connected graphs: one row per multiset of
+        canonical block keys for two or more blocks (19 to 1 322 at m = 6
+        over three species), one class per canonical key for one block (56 to
+        1 752), against 26 704 graphs."""
+        return self._sums(shapes, lambda m, colours: (_connected_block_classes(m, colours),
+                                                      _two_connected_classes(m, colours)))
+
+    def two_connected_sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]]
+                           ) -> list[tuple[Fraction, int]]:
+        """(sum over the two-connected graphs on {1..m} of their weights, 0)
+        per shape (m, colours), over the class table of one canonical coloured
+        key per class with its number of labelled graphs."""
+        return self._sums(shapes, lambda m, colours: (((), ()),
+                                                      _two_connected_classes(m, colours)))
 
 
 def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
@@ -645,15 +834,16 @@ def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
     return out
 
 
-class McWeightSource:
+class McWeightSource(WeightSource):
     """Adapter: Monte Carlo cluster integrals as a weight source of float sums.
 
-    `connected_sum` is one joint estimate per (vertex count, colouring), the
-    sum over all connected graphs from `mayer_sum_mc`.  `two_connected_sum`
-    makes one `weight_mc` run per class of isomorphic two-connected graphs.
-    Every estimate draws its own stream, seeded from the base seed and what
-    it estimates, so results do not depend on evaluation order.  Rigid
-    molecules factorize over blocks, hence `block_factorizing` is True.
+    `connected_sums` answers shape by shape, one joint estimate per (vertex
+    count, colouring), the sum over all connected graphs from
+    `mayer_sum_mc`.  `two_connected_sums` makes one `weight_mc` run per class
+    of isomorphic two-connected graphs of each shape.  Every estimate draws
+    its own stream, seeded from the base seed and what it estimates, so
+    results do not depend on evaluation order.  Rigid molecules factorize
+    over blocks, hence `block_factorizing` is True.
     """
 
     block_factorizing = True
@@ -669,24 +859,33 @@ class McWeightSource:
         digest = zlib.crc32(repr((self.params.seed, *key)).encode())
         return McParams(self.params.sample_count, int(digest), self.params.scheme)
 
-    def connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[float, float]:
-        """sum over the connected graphs on {1..m} of their weights, with its stderr."""
-        return mayer_sum_mc(m, colours, self.potential, self._stream(m, colours))
+    def connected_sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]]
+                       ) -> list[tuple[float, float]]:
+        """Per shape (m, colours), the sum over the connected graphs on
+        {1..m} of their weights, with its stderr."""
+        return [mayer_sum_mc(m, colours, self.potential, self._stream(m, colours))
+                for m, colours in shapes]
 
-    def two_connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple[float, float]:
-        """sum over the two-connected graphs on {1..m} of their weights, with its
-        stderr, by class of graphs.py's table.  A class of `count` graphs is one
-        `weight_mc` run of count × samples on its canonical graph, so count ×
-        weight has the variance of count graph runs.  The classes draw
-        independent streams, so the stderr is sqrt(sum of (count × stderr)^2)."""
-        total, var = 0, 0.0
-        for (size, key_colours, mask), count in zip(*_two_connected_classes(m, colours)):
-            stream = self._stream(size, mask, key_colours)
-            weight, err = weight_mc(ColouredGraph(Graph(size, mask), key_colours), self.potential,
-                                    replace(stream, sample_count=count * stream.sample_count))
-            total += count * weight
-            var += (count * err) ** 2
-        return total, math.sqrt(var)
+    def two_connected_sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]]
+                           ) -> list[tuple[float, float]]:
+        """Per shape (m, colours), the sum over the two-connected graphs on
+        {1..m} of their weights, with its stderr, by class of graphs.py's
+        table.  A class of `count` graphs is one `weight_mc` run of count ×
+        samples on its canonical graph, so count × weight has the variance of
+        count graph runs.  The classes draw independent streams, so the
+        stderr is sqrt(sum of (count × stderr)^2)."""
+        sums = []
+        for m, colours in shapes:
+            total, var = 0, 0.0
+            for (size, key_colours, mask), count in zip(*_two_connected_classes(m, colours)):
+                stream = self._stream(size, mask, key_colours)
+                weight, err = weight_mc(ColouredGraph(Graph(size, mask), key_colours),
+                                        self.potential,
+                                        replace(stream, sample_count=count * stream.sample_count))
+                total += count * weight
+                var += (count * err) ** 2
+            sums.append((total, math.sqrt(var)))
+        return sums
 
 
 # -- interaction-criteria checks ----------------------------------------------
@@ -878,16 +1077,11 @@ def model_to_json(model) -> dict:
                    "w": str(w)} for (size, colours, mask), w in sorted(model._given.items())]
         doc = {"type": "synthetic", "species": model.species_count, "blocks": blocks}
         if isinstance(model.unseen, RandomWeights):
-            doc["random_fallback"] = model.unseen._asdict()
+            doc["random_fallback"] = asdict(model.unseen)
         elif model.unseen is not None:
             doc["default_w"] = str(model.unseen)
         return doc
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
-
-
-# random_fallback weights are num/den with num drawn in [low*den, high*den],
-# den <= 8, as a numpy int64
-_FALLBACK_BOUND = 10 ** 9
 
 
 def model_from_json(doc: Mapping):

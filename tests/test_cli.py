@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import virialkit
@@ -321,6 +322,20 @@ def test_virial_stdout_is_pinned_at_degree_6(tmp_path, capsys, monkeypatch, meth
                          "--method", method)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_DEGREE_6[method]
+
+
+def test_exact_paths_draw_without_numpys_generator(tmp_path, capsys, monkeypatch):
+    def generator(*args, **kwargs):
+        raise AssertionError("an exact path called numpy's Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", generator)
+    model, t = virialkit.weights.SyntheticBlockModel.random(3, 2), Truncation(5, 2)
+    assert virial_mod.pressure_from_weights(model, t).series.terms
+    assert virial_mod.two_connected_gf(model, t).series.terms
+    path = write(tmp_path / "model.json", RANDOM_TWO_SPECIES)
+    code, out, err = run(capsys, "virial", "compare", "--model", path, "--degree", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "identical"
 
 
 def fresh_main(argv, cwd):
@@ -747,7 +762,7 @@ def test_mu_species_outside_the_cap_is_refused_before_sampling(tmp_path, capsys,
     def sampled(*args):
         raise AssertionError("sampled before the refusal")
 
-    monkeypatch.setattr(virialkit.weights.McWeightSource, "two_connected_sum", sampled)
+    monkeypatch.setattr(virialkit.weights.McWeightSource, "two_connected_sums", sampled)
     path = write(tmp_path / "model.json", ROD_MIXTURE)
     start = time.perf_counter()
     code, out, err = run(capsys, "virial", "mu", "--degree", "5", "--species", species,

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+import zlib
 from collections import Counter
 from fractions import Fraction
 
@@ -611,6 +612,96 @@ def test_random_model_draws_share_one_fraction_per_value():
     draws = [m.weight_for_canonical_key((6, (1, 1, 1, 2, 2, 2), mask)) for mask in range(2000)]
     assert all(type(w) is Fraction and -5 <= w <= 5 for w in draws)
     assert len({id(w) for w in draws}) <= 8 * 81 < len(draws)
+
+
+def numpy_draw(rule, key):
+    """(num, den) by the rule's definition: two `integers` draws of numpy's
+    Generator."""
+    rng = np.random.default_rng(zlib.crc32(repr((rule.seed, key)).encode()))
+    den = int(rng.integers(1, 9))
+    return int(rng.integers(rule.low * den, rule.high * den + 1)), den
+
+
+def numpy_outputs_read(rule, key):
+    """How many 64-bit outputs of numpy's PCG64 the two draws of a key read."""
+    digest = zlib.crc32(repr((rule.seed, key)).encode())
+    rng = np.random.default_rng(digest)
+    den = int(rng.integers(1, 9))
+    rng.integers(rule.low * den, rule.high * den + 1)
+    stream = np.random.default_rng(digest).bit_generator.random_raw(8).tolist()
+    return stream.index(rng.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("low, high", [
+    (-5, 5), (-3, 4), (0, 0), (7, 7),
+    (-10 ** 9, 10 ** 9),  # spans past 2^32: the 64-bit path
+    (-250_000_000, 250_000_000),  # 32-bit rejections, about 7 % at den = 8
+    (-715_827_882, 715_827_883),  # (high - low)·3 = 2^32 - 1: one half output as is
+])
+def test_random_draws_equal_numpys_generator(low, high):
+    rule = weights.RandomWeights(11, low, high)
+    keys = [(6, (1, 1, 2, 2, 3, 3), mask) for mask in range(10_000)]
+    want = [numpy_draw(rule, key) for key in keys]
+    assert weights._random_draws(rule, keys) == want
+    # fewer than _ENTROPY_ARRAY_MIN keys hash their seeds as ints
+    assert [weights._random_draws(rule, [key])[0] for key in keys[:300]] == want[:300]
+    span = high - low
+    if span == 500_000_000:
+        assert any(numpy_outputs_read(rule, key) > 1 for key, (_, den) in zip(keys, want)
+                   if den == 8)
+    if span == 2 * 10 ** 9:  # a fresh 64-bit output past den's
+        assert {numpy_outputs_read(rule, key) for key, (_, den) in zip(keys, want)
+                if span * den > 2 ** 32 - 1} == {2}
+    if span == 1_431_655_765:
+        assert any(span * den == 2 ** 32 - 1 for _, den in want)
+
+
+def test_seed_words_equal_seed_sequence():
+    entropy = [0, 1, 2, 12345, 2 ** 31, 2 ** 32 - 1]
+    want = [np.random.SeedSequence(d).generate_state(4, np.uint64).tolist() for d in entropy]
+    assert [weights._seed_words(d) for d in entropy] == want
+    words = weights._seed_words(np.array(entropy, dtype=np.uint64))
+    assert [list(w) for w in zip(*(w.tolist() for w in words))] == want
+
+
+# (rule, key, (num, den)): fixed values of the rule, checked without numpy
+KNOWN_DRAWS = [
+    (weights.RandomWeights(1, -5, 5), (2, (1, 1), 1), (-5, 1)),
+    (weights.RandomWeights(1, -5, 5), (3, (1, 2, 3), 7), (21, 6)),
+    (weights.RandomWeights(7, -3, 4), (4, (1, 1, 2, 2), 45), (1, 4)),
+    (weights.RandomWeights(42, -5, 5), (6, (1, 1, 1, 2, 2, 2), 32767), (-23, 8)),
+    (weights.RandomWeights(5, -10 ** 9, 10 ** 9), (5, (1, 2, 2, 3, 3), 1023), (-352845019, 2)),
+    (weights.RandomWeights(9, -250_000_000, 250_000_000), (3, (1, 1, 1), 7), (-694508758, 5)),
+    (weights.RandomWeights(3, 0, 0), (4, (2, 2, 2, 2), 63), (0, 4)),
+    (weights.RandomWeights(4, 7, 7), (2, (1, 2), 1), (14, 2)),
+]
+
+
+@pytest.mark.parametrize("rule, key, draw", KNOWN_DRAWS)
+def test_random_draws_known_answers(rule, key, draw):
+    assert weights._random_draws(rule, [key]) == [draw]
+    assert SyntheticBlockModel(1, unseen=rule).weight_for_canonical_key(key) == Fraction(*draw)
+
+
+@pytest.mark.parametrize("low, high, field", [
+    (5, -5, "high"), (0.5, 5, "low"), (True, 5, "low"), (-10 ** 19, 5, "low"),
+    (-5, 5.0, "high"), (-5, 10 ** 9 + 1, "high"),
+])
+def test_random_weights_bounds_are_checked_at_construction(low, high, field):
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer in "):
+        SyntheticBlockModel.random(1, 2, low=low, high=high)
+
+
+@pytest.mark.parametrize("fallback, message", [
+    ({"seed": 1, "low": 0.5}, "random_fallback.low: expected an integer in "
+                              "-1000000000..1000000000, got 0.5"),
+    ({"seed": 1, "low": 5, "high": -5}, "random_fallback.high: expected an integer in "
+                                        "5..1000000000, got -5"),
+])
+def test_random_fallback_bounds_keep_their_json_messages(fallback, message):
+    with pytest.raises(ValueError) as err:
+        model_from_json({"type": "synthetic", "species": 1, "random_fallback": fallback})
+    assert str(err.value) == message
 
 
 class CountingModel(SyntheticBlockModel):
