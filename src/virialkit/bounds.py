@@ -519,5 +519,8 @@ def domain_spec_from_json(doc: Mapping) -> DomainSpec:
         r = float(config_number(*config_field(e, "r", at), "a radius r > 0", lambda x: x > 0))
         R = float(config_number(*config_field(e, "R", at), "a radius R > r", lambda x: x > r))
         a = float(config_number(*config_field(e, "a", at), "a budget a >= 0", lambda x: x >= 0))
-        species[config_species(*config_field(e, "i", at))] = SpeciesDomain(r, R, a)
+        i = config_species(*config_field(e, "i", at))
+        if i in species:
+            raise ValueError(f"{at}.i: species {i} is given twice")
+        species[i] = SpeciesDomain(r, R, a)
     return DomainSpec(species)

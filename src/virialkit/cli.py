@@ -437,6 +437,7 @@ def cmd_bounds_compute(args) -> int:
     if args.model:
         config_int(args.degree, "--degree", 1, None, "an audit degree")  # 0 audits no pressure
         source, truncation = _series_plan(args, ("recursive",))
+        spec.require(range(1, truncation.species + 1))
         hypothesis = config_int(args.samples_hypothesis, "--samples-hypothesis", 0,
                                 MAX_HYPOTHESIS_COORDINATES // truncation.species,
                                 f"a sample count for {truncation.species} species")

@@ -56,7 +56,6 @@ from .series import (
 from .weights import McParams, McWeightSource, PairPotential
 
 RECURSIVE = "recursive"
-LAGRANGE_GOOD = "lagrange_good"
 TWO_CONNECTED = "two_connected"
 
 

@@ -15,22 +15,23 @@ connected graphs on m vertices in one colouring (`mayer_sum_mc`), which
 evaluates each pair's Mayer factor once per sample and sums the graphs, and
 the pair integral of |zeta| of the convergence check.
 
-Every weight source (`WeightSource`) answers `connected_sums(shapes)` and
-`two_connected_sums(shapes)`: for each shape (m, colours) of a pass, the
-summed weights of the connected (for the pressure) or two-connected (for
-route 3) graphs on {1..m} in one colouring, as (sum, stderr);
-`connected_sum(m, colours)` and `two_connected_sum(m, colours)` are their
-one-shape calls.  `SyntheticBlockModel` gives (Fraction, 0) from graphs.py's
-class tables, `McWeightSource` float estimates shape by shape, which the
-series take at their exact binary values.
+Both weight sources, `SyntheticBlockModel` and `McWeightSource`, answer
+`connected_sums(shapes)` and `two_connected_sums(shapes)`: for each shape
+(m, colours) of a pass, the summed weights of the connected (for the
+pressure) or two-connected (for route 3) graphs on {1..m} in one colouring,
+as (sum, stderr); one shape is a list of one.  `SyntheticBlockModel` gives
+(Fraction, 0) from graphs.py's class tables, `McWeightSource` float
+estimates shape by shape, which the series take at their exact binary
+values.
 
-A random synthetic model draws each unseen block key's weight from the seed
-and the key alone, bit for bit the two `integers` draws of numpy's
-default_rng(crc32(repr((seed, key)))).  `_random_draws` computes them
-without numpy's Generator: SeedSequence's hashing as uint64 array
-operations over a batch of keys, then PCG64 and Lemire's bounded integers
-on Python ints.  A pass draws the unseen keys of all its shapes' tables
-before it sums them, _DRAW_CHUNK keys at a time.
+A synthetic model fills every block key with no given weight in one place,
+`SyntheticBlockModel._draw`, by its rule for unseen keys.  A random rule
+draws each such weight from the seed and the key alone, bit for bit the two
+`integers` draws of numpy's default_rng(crc32(repr((seed, key)))).
+`_random_draws` computes them without numpy's Generator: SeedSequence's
+hashing as uint64 array operations over a batch of keys, then PCG64 and
+Lemire's bounded integers on Python ints.  A pass fills the unseen keys of
+all its shapes' tables before it sums them, _DRAW_CHUNK keys at a time.
 
 The Monte Carlo kernel evaluates Mayer factors a batch of pairs at a time
 through `PairPotential.zeta_batch`.  Its default is exp(-energy_batch) - 1; a
@@ -524,19 +525,6 @@ def mayer_sum_mc(m: int, colours: tuple[int, ...], u: PairPotential,
     return _mc_integral(m, u, p, rows, connected_sum)
 
 
-class WeightSource:
-    """What the pressure and route 3 read of a weight source: the plural
-    sums `connected_sums(shapes)` and `two_connected_sums(shapes)`, one
-    (sum, stderr) per shape (vertex count, colouring), which a subclass
-    defines; the singular sums are their one-shape calls."""
-
-    def connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple:
-        return self.connected_sums([(m, colours)])[0]
-
-    def two_connected_sum(self, m: int, colours: tuple[int, ...]) -> tuple:
-        return self.two_connected_sums([(m, colours)])[0]
-
-
 # -- synthetic block-factorizing models --------------------------------------
 
 
@@ -579,15 +567,15 @@ class RandomWeights:
     numpy's default_rng(crc32(repr((seed, key)))), reproduced by
     `_random_draws` without numpy's Generator.  low and high are integers,
     not bools, with -_FALLBACK_BOUND <= low <= high <= _FALLBACK_BOUND;
-    anything else raises ValueError naming the field."""
+    anything else raises ValueError naming the field by its JSON path."""
 
     seed: int
     low: int = -5
     high: int = 5
 
     def __post_init__(self):
-        config_int(self.low, "low", -_FALLBACK_BOUND, _FALLBACK_BOUND)
-        config_int(self.high, "high", self.low, _FALLBACK_BOUND)
+        config_int(self.low, "random_fallback.low", -_FALLBACK_BOUND, _FALLBACK_BOUND)
+        config_int(self.high, "random_fallback.high", self.low, _FALLBACK_BOUND)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -652,14 +640,15 @@ def _pcg_draw(words: Sequence[int], low: int, high: int) -> tuple[int, int]:
     """(num, den) of Generator(PCG64(SeedSequence)) seeded by the 64-bit
     state words of `_seed_words`: den = integers(1, 9), then num =
     integers(low·den, high·den + 1), by numpy's bounded draws on span =
-    (high - low)·den, the number of values less one.  Below span = 2^32 - 1 a draw reads 32-bit
-    halves of the outputs, the low half first and then the buffered high
-    half, and Lemire's method multiplies a half by span + 1 and rejects a
-    product whose low word is below 2^32 mod (span + 1).  den's span 7 + 1
-    divides 2^32, so its draw, the low half of the first output, never
-    rejects, and num starts from that output's high half.  span = 2^32 - 1
-    takes that half as is, span = 0 draws nothing, and a wider span takes
-    fresh 64-bit outputs, by Lemire's method at 64 bits."""
+    (high - low)·den, the number of values less one.  Up to span = 2^32 - 1
+    a draw reads 32-bit halves of the outputs, the low half first and then
+    the buffered high half, and Lemire's method multiplies a half by
+    span + 1 and rejects a product whose low word is below 2^32 mod
+    (span + 1).  den's span 7 + 1 divides 2^32, so its draw, the low half of
+    the first output, never rejects, and num starts from that output's high
+    half; spans 0 and 2^32 - 1 reject nothing (numpy draws nothing at span
+    0, but num is the last draw).  A wider span takes fresh 64-bit outputs,
+    by Lemire's method at 64 bits."""
     w0, w1, w2, w3 = words
     inc = (w2 << 65 | w3 << 1 | 1) & _M128
     # state 0, one LCG step, add initstate, a second step, and the step of
@@ -668,11 +657,7 @@ def _pcg_draw(words: Sequence[int], low: int, high: int) -> tuple[int, int]:
     r = _pcg_output(state)
     den = 1 + ((r & _M32) >> 29)
     span, off = (high - low) * den, low * den
-    if span == 0:
-        return off, den
-    if span == _M32:
-        return off + (r >> 32), den
-    if span < _M32:
+    if span <= _M32:
         threshold = (1 << 32) % (span + 1)
         m, halves = (r >> 32) * (span + 1), []
         while m & _M32 < threshold:
@@ -705,18 +690,18 @@ def _random_draws(rule: RandomWeights, keys: Sequence[tuple]) -> list[tuple[int,
     return [_pcg_draw(w, low, high) for w in words]
 
 
-class SyntheticBlockModel(WeightSource):
+class SyntheticBlockModel:
     """Exact rational weights defined on two-connected blocks, extended to all
     connected coloured graphs by block factorization.
 
     Weights are keyed on the canonical form of (block, restricted colouring),
-    which enforces invariance under colour-preserving relabellings.  A key
-    with no given weight follows the one rule `unseen`: None (an error), a
-    constant weight, or `RandomWeights`.  Every weight read is memoised; the
-    given blocks are kept apart too, so the model's JSON is them and the rule.
-    Its weight sums are exact, (Fraction, 0), read off graphs.py's class
-    tables; under `RandomWeights` a pass first draws every unseen key of its
-    shapes' tables, in chunks.
+    which enforces invariance under colour-preserving relabellings; given
+    blocks of one key with unequal weights raise ValueError.  A key with no
+    given weight follows the one rule `unseen`, applied by `_draw`: None (an
+    error), a constant weight, or `RandomWeights`.  Every weight read is
+    memoised; the given blocks are kept apart too, so the model's JSON is
+    them and the rule.  Its weight sums are exact, (Fraction, 0), read off
+    graphs.py's class tables after `_draw` fills their unseen keys.
     """
 
     block_factorizing = True
@@ -732,15 +717,22 @@ class SyntheticBlockModel(WeightSource):
         self._weights: dict[tuple, Fraction] = {}
         # random draws share one Fraction per value: few long-lived objects, rare full GCs
         self._fraction = lru_cache(maxsize=None)(Fraction)
-        for cg, w in blocks:
-            self.add_block(cg, w)
+        first: dict[tuple, tuple[int, Fraction]] = {}  # key: (index, weight) of its first block
+        for i, (cg, w) in enumerate(blocks):
+            key = self.add_block(cg, w)
+            j, w0 = first.setdefault(key, (i, self._given[key]))
+            if self._given[key] != w0:
+                raise ValueError(f"blocks[{i}]: weight {self._given[key]} for the canonical "
+                                 f"block of blocks[{j}], which has weight {w0}")
 
-    def add_block(self, cg: ColouredGraph, weight) -> None:
+    def add_block(self, cg: ColouredGraph, weight) -> tuple:
+        """Give the block `cg` the weight `weight`; returns its canonical key."""
         from .graphs import is_two_connected
         if not is_two_connected(cg.graph):
             raise ValueError("block weights are defined on two-connected graphs")
         key = canonical_coloured_key(cg.graph.n, cg.graph.mask, cg.colours)
         self._given[key] = self._weights[key] = to_fraction(weight)
+        return key
 
     @classmethod
     def from_edge_weights(cls, species_count: int,
@@ -761,28 +753,30 @@ class SyntheticBlockModel(WeightSource):
     def weight_for_canonical_key(self, key: tuple) -> Fraction:
         w = self._weights.get(key)
         if w is None:
-            rule = self.unseen
-            if rule is None:
-                raise ValueError(f"no block weight for canonical key {key}")
-            if isinstance(rule, RandomWeights):
-                self._draw((key,))
-                return self._weights[key]
-            w = self._weights[key] = rule
+            self._draw((key,))
+            w = self._weights[key]
         return w
 
     def _draw(self, keys: Iterable[tuple]) -> None:
-        """Memoise the random weight of every key of `keys` that has none
-        yet, drawn by `_random_draws` _DRAW_CHUNK distinct keys at a time, so
-        that a pass of any size holds one chunk of draws at once."""
+        """Memoise a weight for every key of `keys` that has none, by the
+        rule `unseen`, _DRAW_CHUNK distinct keys at a time: `RandomWeights`
+        draws them by `_random_draws`, a constant rule stores the constant,
+        and no rule raises ValueError at the first.  The one fill path for
+        unseen keys: a new rule is one more case of `keep`."""
         rule, weights, chunk = self.unseen, self._weights, {}
 
         def keep():
-            for key, (num, den) in zip(chunk, _random_draws(rule, list(chunk))):
-                weights[key] = self._fraction(num, den)
+            if isinstance(rule, RandomWeights):
+                for key, (num, den) in zip(chunk, _random_draws(rule, list(chunk))):
+                    weights[key] = self._fraction(num, den)
+            else:
+                weights.update(dict.fromkeys(chunk, rule))
             chunk.clear()
 
         for key in keys:
             if key not in weights:
+                if rule is None:
+                    raise ValueError(f"no block weight for canonical key {key}")
                 chunk[key] = None
                 if len(chunk) == _DRAW_CHUNK:
                     keep()
@@ -793,11 +787,10 @@ class SyntheticBlockModel(WeightSource):
               ) -> list[tuple[Fraction, int]]:
         """(sum, 0) per shape (m, colours) by `_sum_class_weights` over its
         pair of class tables tables(m, colours), (connected, two-connected),
-        after one `_draw` over all their keys.  graphs.py memoises the tables, so the
-        draw meets each shape's tables as they are built, in shape order, and
-        the sums read them back."""
-        if isinstance(self.unseen, RandomWeights):
-            self._draw(key for shape in shapes for keys, _ in tables(*shape) for key in keys)
+        after one `_draw` over all their keys.  graphs.py memoises the tables,
+        so the draw meets each shape's tables as they are built, in shape
+        order, and the sums read them back."""
+        self._draw(key for shape in shapes for keys, _ in tables(*shape) for key in keys)
         return [(_sum_class_weights(self, *tables(*shape)), 0) for shape in shapes]
 
     def connected_sums(self, shapes: Sequence[tuple[int, tuple[int, ...]]]
@@ -834,7 +827,7 @@ def synthetic_weight(g: ColouredGraph, m: SyntheticBlockModel) -> Fraction:
     return out
 
 
-class McWeightSource(WeightSource):
+class McWeightSource:
     """Adapter: Monte Carlo cluster integrals as a weight source of float sums.
 
     `connected_sums` answers shape by shape, one joint estimate per (vertex
@@ -1016,8 +1009,7 @@ class StabilityReport:
 MAX_STABILITY_MOLECULES = 8
 
 
-def stability_check(u: PairPotential, b: float, trials: McParams, max_n: int,
-                    species: Sequence[int] | None = None) -> StabilityReport:
+def stability_check(u: PairPotential, b: float, trials: McParams, max_n: int) -> StabilityReport:
     """Sample random configurations and report violations of the stability
     bounds prod |1 + zeta| <= prod e^{b k_i} and |1 + zeta| <= e^{b min(k,l)}.
 
@@ -1028,7 +1020,7 @@ def stability_check(u: PairPotential, b: float, trials: McParams, max_n: int,
                          f"{MAX_STABILITY_MOLECULES} molecules")
     if max_n < 2:
         raise ValueError("need configurations of at least 2 molecules")
-    pool = tuple(species) if species is not None else u.species
+    pool = u.species
     if not pool:
         raise ValueError("no species to sample")
     rng = np.random.default_rng(trials.seed)
@@ -1113,10 +1105,7 @@ def model_from_json(doc: Mapping):
         unseen = config_number(doc["default_w"], "default_w") if "default_w" in doc else None
         if "random_fallback" in doc:
             fb = config_mapping(doc["random_fallback"], "random_fallback")
-            low = config_int(fb.get("low", -5), "random_fallback.low",
-                             -_FALLBACK_BOUND, _FALLBACK_BOUND)
-            high = config_int(fb.get("high", 5), "random_fallback.high", low, _FALLBACK_BOUND)
             unseen = RandomWeights(config_int(*config_field(fb, "seed", "random_fallback")),
-                                   low, high)
+                                   **{k: fb[k] for k in ("low", "high") if k in fb})
         return SyntheticBlockModel(species, blocks, unseen)
     raise ValueError(f"unknown model type {kind!r}")

@@ -708,6 +708,14 @@ def one_species_model(tmp_path):
     (("virial", "invert", "--degree", "2", "--model"),
      {"type": "synthetic", "species": 1, "default_w": "0", "random_fallback": {"seed": 1}},
      "error: random_fallback, default_w:"),
+    (("virial", "invert", "--degree", "2", "--model"),
+     {"type": "synthetic", "species": 2, "default_w": "0",
+      "blocks": [{"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [1, 2], "w": "1"},
+                 {"graph": {"n": 2, "edges": [[1, 2]]}, "colours": [2, 1], "w": "3"}]},
+     "error: blocks[1]: weight 3 for the canonical block of blocks[0], which has weight 1"),
+    (("bounds", "compute", "--spec"),
+     {"species": [{"i": 1, "r": 0.1, "R": 0.2, "a": 1}, {"i": 1, "r": 0.01, "R": 0.5, "a": 2}]},
+     "error: species[1].i: species 1 is given twice"),
 ], ids=["array-model", "string-model", "array-graph", "array-spec", "int-random-fallback",
         "int-species", "list-radii", "empty-radii", "huge-float-n", "int-edges", "null-vertex",
         "n-above-graph-cap", "int-blocks", "int-block-entry", "int-block-graph",
@@ -719,7 +727,8 @@ def one_species_model(tmp_path):
         "rod-species-gap", "nan-tol", "inf-tol", "negative-tol", "colour-above-rod-species",
         "invert-joint-sum-overflow", "compare-joint-sum-overflow", "stability-scheme",
         "missing-radii", "missing-block-w", "missing-domain-R", "missing-rod-L",
-        "missing-graph-edges", "two-unseen-key-rules"])
+        "missing-graph-edges", "two-unseen-key-rules", "repeated-block-key",
+        "repeated-domain-species"])
 def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model,
                                                one_species_model, argv, doc, named):
     path = write(tmp_path / "bad.json", doc)
@@ -735,6 +744,22 @@ def test_malformed_config_shape_is_usage_error(tmp_path, capsys, hard_rods_model
     assert out == ""
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+def test_bounds_spec_missing_a_species_is_refused_before_sampling(tmp_path, capsys,
+                                                                  monkeypatch):
+    def sampled(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(virialkit.weights.McWeightSource, "connected_sums", sampled)
+    spec = write(tmp_path / "spec.json", {"species": [{"i": 1, "r": 0.01, "R": 0.02, "a": 0.3}]})
+    model = write(tmp_path / "rods.json", {"type": "hard_rods_1d", "sigma": {"1": 1, "2": 2},
+                                           "L": 40})
+    code, out, err = run(capsys, "bounds", "compute", "--model", model, "--spec", spec,
+                         "--degree", "6", "--samples", "1000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: species [2] not covered by the domain spec\n"
 
 
 def test_two_connected_sums_past_the_float_range_are_refused_before_sampling(

@@ -122,7 +122,7 @@ def brute_two_connected_sum(model, colours):
 
 def test_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
-        total = MODEL_B.connected_sum(len(colours), colours)[0]
+        total = MODEL_B.connected_sums([(len(colours), colours)])[0][0]
         assert type(total) is Fraction
         assert total == brute_connected_sum(MODEL_B, colours), colours
 
@@ -131,7 +131,7 @@ def test_two_connected_class_table_matches_brute_force():
     for colours in TABLE_COLOURINGS:
         if len(colours) < 2:
             continue
-        total = MODEL_B.two_connected_sum(len(colours), colours)[0]
+        total = MODEL_B.two_connected_sums([(len(colours), colours)])[0][0]
         assert type(total) is Fraction
         assert total == brute_two_connected_sum(MODEL_B, colours), colours
 
@@ -143,10 +143,10 @@ def test_class_table_sums_on_a_second_model_match_brute_force():
         if len(colours) > 5:
             continue
         m = len(colours)
-        assert MODEL_A.connected_sum(m, colours)[0] == \
+        assert MODEL_A.connected_sums([(m, colours)])[0][0] == \
             brute_connected_sum(MODEL_A, colours), colours
         if m >= 2:
-            assert MODEL_A.two_connected_sum(m, colours)[0] == \
+            assert MODEL_A.two_connected_sums([(m, colours)])[0][0] == \
                 brute_two_connected_sum(MODEL_A, colours), colours
 
 
@@ -255,13 +255,13 @@ def test_class_tables_are_model_independent():
     graphs_mod._two_connected_classes.cache_clear()
     for colours in ((1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2)):
         m = len(colours)
-        MODEL_A.connected_sum(m, colours)[0]
-        MODEL_A.two_connected_sum(m, colours)[0]
+        MODEL_A.connected_sums([(m, colours)])[0][0]
+        MODEL_A.two_connected_sums([(m, colours)])[0][0]
         filled = (graphs_mod._connected_block_classes.cache_info().currsize,
                   graphs_mod._two_connected_classes.cache_info().currsize)
-        assert MODEL_B.connected_sum(m, colours)[0] == \
+        assert MODEL_B.connected_sums([(m, colours)])[0][0] == \
             brute_connected_sum(MODEL_B, colours)
-        assert MODEL_B.two_connected_sum(m, colours)[0] == \
+        assert MODEL_B.two_connected_sums([(m, colours)])[0][0] == \
             brute_two_connected_sum(MODEL_B, colours)
         assert (graphs_mod._connected_block_classes.cache_info().currsize,
                 graphs_mod._two_connected_classes.cache_info().currsize) == filled
@@ -871,7 +871,7 @@ def test_mc_pressure_series_matches_pressure_from_mc_weights(seed):
     q = pressure_from_weights(source, t)
     assert p.series.terms == q.series.terms
     for n, b in p.series.terms.items():
-        assert b == Fraction(source.connected_sum(n.degree, canonical_colouring(n))[0]) \
+        assert b == Fraction(source.connected_sums([(n.degree, canonical_colouring(n))])[0][0]) \
             / n.factorial(), n
     assert list(errs) == list(admissible_indices(t, min_degree=1))
     assert all((err == 0.0) == (n.degree == 1) for n, err in errs.items())
@@ -930,7 +930,7 @@ def test_mc_b_is_the_float_joint_sum_taken_exactly(source):
     t = Truncation(4, 2)
     p = pressure_from_weights(source, t)
     for n in admissible_indices(t, min_degree=1):
-        total, _ = source.connected_sum(n.degree, canonical_colouring(n))
+        total, _ = source.connected_sums([(n.degree, canonical_colouring(n))])[0]
         assert p.series[n] == Fraction(total) / n.factorial(), n
 
 
@@ -966,7 +966,7 @@ def test_two_connected_mc_sums_equal_the_per_graph_oracle_through_degree_3(sourc
     for n in admissible_indices(t, min_degree=2):
         colours = canonical_colouring(n)
         want = per_graph_two_connected_sum(source, n.degree, colours)
-        got = source.two_connected_sum(n.degree, colours)[0]
+        got = source.two_connected_sums([(n.degree, colours)])[0][0]
         assert got.hex() == want.hex(), n
         assert B[n] == Fraction(want) / n.factorial(), n
 
@@ -991,9 +991,9 @@ def per_class_stderr(source, m, colours):
 def test_every_source_answers_both_sums_as_a_sum_and_stderr(source):
     exact = isinstance(source, SyntheticBlockModel)
     for colours in ((1,), (2,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 2, 2)):
-        sums = [source.connected_sum(len(colours), colours)]
+        sums = [source.connected_sums([(len(colours), colours)])[0]]
         if len(colours) >= 2:
-            sums.append(source.two_connected_sum(len(colours), colours))
+            sums.append(source.two_connected_sums([(len(colours), colours)])[0])
         for pair in sums:
             assert type(pair) is tuple and len(pair) == 2, colours
             total, err = pair
@@ -1010,7 +1010,7 @@ def test_mc_two_connected_stderr_equals_the_per_class_oracle(source):
     # at degree 4 some classes hold several labelled graphs
     for n in admissible_indices(Truncation(4, 2), min_degree=2):
         colours = canonical_colouring(n)
-        _, err = source.two_connected_sum(n.degree, colours)
+        _, err = source.two_connected_sums([(n.degree, colours)])[0]
         assert err.hex() == per_class_stderr(source, n.degree, colours).hex(), n
 
 
@@ -1023,7 +1023,7 @@ def test_two_connected_mc_gf_within_four_errors_of_tonks():
     source = McWeightSource(ROD_MIXTURE, McParams(100_000, seed=1))
     B = two_connected_gf(source, t).series
     for n in admissible_indices(t, min_degree=2):
-        total, err = source.two_connected_sum(n.degree, canonical_colouring(n))
+        total, err = source.two_connected_sums([(n.degree, canonical_colouring(n))])[0]
         se = err / n.factorial()
         assert B[n] == Fraction(total) / n.factorial(), n
         assert se > 0

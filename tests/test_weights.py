@@ -571,6 +571,17 @@ def test_synthetic_weight_missing_block_is_error():
         synthetic_weight(TRIANGLE, m)
 
 
+def test_a_block_given_two_weights_is_refused():
+    # the edge coloured (1, 2) and the edge coloured (2, 1) are one canonical block
+    edge = Graph.from_edges(2, [(1, 2)])
+    one, other = ColouredGraph(edge, (1, 2)), ColouredGraph(edge, (2, 1))
+    with pytest.raises(ValueError, match=r"^blocks\[2\]: weight 3 for the canonical block of "
+                                         r"blocks\[0\], which has weight 1$"):
+        SyntheticBlockModel(2, [(one, 1), (one, "1"), (other, 3)])
+    model = SyntheticBlockModel(2, [(one, 1), (other, "1")])  # an equal repeat changes nothing
+    assert model.weight_for_canonical_key((2, (1, 2), 1)) == 1 and len(model._given) == 1
+
+
 def test_synthetic_weight_disconnected_rejected():
     m = SyntheticBlockModel.from_edge_weights(1, {(1, 1): -2})
     g = ColouredGraph(Graph.from_edges(4, [(1, 2), (3, 4)]), (1, 1, 1, 1))
@@ -688,7 +699,7 @@ def test_random_draws_known_answers(rule, key, draw):
     (-5, 5.0, "high"), (-5, 10 ** 9 + 1, "high"),
 ])
 def test_random_weights_bounds_are_checked_at_construction(low, high, field):
-    with pytest.raises(ValueError, match=f"^{field}: expected an integer in "):
+    with pytest.raises(ValueError, match=f"^random_fallback\\.{field}: expected an integer in "):
         SyntheticBlockModel.random(1, 2, low=low, high=high)
 
 
@@ -729,7 +740,7 @@ def test_sum_class_weights_reads_each_key_once_per_table():
                 total = weights._sum_class_weights(model, *tables)
                 assert model.reads == Counter(key for keys, _ in tables for key in keys), colours
                 assert max(model.reads.values(), default=1) == 1
-            assert (total, 0) == SyntheticBlockModel.random(7, 3).connected_sum(m, colours)
+            assert (total, 0) == SyntheticBlockModel.random(7, 3).connected_sums([(m, colours)])[0]
 
 
 def test_synthetic_weight_equals_block_product():
